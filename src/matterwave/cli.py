@@ -15,19 +15,14 @@ Results go to stdout unless ``--out`` names a file. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from dataclasses import asdict
 
-from .experiment import (
-    SweepResult,
-    VerifyReport,
-    fringe_reading,
-    sensitivity_sweep,
-    verify_suite,
-)
+from .experiment import fringe_reading, sensitivity_sweep, verify_suite
 from .kinematics import circulation, enclosed_area_vector
-from .model import MatterWaveError, PhaseResult
+from .model import MatterWaveError
 from .phase import (
     TWO_PI,
     interference_loop,
@@ -36,7 +31,7 @@ from .phase import (
     translation_opening,
     two_path_difference,
 )
-from .scene import SceneError, config_from_scene, parse_scene
+from .scene import OUTPUT_FORMATS, SceneError, config_from_scene, parse_scene
 
 PROG = "matterwave"
 
@@ -52,96 +47,50 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{message}\n{self.format_usage()}")
 
 
-def _float_repr(x: float) -> str:
-    return repr(float(x))
+class _Assembled(dict):
+    """JSON payload a subcommand assembles itself. As CSV it is the table of
+    records under "rows" when there is one, else one row per numeric quantity."""
 
+    def payload(self, breakdown: bool = False) -> dict:
+        return self
 
-def _csv_lines(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_float_repr(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def _json_text(payload) -> str:
-    import json
-
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _phase_payload(result: PhaseResult, breakdown: bool) -> dict:
-    payload = {
-        "total_phase_rad": result.total_phase_rad,
-        "fringe_count": result.total_phase_rad / TWO_PI,
-        "v_lambda_m2ps": result.v_lambda,
-        "samples_per_segment": result.samples_per_segment,
-    }
-    if breakdown:
-        payload["per_segment"] = [
-            {"path_id": c.path_id, "segment_index": c.segment_index, "phase_rad": c.phase_rad}
-            for c in result.per_segment
+    def table(self, breakdown: bool = False) -> list[list]:
+        if "rows" in self:
+            header = list(self["rows"][0].keys())
+            return [header] + [[row[k] for k in header] for row in self["rows"]]
+        return [["quantity", "value"]] + [
+            [k, v] for k, v in self.items() if isinstance(v, (int, float))
         ]
-    return payload
+
+
+def _csv_cell(value) -> str:
+    if not isinstance(value, float):
+        return str(value)
+    if not math.isfinite(value):
+        raise MatterWaveError(f"result is not finite ({value}); refusing to write it")
+    return repr(value)
 
 
 def emit_results(result, fmt: str, breakdown: bool = False) -> bytes:
-    """Serialize a result to CSV or JSON bytes (LF line endings, '.' decimals)."""
-    if fmt not in ("csv", "json"):
+    """Serialize a result to CSV or JSON bytes (LF line endings, '.' decimals).
+
+    ``result.payload(breakdown)`` is the JSON document and
+    ``result.table(breakdown)`` the CSV rows, header first; ``breakdown`` asks
+    for per-segment entries where a result has them. A number that is not
+    finite has no JSON form, so output holding one is refused in both formats.
+    """
+    if fmt == "json":
+        payload = result.payload(breakdown)
+        try:
+            text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        except ValueError as exc:  # raised only for a float that is inf or nan
+            raise MatterWaveError(f"result is not finite ({exc}); refusing to write it") from None
+    elif fmt == "csv":
+        lines = [",".join(_csv_cell(v) for v in row) for row in result.table(breakdown)]
+        text = "\n".join(lines) + "\n"
+    else:
         raise MatterWaveError(f"unknown output format {fmt!r}")
-
-    if isinstance(result, SweepResult):
-        if fmt == "csv":
-            rows = [[r.V_mps, r.phase_rad, r.fringe_count] for r in result.rows]
-            return _csv_lines(["V_mps", "phase_rad", "fringe_count"], rows).encode()
-        payload = {
-            "rows": [asdict(r) for r in result.rows],
-            "v_full_fringe_mps": result.v_full_fringe_mps,
-            "bracket_mps": list(result.bracket) if result.bracket else None,
-            "opening_m": list(result.opening_m.as_tuple()),
-            "cos_theta": result.cos_theta,
-            "v_lambda_m2ps": result.v_lambda,
-        }
-        return _json_text(payload).encode()
-
-    if isinstance(result, PhaseResult):
-        payload = _phase_payload(result, breakdown)
-        if fmt == "csv":
-            rows = [[k, v] for k, v in payload.items() if not isinstance(v, list)]
-            if breakdown:
-                rows += [
-                    [f"per_segment.{c['path_id']}.{c['segment_index']}", c["phase_rad"]]
-                    for c in payload.get("per_segment", [])
-                ]
-            return _csv_lines(["quantity", "value"], rows).encode()
-        return _json_text(payload).encode()
-
-    if isinstance(result, VerifyReport):
-        payload = {
-            "seed": result.seed,
-            "passed": result.passed,
-            "checks": [asdict(c) for c in result.checks],
-        }
-        if fmt == "csv":
-            rows = [
-                [c.name, c.samples, c.max_violation, c.tolerance, str(c.passed).lower()]
-                for c in result.checks
-            ]
-            return _csv_lines(
-                ["check", "samples", "max_violation", "tolerance", "passed"], rows
-            ).encode()
-        return _json_text(payload).encode()
-
-    if isinstance(result, dict):
-        if fmt == "csv":
-            if "rows" in result:
-                header = list(result["rows"][0].keys())
-                rows = [[row[k] for k in header] for row in result["rows"]]
-                return _csv_lines(header, rows).encode()
-            rows = [[k, v] for k, v in result.items() if isinstance(v, (int, float))]
-            return _csv_lines(["quantity", "value"], rows).encode()
-        return _json_text(result).encode()
-
-    raise MatterWaveError(f"cannot serialize {type(result).__name__}")
+    return text.encode()
 
 
 def _build_parser() -> _Parser:
@@ -153,7 +102,7 @@ def _build_parser() -> _Parser:
         if scene:
             p.add_argument("--scene", required=True, help="scene file (JSON)")
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+        p.add_argument("--format", choices=OUTPUT_FORMATS, default=None)
         return p
 
     p = add("phase", "two-beam phase difference of the scene")
@@ -180,7 +129,7 @@ def _load_config(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SceneError(f"cannot read scene file {path!r}: {exc}") from exc
     doc = parse_scene(text)
     return doc, config_from_scene(doc)
@@ -189,9 +138,12 @@ def _load_config(path: str):
 def _write(data: bytes, out: str | None) -> None:
     if out is None:
         sys.stdout.write(data.decode())
-    else:
+        return
+    try:
         with open(out, "wb") as fh:
             fh.write(data)
+    except OSError as exc:
+        raise MatterWaveError(f"cannot write output file {out!r}: {exc}") from exc
 
 
 def run_command(argv: list[str]) -> int:
@@ -218,18 +170,16 @@ def run_command(argv: list[str]) -> int:
         doc, config = _load_config(args.scene)
         fmt = args.format or doc.output.format
 
+        breakdown = False
         if args.command == "phase":
             breakdown = args.breakdown or doc.output.breakdown
             result = two_path_difference(config)
-            _write(emit_results(result, fmt, breakdown=breakdown), args.out)
-            return 0
-
-        if args.command == "sagnac":
+        elif args.command == "sagnac":
             loop = interference_loop(config)
             loop_integral = (TWO_PI / config.wave.v_lambda) * circulation(config.motion, loop)
             area_form = sagnac_area_phase(config.wave, loop, config.motion)
             denom = max(abs(loop_integral), abs(area_form))
-            payload = {
+            result = _Assembled({
                 "loop_integral_phase_rad": loop_integral,
                 "area_formula_phase_rad": area_form,
                 "relative_difference": (
@@ -237,18 +187,15 @@ def run_command(argv: list[str]) -> int:
                 ),
                 "enclosed_area_m2": list(enclosed_area_vector(loop).as_tuple()),
                 "v_lambda_m2ps": config.wave.v_lambda,
-            }
-            _write(emit_results(payload, fmt), args.out)
-            return 0
-
-        if args.command == "translate":
+            })
+        elif args.command == "translate":
             opening = translation_opening(config)
             velocity = config.motion.translation
             phase = open_loop_phase(config.wave, opening, velocity)
             cos_theta = (
                 velocity.unit().dot(opening.unit()) if velocity.norm() > 0.0 else None
             )
-            payload = {
+            result = _Assembled({
                 "phase_rad": phase,
                 "fringe_count": phase / TWO_PI,
                 "opening_m": list(opening.as_tuple()),
@@ -256,35 +203,22 @@ def run_command(argv: list[str]) -> int:
                 "translation_mps": list(velocity.as_tuple()),
                 "cos_theta": cos_theta,
                 "v_lambda_m2ps": config.wave.v_lambda,
-            }
-            _write(emit_results(payload, fmt), args.out)
-            return 0
-
-        if args.command == "sweep":
-            sweep = sensitivity_sweep(config, args.vmin, args.vmax, args.steps)
-            _write(emit_results(sweep, fmt), args.out)
-            return 0
-
-        if args.command == "fringes":
+            })
+        elif args.command == "sweep":
+            result = sensitivity_sweep(config, args.vmin, args.vmax, args.steps)
+        elif args.command == "fringes":
             if args.steps < 2:
                 raise MatterWaveError(f"--steps must be at least 2, got {args.steps}")
             base = two_path_difference(config).total_phase_rad
             rows = []
             for i in range(args.steps):
                 offset = TWO_PI * i / (args.steps - 1)
-                reading = fringe_reading(base + offset)
-                rows.append(
-                    {
-                        "offset_rad": offset,
-                        "phase_rad": reading.phase_rad,
-                        "normalized_intensity": reading.normalized_intensity,
-                        "fringe_count": reading.fringe_count,
-                    }
-                )
-            _write(emit_results({"base_phase_rad": base, "rows": rows}, fmt), args.out)
-            return 0
-
-        raise MatterWaveError(f"unknown subcommand {args.command!r}")
+                rows.append({"offset_rad": offset, **asdict(fringe_reading(base + offset))})
+            result = _Assembled({"base_phase_rad": base, "rows": rows})
+        else:
+            raise MatterWaveError(f"unknown subcommand {args.command!r}")
+        _write(emit_results(result, fmt, breakdown=breakdown), args.out)
+        return 0
     except MatterWaveError as exc:
         sys.stderr.write(f"{PROG}: error: {exc}\n")
         return 1

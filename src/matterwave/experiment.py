@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import asdict, dataclass, replace
 
 from .kinematics import circulation, curl_fd, velocity_at
 from .model import (
@@ -27,9 +26,11 @@ from .model import (
 )
 from .phase import (
     TWO_PI,
+    boost_factor,
     interference_loop,
     open_loop_phase,
     path_phase,
+    rest_phase,
     sagnac_area_phase,
     segment_phase_increment,
     translation_opening,
@@ -39,20 +40,14 @@ from .phase import (
 DEFAULT_ARM_LENGTH = 0.01  # m
 
 
-class FigureKind(Enum):
-    """Builder archetypes accepted by ``build_config`` and scene files."""
-
-    FIG2_ROTATION = "Fig2Rotation"
-    FIG3A_CLOSED = "Fig3aClosed"
-    FIG3B_OPEN = "Fig3bOpen"
-    FIG3C_INDEPENDENT = "Fig3cIndependent"
-    FIG3D_EXTRACTED = "Fig3dExtracted"
-
-
-_OPEN_FIGURE_TO_CONFIG = {
-    FigureKind.FIG3B_OPEN: ConfigKind.OPEN_LOOP,
-    FigureKind.FIG3C_INDEPENDENT: ConfigKind.INDEPENDENT_BEAMS,
-    FigureKind.FIG3D_EXTRACTED: ConfigKind.EXTRACTED_BEAMS,
+# The layouts ``build_config`` and scene files accept, by name, with the
+# kind of interferometer each one builds.
+LAYOUT_KINDS = {
+    "Fig2Rotation": ConfigKind.CLOSED_LOOP,
+    "Fig3aClosed": ConfigKind.CLOSED_LOOP,
+    "Fig3bOpen": ConfigKind.OPEN_LOOP,
+    "Fig3cIndependent": ConfigKind.OPEN_LOOP,
+    "Fig3dExtracted": ConfigKind.OPEN_LOOP,
 }
 
 
@@ -75,13 +70,13 @@ def _open_paths(opening: Vec3, arm_length: float) -> tuple[BeamPath, BeamPath]:
     stub = opening.norm()
     arm = Vec3(arm_length, 0.0, 0.0)
     merge = arm + Vec3(stub, 0.0, 0.0) + opening * 0.5
-    path_ii = BeamPath((Vec3.zero(), arm, merge))
+    path_ii = BeamPath((Vec3(0.0, 0.0, 0.0), arm, merge))
     path_i = BeamPath((opening, opening + arm, merge))
     return path_i, path_ii
 
 
 def build_config(
-    kind: FigureKind | str,
+    kind: str,
     wave: ParticleWave,
     motion: MotionField,
     *,
@@ -93,34 +88,36 @@ def build_config(
 ) -> InterferometerConfig:
     """Build one of the canonical interferometer configurations.
 
-    Rectangular loop kinds take ``side_m`` (square) or ``width_m`` and
-    ``height_m``. Open kinds take ``opening_m``, either a vector or a
-    positive scalar meaning an opening along +y, perpendicular to the
-    arms, plus an optional ``arm_length_m``; the reported phase provably
-    does not depend on the arm length.
+    ``kind`` is a name in ``LAYOUT_KINDS``. Rectangular loop kinds take
+    ``side_m`` (square) or ``width_m`` and ``height_m``. Open kinds take
+    ``opening_m``, either a vector or a positive scalar meaning an opening
+    along +y, perpendicular to the arms, plus an optional
+    ``arm_length_m``; the reported phase provably does not depend on the
+    arm length.
     """
-    kind = FigureKind(kind)
-    if kind in (FigureKind.FIG2_ROTATION, FigureKind.FIG3A_CLOSED):
+    if kind not in LAYOUT_KINDS:
+        raise ValueError(f"unknown layout {kind!r} (known: {', '.join(LAYOUT_KINDS)})")
+    if LAYOUT_KINDS[kind] is ConfigKind.CLOSED_LOOP:
         if side_m is not None:
             if width_m is not None or height_m is not None:
                 raise GeometryError("give either side_m or width_m/height_m, not both")
             width_m = height_m = side_m
         if width_m is None or height_m is None:
-            raise GeometryError(f"{kind.value} needs side_m or width_m and height_m")
+            raise GeometryError(f"{kind} needs side_m or width_m and height_m")
         if not (width_m > 0.0 and height_m > 0.0):
             raise GeometryError("rectangle dimensions must be positive")
         path_i, path_ii = _rectangle_paths(width_m, height_m)
         return InterferometerConfig(path_i, path_ii, wave, motion, ConfigKind.CLOSED_LOOP)
 
     if opening_m is None:
-        raise GeometryError(f"{kind.value} needs opening_m")
+        raise GeometryError(f"{kind} needs opening_m")
     opening = Vec3(0.0, float(opening_m), 0.0) if not isinstance(opening_m, Vec3) else opening_m
     if opening.norm() == 0.0:
         raise GeometryError("opening must be nonzero")
     if not (arm_length_m > 0.0):
         raise GeometryError(f"arm_length_m must be positive, got {arm_length_m!r}")
     path_i, path_ii = _open_paths(opening, arm_length_m)
-    return InterferometerConfig(path_i, path_ii, wave, motion, _OPEN_FIGURE_TO_CONFIG[kind])
+    return InterferometerConfig(path_i, path_ii, wave, motion, ConfigKind.OPEN_LOOP)
 
 
 @dataclass(frozen=True)
@@ -164,9 +161,22 @@ class SweepResult:
     v_full_fringe_mps: float | None
     bracket: tuple[float, float] | None
     opening_m: Vec3
-    direction: Vec3
     cos_theta: float
     v_lambda: float
+
+    def payload(self, breakdown: bool = False) -> dict:
+        return {
+            "rows": [asdict(r) for r in self.rows],
+            "v_full_fringe_mps": self.v_full_fringe_mps,
+            "bracket_mps": list(self.bracket) if self.bracket else None,
+            "opening_m": list(self.opening_m.as_tuple()),
+            "cos_theta": self.cos_theta,
+            "v_lambda_m2ps": self.v_lambda,
+        }
+
+    def table(self, breakdown: bool = False) -> list[list]:
+        header = ["V_mps", "phase_rad", "fringe_count"]
+        return [header] + [[r.V_mps, r.phase_rad, r.fringe_count] for r in self.rows]
 
 
 def sensitivity_sweep(
@@ -196,7 +206,9 @@ def sensitivity_sweep(
 
     v_full_fringe = None
     if cos_theta != 0.0:
-        v_full_fringe = wave.v_lambda / (opening.norm() * abs(cos_theta))
+        # A product that underflows to zero leaves a speed beyond the float range.
+        denominator = opening.norm() * abs(cos_theta)
+        v_full_fringe = wave.v_lambda / denominator if denominator > 0.0 else math.inf
 
     bracket = None
     for lo, hi in zip(rows, rows[1:]):
@@ -209,7 +221,6 @@ def sensitivity_sweep(
         v_full_fringe_mps=v_full_fringe,
         bracket=bracket,
         opening_m=opening,
-        direction=direction,
         cos_theta=cos_theta,
         v_lambda=wave.v_lambda,
     )
@@ -239,6 +250,19 @@ class VerifyReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
+    def payload(self, breakdown: bool = False) -> dict:
+        return {
+            "seed": self.seed,
+            "passed": self.passed,
+            "checks": [asdict(c) for c in self.checks],
+        }
+
+    def table(self, breakdown: bool = False) -> list[list]:
+        return [["check", "samples", "max_violation", "tolerance", "passed"]] + [
+            [c.name, c.samples, c.max_violation, c.tolerance, str(c.passed).lower()]
+            for c in self.checks
+        ]
+
 
 def _unit_vec(rng: random.Random) -> Vec3:
     while True:
@@ -250,6 +274,13 @@ def _unit_vec(rng: random.Random) -> Vec3:
 def _random_vec(rng: random.Random, scale: float = 1.0) -> Vec3:
     return Vec3(
         rng.uniform(-scale, scale), rng.uniform(-scale, scale), rng.uniform(-scale, scale)
+    )
+
+
+def _random_field(rng: random.Random) -> MotionField:
+    """Rigid field with translation, rotation rate and pivot each in the unit box."""
+    return MotionField(
+        translation=_random_vec(rng), omega=_random_vec(rng), pivot=_random_vec(rng)
     )
 
 
@@ -386,7 +417,7 @@ def verify_suite(seed: int = 0) -> VerifyReport:
         )
         r = _random_vec(rng)
         expected = field.omega * 2.0
-        estimate = curl_fd(field, r, 1e-6).curl
+        estimate = curl_fd(field, r, 1e-6)
         return (estimate - expected).norm() / expected.norm(), {
             "omega_radps": list(field.omega.as_tuple()),
             "at_m": list(r.as_tuple()),
@@ -401,12 +432,8 @@ def verify_suite(seed: int = 0) -> VerifyReport:
         base = _random_closed_config(
             rng, wave, MotionField(translation=translation, omega=omega, pivot=_random_vec(rng))
         )
-        shifted = InterferometerConfig(
-            base.path_I,
-            base.path_II,
-            wave,
-            MotionField(translation=translation, omega=omega, pivot=_random_vec(rng)),
-            ConfigKind.CLOSED_LOOP,
+        shifted = replace(
+            base, motion=MotionField(translation=translation, omega=omega, pivot=_random_vec(rng))
         )
         delta = abs(
             two_path_difference(base).total_phase_rad
@@ -425,9 +452,7 @@ def verify_suite(seed: int = 0) -> VerifyReport:
 
     def reversal_antisymmetry(_i):
         wave = _random_wave(rng)
-        field = MotionField(
-            translation=_random_vec(rng), omega=_random_vec(rng), pivot=_random_vec(rng)
-        )
+        field = _random_field(rng)
         path = BeamPath(tuple(_random_vec(rng) for _ in range(rng.randrange(2, 6))))
         forward = path_phase(wave, path, field).total_phase_rad
         backward = path_phase(wave, path.reversed(), field).total_phase_rad
@@ -438,9 +463,7 @@ def verify_suite(seed: int = 0) -> VerifyReport:
 
     def split_additivity(_i):
         wave = _random_wave(rng)
-        field = MotionField(
-            translation=_random_vec(rng), omega=_random_vec(rng), pivot=_random_vec(rng)
-        )
+        field = _random_field(rng)
         a = _random_vec(rng)
         b = _random_vec(rng)
         if (b - a).norm() < 0.05:
@@ -448,10 +471,10 @@ def verify_suite(seed: int = 0) -> VerifyReport:
         t = rng.uniform(0.2, 0.8)
         mid = a + (b - a) * t
         seg = Segment(a, b)
-        whole = segment_phase_increment(wave, seg, field).increment_rad
+        whole = segment_phase_increment(wave, seg, field)
         parts = (
-            segment_phase_increment(wave, Segment(a, mid), field).increment_rad
-            + segment_phase_increment(wave, Segment(mid, b), field).increment_rad
+            segment_phase_increment(wave, Segment(a, mid), field)
+            + segment_phase_increment(wave, Segment(mid, b), field)
         )
         # Compare against the segment's gross phase scale; the signed value
         # can cancel to zero when V is nearly perpendicular to the segment.
@@ -466,12 +489,8 @@ def verify_suite(seed: int = 0) -> VerifyReport:
 
     def motion_linearity(_i):
         wave = _random_wave(rng)
-        f1 = MotionField(
-            translation=_random_vec(rng), omega=_random_vec(rng), pivot=_random_vec(rng)
-        )
-        f2 = MotionField(
-            translation=_random_vec(rng), omega=_random_vec(rng), pivot=_random_vec(rng)
-        )
+        f1 = _random_field(rng)
+        f2 = _random_field(rng)
         path = BeamPath(tuple(_random_vec(rng) for _ in range(4)))
         combined = path_phase(wave, path, f1 + f2)
         separate = (
@@ -500,9 +519,14 @@ def verify_suite(seed: int = 0) -> VerifyReport:
         a, b = _random_vec(rng), _random_vec(rng)
         if (b - a).norm() < 0.05:
             return 0.0, {}
-        sp = segment_phase_increment(wave, Segment(a, b), field)
-        scale = max(abs(sp.rest_phase_rad), abs(sp.moving_phase_rad))
-        diff = abs((sp.moving_phase_rad - sp.rest_phase_rad) - sp.increment_rad)
+        # The rest and moving phases go through lambda and the boost factor,
+        # a route independent of the increment's (2*pi / v*lambda) * (V . dL).
+        seg = Segment(a, b)
+        rest = rest_phase(wave, seg.length)
+        moving = rest * boost_factor(wave, velocity_at(field, seg.midpoint).dot(seg.direction))
+        increment = segment_phase_increment(wave, seg, field)
+        scale = max(abs(rest), abs(moving))
+        diff = abs((moving - rest) - increment)
         return diff / scale, {"segment": [list(a.as_tuple()), list(b.as_tuple())]}
 
     checks.append(_run_check("rest-moving-increment-chain", 100, 1e-12, consistency_chain))
@@ -519,7 +543,7 @@ def verify_suite(seed: int = 0) -> VerifyReport:
         phases = []
         for arm in (0.05, 0.5, 5.0):
             config = build_config(
-                FigureKind.FIG3B_OPEN, wave, motion, opening_m=opening, arm_length_m=arm
+                "Fig3bOpen", wave, motion, opening_m=opening, arm_length_m=arm
             )
             phases.append(two_path_difference(config).total_phase_rad)
         expected = open_loop_phase(wave, opening, velocity)

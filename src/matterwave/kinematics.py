@@ -6,9 +6,8 @@ cross-checked against. All of them are pure functions of immutable inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .model import BeamPath, GeometryError, MotionField, Vec3
+from .model import BeamPath, GeometryError, MotionField, Vec3, exact_sum
 
 DEFAULT_FD_STEP = 1e-6  # m; balances truncation vs cancellation at float64
 
@@ -18,16 +17,8 @@ def velocity_at(field: MotionField, r: Vec3) -> Vec3:
     return field.translation + field.omega.cross(r - field.pivot)
 
 
-@dataclass(frozen=True)
-class CurlEstimate:
-    """Curl of a velocity field estimated by central finite differences."""
-
-    curl: Vec3     # 1/s
-    fd_step: float  # m
-
-
-def curl_fd(field: MotionField, r: Vec3, fd_step: float = DEFAULT_FD_STEP) -> CurlEstimate:
-    """Central-difference curl of the velocity field at r.
+def curl_fd(field: MotionField, r: Vec3, fd_step: float = DEFAULT_FD_STEP) -> Vec3:
+    """Central-difference curl of the velocity field at r, in 1/s.
 
     For any rigid field the exact curl is 2*omega everywhere; the central
     difference reproduces it to rounding error because the field is affine
@@ -44,36 +35,28 @@ def curl_fd(field: MotionField, r: Vec3, fd_step: float = DEFAULT_FD_STEP) -> Cu
         vm = velocity_at(field, r - step)
         partials.append((vp - vm) * (0.5 / h))
     d_dx, d_dy, d_dz = partials
-    curl = Vec3(
+    return Vec3(
         d_dy.z - d_dz.y,
         d_dz.x - d_dx.z,
         d_dx.y - d_dy.x,
     )
-    return CurlEstimate(curl=curl, fd_step=h)
 
 
-def circulation(field: MotionField, loop: BeamPath, samples_per_segment: int = 1) -> float:
+def circulation(field: MotionField, loop: BeamPath) -> float:
     """Closed-loop line integral of V along the path, in m^2/s.
 
     Uses the trapezoid rule on each straight segment, which is exact for
-    velocity fields affine in position, so the result does not depend on
-    ``samples_per_segment``. The parameter is kept for future non-affine
-    fields.
+    velocity fields affine in position, as every rigid field is.
     """
     if not loop.closed():
         raise GeometryError("circulation requires a closed path")
-    if samples_per_segment < 1:
-        raise GeometryError(f"samples_per_segment must be >= 1, got {samples_per_segment}")
     terms = []
     for seg in loop.segments:
-        a, b = seg.start, seg.end
-        dl = (b - a) * (1.0 / samples_per_segment)
-        for i in range(samples_per_segment):
-            p = a + dl * float(i)
-            q = a + dl * float(i + 1)
-            v_avg = (velocity_at(field, p) + velocity_at(field, q)) * 0.5
-            terms.append(v_avg.dot(dl))
-    return math.fsum(terms)
+        a = seg.start
+        dl = seg.end - a
+        v_avg = (velocity_at(field, a) + velocity_at(field, a + dl)) * 0.5
+        terms.append(v_avg.dot(dl))
+    return exact_sum(terms, "circulation")
 
 
 def enclosed_area_vector(loop: BeamPath) -> Vec3:
@@ -86,10 +69,6 @@ def enclosed_area_vector(loop: BeamPath) -> Vec3:
     if not loop.closed():
         raise GeometryError("enclosed area requires a closed path")
     v = loop.vertices
-    xs, ys, zs = [], [], []
-    for i in range(len(v) - 1):
-        c = v[i].cross(v[i + 1])
-        xs.append(c.x)
-        ys.append(c.y)
-        zs.append(c.z)
-    return Vec3(0.5 * math.fsum(xs), 0.5 * math.fsum(ys), 0.5 * math.fsum(zs))
+    crosses = [v[i].cross(v[i + 1]).as_tuple() for i in range(len(v) - 1)]
+    x, y, z = (0.5 * exact_sum(axis, "vector area") for axis in zip(*crosses))
+    return Vec3(x, y, z)

@@ -7,6 +7,7 @@ between concurrent tasks.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -14,6 +15,7 @@ from enum import Enum
 H_PLANCK = 6.62607015e-34      # J*s, exact by SI definition
 HBAR = H_PLANCK / (2.0 * math.pi)
 C_LIGHT = 2.99792458e8         # m/s, exact by SI definition
+TWO_PI = 2.0 * math.pi
 
 # CODATA-2018 particle masses, kg.
 PARTICLE_MASSES_KG = {
@@ -58,6 +60,19 @@ def _require_finite(name: str, value: float) -> float:
     return float(value)
 
 
+def _require_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise WaveError(f"{name} must be positive and finite, got {value!r}")
+
+
+def exact_sum(values, quantity: str) -> float:
+    """math.fsum of the values; a sum beyond the float range is a GeometryError."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError) as exc:  # overflowed partial sum, or inf - inf
+        raise GeometryError(f"{quantity} overflows the float range") from exc
+
+
 @dataclass(frozen=True)
 class Vec3:
     """Immutable 3-vector. Units depend on context (m, m/s, or rad/s)."""
@@ -70,10 +85,6 @@ class Vec3:
         object.__setattr__(self, "x", _require_finite("x", self.x))
         object.__setattr__(self, "y", _require_finite("y", self.y))
         object.__setattr__(self, "z", _require_finite("z", self.z))
-
-    @classmethod
-    def zero(cls) -> "Vec3":
-        return cls(0.0, 0.0, 0.0)
 
     @classmethod
     def from_iterable(cls, xyz) -> "Vec3":
@@ -135,24 +146,28 @@ class ParticleWave:
     v_lambda: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.speed_v) and self.speed_v > 0.0):
-            raise WaveError(f"speed_v must be positive and finite, got {self.speed_v!r}")
-        if not (math.isfinite(self.wavelength_lambda) and self.wavelength_lambda > 0.0):
+        _require_positive("speed_v", self.speed_v)
+        if self.mass is not None:
+            _require_positive("mass", self.mass)
+        _require_positive("wavelength_lambda", self.wavelength_lambda)
+        v_lambda = self.speed_v * self.wavelength_lambda
+        # Every phase divides by v_lambda: a product that underflows to zero
+        # or a subnormal, or overflows, has no usable reciprocal.
+        if not (sys.float_info.min <= v_lambda < math.inf):
             raise WaveError(
-                f"wavelength_lambda must be positive and finite, got {self.wavelength_lambda!r}"
+                f"speed_v * wavelength_lambda = {v_lambda!r} is outside the normal float range"
             )
         if self.mass is not None:
-            if not (math.isfinite(self.mass) and self.mass > 0.0):
-                raise WaveError(f"mass must be positive and finite, got {self.mass!r}")
-            implied = H_PLANCK / (self.mass * self.speed_v)
-            rel = abs(self.wavelength_lambda - implied) / implied
-            if rel > WAVE_CONSISTENCY_RTOL:
+            # |lambda - h/(m*v)| / (h/(m*v)), written without dividing by
+            # m*v, which can underflow to zero.
+            rel = abs(v_lambda * self.mass - H_PLANCK) / H_PLANCK
+            if not rel <= WAVE_CONSISTENCY_RTOL:
                 raise WaveError(
                     "wavelength inconsistent with de Broglie relation: "
-                    f"given {self.wavelength_lambda!r}, h/(m*v) = {implied!r} "
-                    f"(relative mismatch {rel:.3e})"
+                    f"given {self.wavelength_lambda!r}, speed {self.speed_v!r}, "
+                    f"mass {self.mass!r} (relative mismatch {rel:.3e})"
                 )
-        object.__setattr__(self, "v_lambda", self.speed_v * self.wavelength_lambda)
+        object.__setattr__(self, "v_lambda", v_lambda)
 
 
 def make_particle_wave(
@@ -167,26 +182,17 @@ def make_particle_wave(
     relation h/(mass*speed). If both mass and wavelength are given they
     must agree to 1e-9 relative; the stored wavelength is then recomputed
     from the mass so the de Broglie relation holds exactly as stored.
+    ParticleWave validates every value.
     """
     if mass is None and wavelength is None:
         raise WaveError("at least one of mass or wavelength is required")
     if mass is not None:
-        if not (math.isfinite(mass) and mass > 0.0):
-            raise WaveError(f"mass must be positive and finite, got {mass!r}")
-        if not (math.isfinite(speed_v) and speed_v > 0.0):
-            raise WaveError(f"speed_v must be positive and finite, got {speed_v!r}")
-        implied = H_PLANCK / (mass * speed_v)
         if wavelength is not None:
-            if wavelength <= 0.0 or not math.isfinite(wavelength):
-                raise WaveError(f"wavelength must be positive and finite, got {wavelength!r}")
-            rel = abs(wavelength - implied) / implied
-            if rel > WAVE_CONSISTENCY_RTOL:
-                raise WaveError(
-                    "mass and wavelength are inconsistent: "
-                    f"h/(m*v) = {implied!r} but wavelength = {wavelength!r} "
-                    f"(relative mismatch {rel:.3e})"
-                )
-        wavelength = implied
+            ParticleWave(speed_v, wavelength, mass)  # raises unless the pair agrees
+        momentum = mass * speed_v
+        # A momentum that is not positive (bad input, or underflow) leaves an
+        # infinite wavelength for ParticleWave to reject.
+        wavelength = H_PLANCK / momentum if momentum > 0.0 else math.inf
     return ParticleWave(speed_v=speed_v, wavelength_lambda=wavelength, mass=mass)
 
 
@@ -280,7 +286,7 @@ class MotionField:
         return MotionField(
             translation=base_self + base_other,
             omega=self.omega + other.omega,
-            pivot=Vec3.zero(),
+            pivot=Vec3(0.0, 0.0, 0.0),
         )
 
     def scaled(self, factor: float) -> "MotionField":
@@ -295,22 +301,13 @@ class ConfigKind(Enum):
     """Interferometer archetypes.
 
     CLOSED_LOOP: both beams share start and end (Mach-Zehnder style loop).
-    OPEN_LOOP: beam starts separated by an opening, common endpoint.
-    INDEPENDENT_BEAMS: open loop realized by two independent sources.
-    EXTRACTED_BEAMS: open loop realized by extracting two narrow beams
-    from one wide beam.
-
-    The last three share the same phase model; the distinction is carried
-    as metadata for reporting only.
+    OPEN_LOOP: beam starts separated by an opening, common endpoint. Two
+    independent sources and two beams extracted from one wide beam are
+    both open loops: they share this phase model.
     """
 
     CLOSED_LOOP = "ClosedLoop"
     OPEN_LOOP = "OpenLoop"
-    INDEPENDENT_BEAMS = "IndependentBeams"
-    EXTRACTED_BEAMS = "ExtractedBeams"
-
-
-OPEN_KINDS = (ConfigKind.OPEN_LOOP, ConfigKind.INDEPENDENT_BEAMS, ConfigKind.EXTRACTED_BEAMS)
 
 
 @dataclass(frozen=True)
@@ -335,22 +332,10 @@ class InterferometerConfig:
                 raise GeometryError(
                     f"closed-loop beams must share their start, gap is {start_gap:.3e} m"
                 )
-        else:
-            if start_gap <= ENDPOINT_TOL:
-                raise GeometryError(
-                    f"{self.kind.value} requires a nonzero opening between beam starts"
-                )
-
-
-def opening_vector(config: InterferometerConfig) -> Vec3:
-    """Displacement from beam I's start to beam II's start.
-
-    Only defined for open configurations; the magnitude is the opening
-    distance between the two beam starting points.
-    """
-    if config.kind is ConfigKind.CLOSED_LOOP:
-        raise GeometryError("a closed-loop configuration has no opening")
-    return config.path_II.start - config.path_I.start
+        elif start_gap <= ENDPOINT_TOL:
+            raise GeometryError(
+                f"{self.kind.value} requires a nonzero opening between beam starts"
+            )
 
 
 @dataclass(frozen=True)
@@ -373,4 +358,33 @@ class PhaseResult:
     total_phase_rad: float
     per_segment: tuple[SegmentContribution, ...]
     v_lambda: float
-    samples_per_segment: int = 1
+
+    @classmethod
+    def from_contributions(cls, contributions, v_lambda: float) -> "PhaseResult":
+        """The result whose total is the exact sum of the contributions."""
+        total = exact_sum((c.phase_rad for c in contributions), "phase")
+        return cls(total_phase_rad=total, per_segment=tuple(contributions), v_lambda=v_lambda)
+
+    def payload(self, breakdown: bool = False) -> dict:
+        """JSON form; ``breakdown`` adds the per-segment contributions."""
+        payload = {
+            "total_phase_rad": self.total_phase_rad,
+            "fringe_count": self.total_phase_rad / TWO_PI,
+            "v_lambda_m2ps": self.v_lambda,
+        }
+        if breakdown:
+            payload["per_segment"] = [
+                {"path_id": c.path_id, "segment_index": c.segment_index, "phase_rad": c.phase_rad}
+                for c in self.per_segment
+            ]
+        return payload
+
+    def table(self, breakdown: bool = False) -> list[list]:
+        """CSV form: a header, one quantity per row, then one row per segment if asked."""
+        rows = [["quantity", "value"]] + [[name, value] for name, value in self.payload().items()]
+        if breakdown:
+            rows += [
+                [f"per_segment.{c.path_id}.{c.segment_index}", c.phase_rad]
+                for c in self.per_segment
+            ]
+        return rows

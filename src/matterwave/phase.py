@@ -19,11 +19,11 @@ unwrapped; fringe reduction happens in the experiment module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .kinematics import enclosed_area_vector, velocity_at
 from .model import (
     C_LIGHT,
+    TWO_PI,
     BeamPath,
     BoostDomainError,
     ConfigKind,
@@ -36,17 +36,6 @@ from .model import (
     SegmentContribution,
     Vec3,
 )
-
-TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class SegmentPhase:
-    """Rest phase, moving phase, and their difference for one segment."""
-
-    rest_phase_rad: float
-    moving_phase_rad: float
-    increment_rad: float
 
 
 def rest_phase(wave: ParticleWave, length: float) -> float:
@@ -92,22 +81,19 @@ def moving_phase(wave: ParticleWave, length: float, speed_V: float, cos_theta: f
     return rest_phase(wave, length) * boost_factor(wave, speed_V * cos_theta)
 
 
-def segment_phase_increment(
-    wave: ParticleWave, segment: Segment, field: MotionField
-) -> SegmentPhase:
+def segment_phase_increment(wave: ParticleWave, segment: Segment, field: MotionField) -> float:
     """Phase increment of one moving segment over the same segment at rest.
 
     The increment is (2*pi / v*lambda) * (V . dL) with V evaluated at the
-    segment midpoint; the rest and moving phases are reported alongside.
-    Reversing the segment orientation flips the increment's sign.
+    segment midpoint. It equals the moving phase minus the rest phase; the
+    segment's speed along the beam is checked against the domain of that
+    boost model. Reversing the segment orientation flips the increment's sign.
     """
     v_mid = velocity_at(field, segment.midpoint)
-    length = segment.length
-    v_parallel = v_mid.dot(segment.direction)
-    rest = rest_phase(wave, length)
-    moving = rest * boost_factor(wave, v_parallel)
-    increment = (TWO_PI / wave.v_lambda) * v_mid.dot(segment.delta)
-    return SegmentPhase(rest_phase_rad=rest, moving_phase_rad=moving, increment_rad=increment)
+    delta = segment.delta
+    v_dot_dl = v_mid.dot(delta)
+    boost_factor(wave, v_dot_dl / delta.norm())
+    return (TWO_PI / wave.v_lambda) * v_dot_dl
 
 
 def path_phase(
@@ -124,14 +110,9 @@ def path_phase(
     """
     contribs = []
     for index, seg in enumerate(path.segments):
-        inc = segment_phase_increment(wave, seg, field).increment_rad
+        inc = segment_phase_increment(wave, seg, field)
         contribs.append(SegmentContribution(segment_index=index, path_id=path_id, phase_rad=inc))
-    total = math.fsum(c.phase_rad for c in contribs)
-    return PhaseResult(
-        total_phase_rad=total,
-        per_segment=tuple(contribs),
-        v_lambda=wave.v_lambda,
-    )
+    return PhaseResult.from_contributions(contribs, wave.v_lambda)
 
 
 def two_path_difference(config: InterferometerConfig) -> PhaseResult:
@@ -147,12 +128,7 @@ def two_path_difference(config: InterferometerConfig) -> PhaseResult:
         SegmentContribution(c.segment_index, c.path_id, -c.phase_rad)
         for c in result_i.per_segment
     ]
-    total = math.fsum(c.phase_rad for c in merged)
-    return PhaseResult(
-        total_phase_rad=total,
-        per_segment=tuple(merged),
-        v_lambda=config.wave.v_lambda,
-    )
+    return PhaseResult.from_contributions(merged, config.wave.v_lambda)
 
 
 def interference_loop(config: InterferometerConfig) -> BeamPath:
@@ -174,9 +150,7 @@ def sagnac_area_phase(wave: ParticleWave, loop: BeamPath, field: MotionField) ->
     part of the field contributes nothing around a closed loop and is
     ignored here by construction.
     """
-    if not loop.closed():
-        raise GeometryError("the area form requires a closed loop")
-    area = enclosed_area_vector(loop)
+    area = enclosed_area_vector(loop)  # rejects an open loop
     return (4.0 * math.pi / wave.v_lambda) * field.omega.dot(area)
 
 
@@ -198,8 +172,8 @@ def translation_opening(config: InterferometerConfig) -> Vec3:
 
     Because the two beams share their endpoint, the two-path difference
     under uniform translation reduces to (2*pi / v*lambda) * V . (start_I -
-    start_II); this function returns that surviving vector. It points from
-    beam II's start to beam I's start, i.e. opposite to ``opening_vector``.
+    start_II); this function returns that surviving vector, which points
+    from beam II's start to beam I's start.
     """
     if config.kind is ConfigKind.CLOSED_LOOP:
         raise GeometryError("a closed-loop configuration has no opening")

@@ -27,10 +27,10 @@ starts make a closed loop, separated starts an open one.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass
 
-from .experiment import FigureKind, build_config
+from .experiment import LAYOUT_KINDS, build_config
 from .model import (
     ENDPOINT_TOL,
     BeamPath,
@@ -38,7 +38,6 @@ from .model import (
     InterferometerConfig,
     MatterWaveError,
     MotionField,
-    ParticleWave,
     Vec3,
     make_particle_wave,
 )
@@ -55,13 +54,6 @@ class ParticleSpec:
     speed_mps: float
     mass_kg: float | None = None
     wavelength_m: float | None = None
-
-
-@dataclass(frozen=True)
-class MotionSpec:
-    translation_mps: Vec3 = Vec3(0.0, 0.0, 0.0)
-    omega_radps: Vec3 = Vec3(0.0, 0.0, 0.0)
-    pivot_m: Vec3 = Vec3(0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -88,7 +80,7 @@ class OutputSpec:
 class SceneDocument:
     particle: ParticleSpec
     geometry: GeometrySpec
-    motion: MotionSpec = MotionSpec()
+    motion: MotionField = MotionField()
     output: OutputSpec = OutputSpec()
 
 
@@ -101,7 +93,8 @@ def _expect_object(value, path: str) -> dict:
 def _expect_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SceneError(f"{path}: expected a number, got {value!r}")
-    if not math.isfinite(value):
+    # A comparison, unlike float(), also bounds integers beyond the float range.
+    if not abs(value) <= sys.float_info.max:
         raise SceneError(f"{path}: must be finite, got {value!r}")
     return float(value)
 
@@ -126,29 +119,28 @@ def _reject_unknown(obj: dict, allowed: tuple[str, ...], path: str) -> None:
 
 def _parse_particle(obj, path: str) -> ParticleSpec:
     obj = _expect_object(obj, path)
-    _reject_unknown(obj, ("speed_mps", "mass_kg", "wavelength_m"), path)
+    keys = ("speed_mps", "mass_kg", "wavelength_m")
+    _reject_unknown(obj, keys, path)
     if "speed_mps" not in obj:
         raise SceneError(f"{path}.speed_mps: required field is missing")
-    speed = _expect_number(obj["speed_mps"], f"{path}.speed_mps")
-    mass = _expect_number(obj["mass_kg"], f"{path}.mass_kg") if "mass_kg" in obj else None
-    wavelength = (
-        _expect_number(obj["wavelength_m"], f"{path}.wavelength_m")
-        if "wavelength_m" in obj
-        else None
-    )
-    if mass is None and wavelength is None:
+    numbers = {key: _expect_number(obj[key], f"{path}.{key}") for key in keys if key in obj}
+    if numbers.keys() == {"speed_mps"}:
         raise SceneError(f"{path}: needs mass_kg or wavelength_m")
-    return ParticleSpec(speed_mps=speed, mass_kg=mass, wavelength_m=wavelength)
+    return ParticleSpec(**numbers)
 
 
-def _parse_motion(obj, path: str) -> MotionSpec:
+# Scene key of each MotionField field.
+_MOTION_KEYS = {"translation": "translation_mps", "omega": "omega_radps", "pivot": "pivot_m"}
+
+
+def _parse_motion(obj, path: str) -> MotionField:
     obj = _expect_object(obj, path)
-    _reject_unknown(obj, ("translation_mps", "omega_radps", "pivot_m"), path)
+    _reject_unknown(obj, tuple(_MOTION_KEYS.values()), path)
     kwargs = {}
-    for key in ("translation_mps", "omega_radps", "pivot_m"):
+    for name, key in _MOTION_KEYS.items():
         if key in obj:
-            kwargs[key] = _expect_vec3(obj[key], f"{path}.{key}")
-    return MotionSpec(**kwargs)
+            kwargs[name] = _expect_vec3(obj[key], f"{path}.{key}")
+    return MotionField(**kwargs)
 
 
 def _parse_path(value, path: str) -> tuple[Vec3, ...]:
@@ -177,8 +169,8 @@ def _parse_geometry(obj, path: str) -> GeometrySpec:
     if "kind" not in obj:
         raise SceneError(f"{path}.kind: required field is missing")
     kind = obj["kind"]
-    if not isinstance(kind, str) or kind not in {k.value for k in FigureKind}:
-        known = ", ".join(k.value for k in FigureKind)
+    if not isinstance(kind, str) or kind not in LAYOUT_KINDS:
+        known = ", ".join(LAYOUT_KINDS)
         raise SceneError(f"{path}.kind: unknown geometry kind {kind!r} (known: {known})")
     dims = {}
     for key in ("side_m", "width_m", "height_m", "arm_length_m"):
@@ -209,6 +201,10 @@ def parse_scene(text: str) -> SceneDocument:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SceneError(f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:
+        # Nesting beyond the decoder's recursion limit, or an integer
+        # literal longer than int() accepts.
+        raise SceneError(f"unreadable scene: {exc}") from None
     raw = _expect_object(raw, "scene")
     _reject_unknown(raw, ("particle", "motion", "geometry", "output"), "scene")
     for key in ("particle", "geometry"):
@@ -217,13 +213,9 @@ def parse_scene(text: str) -> SceneDocument:
     return SceneDocument(
         particle=_parse_particle(raw["particle"], "particle"),
         geometry=_parse_geometry(raw["geometry"], "geometry"),
-        motion=_parse_motion(raw["motion"], "motion") if "motion" in raw else MotionSpec(),
+        motion=_parse_motion(raw["motion"], "motion") if "motion" in raw else MotionField(),
         output=_parse_output(raw["output"], "output") if "output" in raw else OutputSpec(),
     )
-
-
-def _vec_list(v: Vec3) -> list[float]:
-    return [v.x, v.y, v.z]
 
 
 def serialize_scene(doc: SceneDocument) -> str:
@@ -234,17 +226,13 @@ def serialize_scene(doc: SceneDocument) -> str:
     if doc.particle.wavelength_m is not None:
         particle["wavelength_m"] = doc.particle.wavelength_m
 
-    motion = {
-        "translation_mps": _vec_list(doc.motion.translation_mps),
-        "omega_radps": _vec_list(doc.motion.omega_radps),
-        "pivot_m": _vec_list(doc.motion.pivot_m),
-    }
+    motion = {key: list(getattr(doc.motion, name).as_tuple()) for name, key in _MOTION_KEYS.items()}
 
     geometry: dict = {}
     g = doc.geometry
     if g.path_I_m is not None:
-        geometry["path_I_m"] = [_vec_list(p) for p in g.path_I_m]
-        geometry["path_II_m"] = [_vec_list(p) for p in g.path_II_m]
+        geometry["path_I_m"] = [list(p.as_tuple()) for p in g.path_I_m]
+        geometry["path_II_m"] = [list(p.as_tuple()) for p in g.path_II_m]
     else:
         geometry["kind"] = g.kind
         for key in ("side_m", "width_m", "height_m", "arm_length_m"):
@@ -253,7 +241,7 @@ def serialize_scene(doc: SceneDocument) -> str:
                 geometry[key] = value
         if g.opening_m is not None:
             geometry["opening_m"] = (
-                _vec_list(g.opening_m) if isinstance(g.opening_m, Vec3) else g.opening_m
+                list(g.opening_m.as_tuple()) if isinstance(g.opening_m, Vec3) else g.opening_m
             )
 
     payload = {
@@ -265,38 +253,23 @@ def serialize_scene(doc: SceneDocument) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def wave_from_scene(doc: SceneDocument) -> ParticleWave:
-    return make_particle_wave(
+def config_from_scene(doc: SceneDocument) -> InterferometerConfig:
+    """Realize the scene as a validated interferometer configuration."""
+    wave = make_particle_wave(
         doc.particle.speed_mps,
         mass=doc.particle.mass_kg,
         wavelength=doc.particle.wavelength_m,
     )
-
-
-def motion_from_scene(doc: SceneDocument) -> MotionField:
-    return MotionField(
-        translation=doc.motion.translation_mps,
-        omega=doc.motion.omega_radps,
-        pivot=doc.motion.pivot_m,
-    )
-
-
-def config_from_scene(doc: SceneDocument) -> InterferometerConfig:
-    """Realize the scene as a validated interferometer configuration."""
-    wave = wave_from_scene(doc)
-    motion = motion_from_scene(doc)
     g = doc.geometry
     if g.path_I_m is not None:
         path_i = BeamPath(g.path_I_m)
         path_ii = BeamPath(g.path_II_m)
         start_gap = (path_ii.start - path_i.start).norm()
         kind = ConfigKind.CLOSED_LOOP if start_gap <= ENDPOINT_TOL else ConfigKind.OPEN_LOOP
-        return InterferometerConfig(path_i, path_ii, wave, motion, kind)
+        return InterferometerConfig(path_i, path_ii, wave, doc.motion, kind)
     dims = {
         key: getattr(g, key)
-        for key in ("side_m", "width_m", "height_m", "opening_m")
+        for key in ("side_m", "width_m", "height_m", "opening_m", "arm_length_m")
         if getattr(g, key) is not None
     }
-    if g.arm_length_m is not None:
-        dims["arm_length_m"] = g.arm_length_m
-    return build_config(g.kind, wave, motion, **dims)
+    return build_config(g.kind, wave, doc.motion, **dims)

@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from matterwave import (
     BeamPath,
@@ -295,3 +297,139 @@ class TestCliContract:
         assert code1 == code2 == 0
         assert out1 == out2
         assert len(out1) > 0
+
+
+def write_scene(tmp_path, particle, side_m=0.01, motion=None):
+    scene_file = tmp_path / "scene.json"
+    geometry = {"kind": "Fig3aClosed", "side_m": side_m}
+    scene_file.write_text(
+        json.dumps({"particle": particle, "geometry": geometry, "motion": motion or {}})
+    )
+    return str(scene_file)
+
+
+def assert_refused(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert err.startswith("matterwave: error:")
+
+
+class TestErrorContract:
+    """Every input ends in exit 0 with valid output or exit 1 with an error line."""
+
+    @pytest.mark.parametrize(
+        "particle",
+        [
+            {"speed_mps": 1e-300, "wavelength_m": 1e-300},
+            {"speed_mps": 1e-200, "mass_kg": 1e-200},
+            {"speed_mps": 1e200, "wavelength_m": 1e200},
+            {"speed_mps": 1, "wavelength_m": 10**400},
+        ],
+    )
+    def test_wave_outside_float_range_refused(self, capsys, tmp_path, particle):
+        assert_refused(*run(capsys, ["phase", "--scene", write_scene(tmp_path, particle)]))
+
+    @pytest.mark.parametrize("command", ["phase", "sagnac"])
+    def test_sum_beyond_float_range_refused(self, capsys, tmp_path, command):
+        # Segment terms of 1e310 overflow to +inf on one side, -inf on the other.
+        path = write_scene(
+            tmp_path,
+            {"speed_mps": 1.0, "wavelength_m": 1.0},
+            side_m=1e210,
+            motion={"translation_mps": [1e100, 0.0, 0.0]},
+        )
+        code, out, err = run(capsys, [command, "--scene", path])
+        assert_refused(code, out, err)
+        assert "overflows the float range" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_result_refused(self, capsys, data_dir, fmt):
+        argv = ["sweep", "--scene", scene(data_dir, "slow_atom_open.json"), "--vmax", "1e304"]
+        code, out, err = run(capsys, argv + ["--steps", "2", "--format", fmt])
+        assert_refused(code, out, err)
+        assert "not finite" in err
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"[" * 100_000, b'{"particle": "\xff"}'],
+        ids=["nested-1e5", "not-utf8"],
+    )
+    def test_unreadable_scene_refused(self, capsys, tmp_path, content):
+        scene_file = tmp_path / "scene.json"
+        scene_file.write_bytes(content)
+        assert_refused(*run(capsys, ["phase", "--scene", str(scene_file)]))
+
+    def test_out_into_missing_directory_refused(self, capsys, data_dir, tmp_path):
+        target = tmp_path / "missing" / "result.json"
+        argv = ["phase", "--scene", scene(data_dir, "slow_atom_open.json"), "--out", str(target)]
+        assert_refused(*run(capsys, argv))
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite number {token} in JSON output")
+
+
+# Moderate values get past validation to the numerics; any float may follow.
+finite_or_not = st.one_of(st.floats(-2.0, 2.0), st.floats())
+vectors = st.lists(finite_or_not, min_size=3, max_size=3)
+particles = st.fixed_dictionaries(
+    {"speed_mps": finite_or_not},
+    optional={"mass_kg": finite_or_not, "wavelength_m": finite_or_not},
+)
+geometries = st.one_of(
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["Fig2Rotation", "Fig3aClosed"]), "side_m": finite_or_not}
+    ),
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["Fig3bOpen", "Fig3cIndependent", "Fig3dExtracted"])},
+        optional={"opening_m": st.one_of(finite_or_not, vectors), "arm_length_m": finite_or_not},
+    ),
+    st.fixed_dictionaries(
+        {
+            "path_I_m": st.lists(vectors, min_size=2, max_size=4),
+            "path_II_m": st.lists(vectors, min_size=2, max_size=4),
+        }
+    ),
+)
+motions = st.fixed_dictionaries(
+    {}, optional={"translation_mps": vectors, "omega_radps": vectors, "pivot_m": vectors}
+)
+scene_shapes = st.fixed_dictionaries(
+    {"particle": particles, "geometry": geometries, "motion": motions}
+).map(lambda doc: json.dumps(doc).encode())
+commands = st.one_of(
+    st.sampled_from([["phase"], ["phase", "--breakdown"], ["sagnac"], ["translate"]]),
+    st.builds(lambda v: ["sweep", "--vmax", repr(v), "--steps", "3"], finite_or_not),
+    st.just(["fringes", "--steps", "3"]),
+)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(
+    content=st.one_of(st.binary(max_size=2048), scene_shapes),
+    command=commands,
+    fmt=st.sampled_from(["json", "csv"]),
+)
+@example(content=b"[" * 100_000, command=["phase"], fmt="json")
+def test_any_scene_gets_an_answer_or_a_refusal(capsys, tmp_path, content, command, fmt):
+    scene_file = tmp_path / "fuzz.json"
+    scene_file.write_bytes(content)
+    argv = command[:1] + ["--scene", str(scene_file)] + command[1:] + ["--format", fmt]
+    code, out, err = run(capsys, argv)
+    assert code in (0, 1)
+    if code == 1:
+        assert_refused(code, out, err)
+    elif fmt == "json":
+        json.loads(out, parse_constant=_reject_constant)
+    else:
+        assert all(math.isfinite(float(cell)) for cell in _numeric_cells(out))
+
+
+def _numeric_cells(csv_text):
+    for line in csv_text.splitlines()[1:]:
+        for cell in line.split(","):
+            try:
+                float(cell)
+            except ValueError:
+                continue
+            yield cell

@@ -1,0 +1,75 @@
+"""Golden CLI output: stdout bytes of each subcommand on the golden scenes.
+
+The files under ``tests/data/golden`` hold the exact stdout of each case
+below. A refactor that changes any byte fails here; a deliberate change of
+output regenerates them with ``PYTHONPATH=src python tests/test_golden.py``
+and says so in the change log.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from matterwave.cli import run_command
+
+DATA_DIR = Path(__file__).parent / "data"
+GOLDEN_DIR = DATA_DIR / "golden"
+
+OPEN_SCENES = ("slow_atom_open",)
+CLOSED_SCENES = ("closed_translation", "earth_rotation_square", "explicit_triangle")
+
+# Subcommands that apply to each layout: sagnac needs a closed loop,
+# translate and sweep an opening.
+COMMON = {
+    "phase": ["phase"],
+    "phase-breakdown": ["phase", "--breakdown"],
+    "fringes": ["fringes", "--steps", "7"],
+}
+CLOSED_ONLY = {"sagnac": ["sagnac"]}
+OPEN_ONLY = {
+    "translate": ["translate"],
+    "sweep": ["sweep", "--vmax", "2e-4", "--steps", "11"],
+}
+
+
+def golden_cases() -> list[tuple[str, list[str]]]:
+    """(golden file name, CLI argv) for every case."""
+    cases = []
+    for stem in OPEN_SCENES + CLOSED_SCENES:
+        commands = dict(COMMON, **(OPEN_ONLY if stem in OPEN_SCENES else CLOSED_ONLY))
+        for label, argv in commands.items():
+            for fmt in ("json", "csv"):
+                scene = ["--scene", str(DATA_DIR / f"{stem}.json")]
+                argv_fmt = argv[:1] + scene + argv[1:] + ["--format", fmt]
+                cases.append((f"{stem}.{label}.{fmt}", argv_fmt))
+    for fmt in ("json", "csv"):
+        cases.append((f"verify-seed11.{fmt}", ["verify", "--seed", "11", "--format", fmt]))
+    return cases
+
+
+@pytest.mark.parametrize("name,argv", golden_cases(), ids=[name for name, _ in golden_cases()])
+def test_stdout_matches_golden(capsys, name, argv):
+    assert run_command(argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert out == (GOLDEN_DIR / name).read_bytes()
+
+
+def test_every_golden_file_has_a_case():
+    names = {name for name, _ in golden_cases()}
+    assert {p.name for p in GOLDEN_DIR.iterdir()} == names
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, argv in golden_cases():
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            code = run_command(argv)
+        if code != 0:
+            sys.exit(f"{name}: exit code {code}")
+        (GOLDEN_DIR / name).write_bytes(buffer.getvalue().encode())
+        print(f"wrote {name}")

@@ -45,19 +45,19 @@ class TestCurlFd:
     def test_rotation_curl_is_twice_omega(self):
         field = MotionField(omega=Vec3(0, 0, 1))
         estimate = curl_fd(field, Vec3(0.3, -0.7, 0.1))
-        assert (estimate.curl - Vec3(0, 0, 2)).norm() <= 1e-6 * 2.0
+        assert (estimate - Vec3(0, 0, 2)).norm() <= 1e-6 * 2.0
 
     def test_translation_curl_is_zero(self):
         field = MotionField(translation=Vec3(3.0, -2.0, 1.0))
         estimate = curl_fd(field, Vec3(1, 2, 3))
-        assert estimate.curl.norm() == 0.0
+        assert estimate.norm() == 0.0
 
     def test_earth_rate_doubling(self):
         # Oracle: analytic identity, curl of a rigid rotation field is 2*Omega.
         field = MotionField(omega=Vec3(0, 0, EARTH_RATE))
         estimate = curl_fd(field, Vec3(0.2, 0.4, -0.1))
         expected = Vec3(0, 0, 1.45842318e-4)
-        assert (estimate.curl - expected).norm() <= 1e-6 * expected.norm()
+        assert (estimate - expected).norm() <= 1e-6 * expected.norm()
 
     def test_random_rigid_fields(self, rng):
         for _ in range(30):
@@ -68,7 +68,7 @@ class TestCurlFd:
             )
             r = Vec3(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1))
             expected = field.omega * 2.0
-            got = curl_fd(field, r, 1e-6).curl
+            got = curl_fd(field, r, 1e-6)
             if expected.norm() > 0:
                 assert (got - expected).norm() <= 1e-6 * expected.norm()
 
@@ -92,10 +92,16 @@ class TestCirculation:
         assert circulation(field, unit_square(ccw=False)) == pytest.approx(-2.0, rel=1e-12)
 
     def test_independent_of_sampling(self):
+        # The trapezoid rule is exact for affine fields: splitting every side
+        # into equal sub-segments leaves the circulation unchanged.
         field = MotionField(omega=Vec3(0.3, -0.2, 1.1), pivot=Vec3(0.2, 0.1, 0.0))
-        base = circulation(field, unit_square(), samples_per_segment=1)
+        base = circulation(field, unit_square())
+        corners = unit_square().vertices
         for samples in (2, 5, 17):
-            again = circulation(field, unit_square(), samples_per_segment=samples)
+            points = [corners[0]]
+            for a, b in zip(corners, corners[1:]):
+                points += [a + (b - a) * (k / samples) for k in range(1, samples + 1)]
+            again = circulation(field, BeamPath(tuple(points)))
             assert again == pytest.approx(base, rel=1e-12)
 
     def test_pivot_invariance(self, rng):
@@ -123,10 +129,6 @@ class TestCirculation:
         open_path = BeamPath((Vec3(0, 0, 0), Vec3(1, 0, 0)))
         with pytest.raises(GeometryError):
             circulation(field, open_path)
-
-    def test_bad_sample_count_rejected(self):
-        with pytest.raises(GeometryError):
-            circulation(MotionField(), unit_square(), samples_per_segment=0)
 
 
 class TestEnclosedAreaVector:

@@ -1,6 +1,7 @@
 """Domain types: construction, invariants, and rejection of bad inputs."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -20,7 +21,7 @@ from matterwave import (
     Vec3,
     WaveError,
     make_particle_wave,
-    opening_vector,
+    translation_opening,
 )
 
 NEUTRON = PARTICLE_MASSES_KG["neutron"]
@@ -124,6 +125,25 @@ class TestParticleWave:
         with pytest.raises(WaveError):
             ParticleWave(speed_v=2200.0, wavelength_lambda=1e-10, mass=NEUTRON)
 
+    @pytest.mark.parametrize(
+        "speed,kwargs",
+        [
+            (1e-300, dict(wavelength=1e-300)),  # v_lambda underflows to zero
+            (1e-160, dict(wavelength=1e-160)),  # v_lambda is subnormal
+            (1e200, dict(wavelength=1e200)),  # v_lambda overflows
+            (1e-200, dict(mass=1e-200)),  # m*v underflows to zero
+            (1e-200, dict(mass=1e-200, wavelength=1.0)),
+            (0.0, dict(mass=NEUTRON)),  # m*v is zero
+        ],
+    )
+    def test_v_lambda_outside_normal_floats_rejected(self, speed, kwargs):
+        with pytest.raises(WaveError):
+            make_particle_wave(speed, **kwargs)
+
+    def test_smallest_normal_v_lambda_accepted(self):
+        wave = make_particle_wave(1.0, wavelength=sys.float_info.min)
+        assert wave.v_lambda == sys.float_info.min
+
 
 class TestSegment:
     def test_length_and_direction(self):
@@ -212,6 +232,8 @@ class TestInterferometerConfig:
 
 
 class TestOpeningVector:
+    """The opening D = start_I - start_II that multiplies V in the phase law."""
+
     def _open_config(self, unit_wave, start_ii):
         end = Vec3(1.0, 0.5, 0.0)
         path_i = BeamPath((Vec3(0, 0, 0), end))
@@ -220,18 +242,18 @@ class TestOpeningVector:
 
     def test_definition(self, unit_wave):
         config = self._open_config(unit_wave, Vec3(1e-4, 0, 0))
-        assert opening_vector(config) == Vec3(1e-4, 0.0, 0.0)
+        assert translation_opening(config) == Vec3(-1e-4, 0.0, 0.0)
 
     def test_other_direction(self, unit_wave):
         config = self._open_config(unit_wave, Vec3(0, 1e-4, 0))
-        assert opening_vector(config) == Vec3(0.0, 1e-4, 0.0)
-        assert opening_vector(config).norm() == 1e-4
+        assert translation_opening(config) == Vec3(0.0, -1e-4, 0.0)
+        assert translation_opening(config).norm() == 1e-4
 
     def test_closed_loop_has_no_opening(self, unit_wave):
         path_i, path_ii = _square_paths()
         config = InterferometerConfig(path_i, path_ii, unit_wave, MotionField(), ConfigKind.CLOSED_LOOP)
         with pytest.raises(GeometryError):
-            opening_vector(config)
+            translation_opening(config)
 
     def test_identical_starts_rejected_for_open_kind(self, unit_wave):
         with pytest.raises(GeometryError):

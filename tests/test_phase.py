@@ -31,7 +31,9 @@ from matterwave import (
     segment_phase_increment,
     translation_opening,
     two_path_difference,
+    velocity_at,
 )
+from matterwave.phase import boost_factor
 
 TWO_PI = 2.0 * math.pi
 
@@ -113,21 +115,21 @@ class TestSegmentPhaseIncrement:
         # increment is exactly one fringe.
         seg = Segment(Vec3(0, 0, 0), Vec3(1e-4, 0, 0))
         field = MotionField(translation=Vec3(1e-4, 0, 0))
-        result = segment_phase_increment(unit_wave, seg, field)
-        assert result.increment_rad == pytest.approx(TWO_PI, rel=1e-12)
+        increment = segment_phase_increment(unit_wave, seg, field)
+        assert increment == pytest.approx(TWO_PI, rel=1e-12)
 
     def test_perpendicular_velocity_contributes_nothing(self, unit_wave):
         seg = Segment(Vec3(0, 0, 0), Vec3(1e-4, 0, 0))
         field = MotionField(translation=Vec3(0, 1e-4, 0))
-        assert segment_phase_increment(unit_wave, seg, field).increment_rad == 0.0
+        assert segment_phase_increment(unit_wave, seg, field) == 0.0
 
     def test_reversing_segment_flips_sign(self, fast_wave):
         seg = Segment(Vec3(0.1, -0.2, 0.3), Vec3(0.5, 0.1, -0.2))
         field = MotionField(
             translation=Vec3(0.2, 0.1, -0.3), omega=Vec3(0.1, 0.4, 0.8), pivot=Vec3(0.1, 0, 0)
         )
-        fwd = segment_phase_increment(fast_wave, seg, field).increment_rad
-        back = segment_phase_increment(fast_wave, seg.reversed(), field).increment_rad
+        fwd = segment_phase_increment(fast_wave, seg, field)
+        back = segment_phase_increment(fast_wave, seg.reversed(), field)
         assert back == pytest.approx(-fwd, rel=1e-12)
 
     def test_increment_equals_moving_minus_rest(self, fast_wave, rng):
@@ -141,9 +143,13 @@ class TestSegmentPhaseIncrement:
                 omega=Vec3(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)),
                 pivot=Vec3(rng.uniform(-1, 1), 0, 0),
             )
-            sp = segment_phase_increment(fast_wave, seg, field)
-            scale = max(abs(sp.rest_phase_rad), abs(sp.moving_phase_rad))
-            assert abs((sp.moving_phase_rad - sp.rest_phase_rad) - sp.increment_rad) <= 1e-12 * scale
+            # Rest and moving phases by the independent wavelength route.
+            rest = rest_phase(fast_wave, seg.length)
+            v_parallel = velocity_at(field, seg.midpoint).dot(seg.direction)
+            moving = rest * boost_factor(fast_wave, v_parallel)
+            increment = segment_phase_increment(fast_wave, seg, field)
+            scale = max(abs(rest), abs(moving))
+            assert abs((moving - rest) - increment) <= 1e-12 * scale
 
 
 class TestPathPhase:
@@ -157,7 +163,7 @@ class TestPathPhase:
         seg = Segment(Vec3(0, 0, 0), Vec3(0.3, 0.4, 0.0))
         field = MotionField(translation=Vec3(0.5, -0.2, 0.1))
         path = BeamPath((seg.start, seg.end))
-        single = segment_phase_increment(fast_wave, seg, field).increment_rad
+        single = segment_phase_increment(fast_wave, seg, field)
         assert path_phase(fast_wave, path, field).total_phase_rad == single
 
     def test_unit_square_under_rotation(self, unit_wave, rotation_z):
@@ -410,10 +416,10 @@ class TestPhaseProperties:
         field = MotionField(
             translation=Vec3(0.3, -0.1, 0.2), omega=Vec3(0.2, 0.5, -0.3), pivot=Vec3(0.1, 0, 0)
         )
-        whole = segment_phase_increment(wave, Segment(a, b), field).increment_rad
+        whole = segment_phase_increment(wave, Segment(a, b), field)
         parts = (
-            segment_phase_increment(wave, Segment(a, mid), field).increment_rad
-            + segment_phase_increment(wave, Segment(mid, b), field).increment_rad
+            segment_phase_increment(wave, Segment(a, mid), field)
+            + segment_phase_increment(wave, Segment(mid, b), field)
         )
         gross = abs(whole) + abs(parts)
         assert abs(whole - parts) <= 1e-12 * max(gross, 1.0)
