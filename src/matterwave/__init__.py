@@ -36,7 +36,6 @@ from .model import (
     MotionField,
     ParticleWave,
     PhaseResult,
-    Segment,
     SegmentContribution,
     Vec3,
     WaveError,
@@ -83,7 +82,6 @@ __all__ = [
     "PropertyCheck",
     "SceneDocument",
     "SceneError",
-    "Segment",
     "SegmentContribution",
     "SweepResult",
     "SweepRow",

@@ -20,7 +20,6 @@ from .model import (
     InterferometerConfig,
     MotionField,
     ParticleWave,
-    Segment,
     Vec3,
     make_particle_wave,
 )
@@ -470,15 +469,14 @@ def verify_suite(seed: int = 0) -> VerifyReport:
             return 0.0, {}
         t = rng.uniform(0.2, 0.8)
         mid = a + (b - a) * t
-        seg = Segment(a, b)
-        whole = segment_phase_increment(wave, seg, field)
+        whole = segment_phase_increment(wave, a, b, field)
         parts = (
-            segment_phase_increment(wave, Segment(a, mid), field)
-            + segment_phase_increment(wave, Segment(mid, b), field)
+            segment_phase_increment(wave, a, mid, field)
+            + segment_phase_increment(wave, mid, b, field)
         )
         # Compare against the segment's gross phase scale; the signed value
         # can cancel to zero when V is nearly perpendicular to the segment.
-        gross = (TWO_PI / wave.v_lambda) * velocity_at(field, seg.midpoint).norm() * seg.length
+        gross = (TWO_PI / wave.v_lambda) * velocity_at(field, (a + b) * 0.5).norm() * (b - a).norm()
         scale = max(abs(whole), abs(parts), gross, 1e-300)
         return abs(whole - parts) / scale, {
             "segment": [list(a.as_tuple()), list(b.as_tuple())],
@@ -521,10 +519,10 @@ def verify_suite(seed: int = 0) -> VerifyReport:
             return 0.0, {}
         # The rest and moving phases go through lambda and the boost factor,
         # a route independent of the increment's (2*pi / v*lambda) * (V . dL).
-        seg = Segment(a, b)
-        rest = rest_phase(wave, seg.length)
-        moving = rest * boost_factor(wave, velocity_at(field, seg.midpoint).dot(seg.direction))
-        increment = segment_phase_increment(wave, seg, field)
+        delta = b - a
+        rest = rest_phase(wave, delta.norm())
+        moving = rest * boost_factor(wave, velocity_at(field, (a + b) * 0.5).dot(delta.unit()))
+        increment = segment_phase_increment(wave, a, b, field)
         scale = max(abs(rest), abs(moving))
         diff = abs((moving - rest) - increment)
         return diff / scale, {"segment": [list(a.as_tuple()), list(b.as_tuple())]}

@@ -51,9 +51,8 @@ def circulation(field: MotionField, loop: BeamPath) -> float:
     if not loop.closed():
         raise GeometryError("circulation requires a closed path")
     terms = []
-    for seg in loop.segments:
-        a = seg.start
-        dl = seg.end - a
+    for a, b in zip(loop.vertices, loop.vertices[1:]):
+        dl = b - a
         v_avg = (velocity_at(field, a) + velocity_at(field, a + dl)) * 0.5
         terms.append(v_avg.dot(dl))
     return exact_sum(terms, "circulation")

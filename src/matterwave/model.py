@@ -68,9 +68,12 @@ def _require_positive(name: str, value: float) -> None:
 def exact_sum(values, quantity: str) -> float:
     """math.fsum of the values; a sum beyond the float range is a GeometryError."""
     try:
-        return math.fsum(values)
-    except (OverflowError, ValueError) as exc:  # overflowed partial sum, or inf - inf
-        raise GeometryError(f"{quantity} overflows the float range") from exc
+        total = math.fsum(values)
+    except (OverflowError, ValueError):  # overflowed partial sum, or inf - inf
+        total = math.nan
+    if not math.isfinite(total):  # also an inf or nan term
+        raise GeometryError(f"{quantity} overflows the float range")
+    return total
 
 
 @dataclass(frozen=True)
@@ -197,43 +200,8 @@ def make_particle_wave(
 
 
 @dataclass(frozen=True)
-class Segment:
-    """Oriented straight segment; direction is the beam propagation direction."""
-
-    start: Vec3  # m
-    end: Vec3    # m
-
-    def __post_init__(self) -> None:
-        if self.length == 0.0:
-            raise GeometryError(f"segment endpoints coincide: {self.start}")
-
-    @property
-    def delta(self) -> Vec3:
-        return self.end - self.start
-
-    @property
-    def length(self) -> float:
-        return self.delta.norm()
-
-    @property
-    def direction(self) -> Vec3:
-        return self.delta.unit()
-
-    @property
-    def midpoint(self) -> Vec3:
-        return Vec3(
-            0.5 * (self.start.x + self.end.x),
-            0.5 * (self.start.y + self.end.y),
-            0.5 * (self.start.z + self.end.z),
-        )
-
-    def reversed(self) -> "Segment":
-        return Segment(self.end, self.start)
-
-
-@dataclass(frozen=True)
 class BeamPath:
-    """Oriented polyline of straight segments traversed start to end."""
+    """Oriented polyline traversed start to end; segment i is vertices[i] -> vertices[i + 1]."""
 
     vertices: tuple[Vec3, ...]
 
@@ -257,11 +225,6 @@ class BeamPath:
     @property
     def end(self) -> Vec3:
         return self.vertices[-1]
-
-    @property
-    def segments(self) -> tuple[Segment, ...]:
-        v = self.vertices
-        return tuple(Segment(v[i], v[i + 1]) for i in range(len(v) - 1))
 
     def closed(self) -> bool:
         return (self.end - self.start).norm() <= ENDPOINT_TOL
@@ -362,8 +325,9 @@ class PhaseResult:
     @classmethod
     def from_contributions(cls, contributions, v_lambda: float) -> "PhaseResult":
         """The result whose total is the exact sum of the contributions."""
+        contributions = tuple(contributions)
         total = exact_sum((c.phase_rad for c in contributions), "phase")
-        return cls(total_phase_rad=total, per_segment=tuple(contributions), v_lambda=v_lambda)
+        return cls(total_phase_rad=total, per_segment=contributions, v_lambda=v_lambda)
 
     def payload(self, breakdown: bool = False) -> dict:
         """JSON form; ``breakdown`` adds the per-segment contributions."""

@@ -19,8 +19,9 @@ unwrapped; fringe reduction happens in the experiment module.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
-from .kinematics import enclosed_area_vector, velocity_at
+from .kinematics import enclosed_area_vector
 from .model import (
     C_LIGHT,
     TWO_PI,
@@ -32,7 +33,6 @@ from .model import (
     MotionField,
     ParticleWave,
     PhaseResult,
-    Segment,
     SegmentContribution,
     Vec3,
 )
@@ -81,19 +81,45 @@ def moving_phase(wave: ParticleWave, length: float, speed_V: float, cos_theta: f
     return rest_phase(wave, length) * boost_factor(wave, speed_V * cos_theta)
 
 
-def segment_phase_increment(wave: ParticleWave, segment: Segment, field: MotionField) -> float:
-    """Phase increment of one moving segment over the same segment at rest.
+def segment_phase_increment(
+    wave: ParticleWave, start: Vec3, end: Vec3, field: MotionField
+) -> float:
+    """Phase increment of the segment start -> end moving with the field.
 
     The increment is (2*pi / v*lambda) * (V . dL) with V evaluated at the
     segment midpoint. It equals the moving phase minus the rest phase; the
     segment's speed along the beam is checked against the domain of that
-    boost model. Reversing the segment orientation flips the increment's sign.
+    boost model. Swapping start and end flips the increment's sign.
+    Plain floats in the operation order of ``velocity_at`` and ``Vec3``, so
+    bit for bit the same; a non-finite result is left to ``exact_sum``.
     """
-    v_mid = velocity_at(field, segment.midpoint)
-    delta = segment.delta
-    v_dot_dl = v_mid.dot(delta)
-    boost_factor(wave, v_dot_dl / delta.norm())
+    ax, ay, az = start.x, start.y, start.z
+    bx, by, bz = end.x, end.y, end.z
+    dx, dy, dz = bx - ax, by - ay, bz - az
+    length = math.sqrt(dx * dx + dy * dy + dz * dz)
+    if length == 0.0:
+        raise GeometryError(f"segment endpoints coincide: {start}")
+    v0, w, p = field.translation, field.omega, field.pivot
+    rx = 0.5 * (ax + bx) - p.x
+    ry = 0.5 * (ay + by) - p.y
+    rz = 0.5 * (az + bz) - p.z
+    v_dot_dl = (
+        (v0.x + (w.y * rz - w.z * ry)) * dx
+        + (v0.y + (w.z * rx - w.x * rz)) * dy
+        + (v0.z + (w.x * ry - w.y * rx)) * dz
+    )
+    boost_factor(wave, v_dot_dl / length)
     return (TWO_PI / wave.v_lambda) * v_dot_dl
+
+
+def _contributions(
+    wave: ParticleWave, path: BeamPath, field: MotionField, path_id: str, sign: float = 1.0
+):
+    """Per-segment increments along a path, times ``sign``, as breakdown entries."""
+    v = path.vertices
+    for index in range(len(v) - 1):
+        inc = segment_phase_increment(wave, v[index], v[index + 1], field)
+        yield SegmentContribution(segment_index=index, path_id=path_id, phase_rad=sign * inc)
 
 
 def path_phase(
@@ -108,11 +134,7 @@ def path_phase(
     Equals (2*pi / v*lambda) times the line integral of V along the path.
     ``path_id`` is only a label recorded in the breakdown entries.
     """
-    contribs = []
-    for index, seg in enumerate(path.segments):
-        inc = segment_phase_increment(wave, seg, field)
-        contribs.append(SegmentContribution(segment_index=index, path_id=path_id, phase_rad=inc))
-    return PhaseResult.from_contributions(contribs, wave.v_lambda)
+    return PhaseResult.from_contributions(_contributions(wave, path, field, path_id), wave.v_lambda)
 
 
 def two_path_difference(config: InterferometerConfig) -> PhaseResult:
@@ -122,13 +144,9 @@ def two_path_difference(config: InterferometerConfig) -> PhaseResult:
     the difference (beam II positive, beam I negated), so the entries
     still sum to the total.
     """
-    result_ii = path_phase(config.wave, config.path_II, config.motion, path_id="II")
-    result_i = path_phase(config.wave, config.path_I, config.motion, path_id="I")
-    merged = list(result_ii.per_segment) + [
-        SegmentContribution(c.segment_index, c.path_id, -c.phase_rad)
-        for c in result_i.per_segment
-    ]
-    return PhaseResult.from_contributions(merged, config.wave.v_lambda)
+    beam_ii = _contributions(config.wave, config.path_II, config.motion, "II")
+    beam_i = _contributions(config.wave, config.path_I, config.motion, "I", -1.0)
+    return PhaseResult.from_contributions(chain(beam_ii, beam_i), config.wave.v_lambda)
 
 
 def interference_loop(config: InterferometerConfig) -> BeamPath:

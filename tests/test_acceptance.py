@@ -36,7 +36,6 @@ from matterwave import (
     verify_suite,
 )
 from matterwave.cli import run_command
-from matterwave.model import Segment
 from matterwave.phase import path_phase
 
 TWO_PI = 2.0 * math.pi
@@ -217,10 +216,10 @@ def test_ac6_property_suites_and_determinism():
         if (b - a).norm() < 0.05:
             continue
         mid = a + (b - a) * rng.uniform(0.1, 0.9)
-        whole = segment_phase_increment(wave, Segment(a, b), field)
+        whole = segment_phase_increment(wave, a, b, field)
         parts = (
-            segment_phase_increment(wave, Segment(a, mid), field)
-            + segment_phase_increment(wave, Segment(mid, b), field)
+            segment_phase_increment(wave, a, mid, field)
+            + segment_phase_increment(wave, mid, b, field)
         )
         gross = (TWO_PI / wave.v_lambda) * 10.0  # generous per-segment phase bound
         assert abs(whole - parts) <= 1e-12 * gross

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -370,7 +371,12 @@ def _reject_constant(token):
 
 
 # Moderate values get past validation to the numerics; any float may follow.
-finite_or_not = st.one_of(st.floats(-2.0, 2.0), st.floats())
+# Magnitudes near 1e154 (whose squares overflow) and near 1e308 (whose sums
+# overflow) reach the narrow overflow bands that arbitrary floats rarely hit.
+near_overflow = st.one_of(st.floats(1e153, 1e155), st.floats(1e307, sys.float_info.max))
+finite_or_not = st.one_of(
+    st.floats(-2.0, 2.0), st.floats(), near_overflow, near_overflow.map(lambda x: -x)
+)
 vectors = st.lists(finite_or_not, min_size=3, max_size=3)
 particles = st.fixed_dictionaries(
     {"speed_mps": finite_or_not},

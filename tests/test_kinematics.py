@@ -130,6 +130,14 @@ class TestCirculation:
         with pytest.raises(GeometryError):
             circulation(field, open_path)
 
+    def test_nan_term_refused(self):
+        # Along the ray x = y every trapezoid term is -w*R^2 + w*R^2 with
+        # w*R^2 beyond the float range: each term is inf - inf = nan.
+        r = 1e200
+        loop = BeamPath((Vec3(0, 0, 0), Vec3(r, r, 0), Vec3(2 * r, 2 * r, 0), Vec3(0, 0, 0)))
+        with pytest.raises(GeometryError, match="overflows the float range"):
+            circulation(MotionField(omega=Vec3(0, 0, 1)), loop)
+
 
 class TestEnclosedAreaVector:
     def test_unit_square_ccw(self):

@@ -17,7 +17,6 @@ from matterwave import (
     InterferometerConfig,
     MotionField,
     ParticleWave,
-    Segment,
     Vec3,
     WaveError,
     make_particle_wave,
@@ -145,22 +144,10 @@ class TestParticleWave:
         assert wave.v_lambda == sys.float_info.min
 
 
-class TestSegment:
-    def test_length_and_direction(self):
-        seg = Segment(Vec3(0, 0, 0), Vec3(3.0, 4.0, 0.0))
-        assert seg.length == 5.0
-        assert seg.direction == Vec3(0.6, 0.8, 0.0)
-        assert seg.midpoint == Vec3(1.5, 2.0, 0.0)
-
-    def test_zero_length_rejected(self):
-        with pytest.raises(GeometryError):
-            Segment(Vec3(1, 1, 1), Vec3(1, 1, 1))
-
-
 class TestBeamPath:
     def test_segments_and_endpoints(self):
         path = BeamPath((Vec3(0, 0, 0), Vec3(1, 0, 0), Vec3(1, 1, 0)))
-        assert len(path.segments) == 2
+        assert len(path.vertices) == 3
         assert path.start == Vec3(0, 0, 0)
         assert path.end == Vec3(1, 1, 0)
         assert not path.closed()

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from matterwave import (
@@ -16,7 +16,6 @@ from matterwave import (
     InterferometerConfig,
     MotionField,
     PARTICLE_MASSES_KG,
-    Segment,
     Vec3,
     boosted_wavelength,
     build_config,
@@ -113,41 +112,41 @@ class TestSegmentPhaseIncrement:
     def test_hundred_micron_full_fringe(self, unit_wave):
         # v_lambda 1e-8 m^2/s, V = 1e-4 m/s parallel to a 1e-4 m segment:
         # increment is exactly one fringe.
-        seg = Segment(Vec3(0, 0, 0), Vec3(1e-4, 0, 0))
         field = MotionField(translation=Vec3(1e-4, 0, 0))
-        increment = segment_phase_increment(unit_wave, seg, field)
+        increment = segment_phase_increment(unit_wave, Vec3(0, 0, 0), Vec3(1e-4, 0, 0), field)
         assert increment == pytest.approx(TWO_PI, rel=1e-12)
 
     def test_perpendicular_velocity_contributes_nothing(self, unit_wave):
-        seg = Segment(Vec3(0, 0, 0), Vec3(1e-4, 0, 0))
         field = MotionField(translation=Vec3(0, 1e-4, 0))
-        assert segment_phase_increment(unit_wave, seg, field) == 0.0
+        assert segment_phase_increment(unit_wave, Vec3(0, 0, 0), Vec3(1e-4, 0, 0), field) == 0.0
 
     def test_reversing_segment_flips_sign(self, fast_wave):
-        seg = Segment(Vec3(0.1, -0.2, 0.3), Vec3(0.5, 0.1, -0.2))
+        a, b = Vec3(0.1, -0.2, 0.3), Vec3(0.5, 0.1, -0.2)
         field = MotionField(
             translation=Vec3(0.2, 0.1, -0.3), omega=Vec3(0.1, 0.4, 0.8), pivot=Vec3(0.1, 0, 0)
         )
-        fwd = segment_phase_increment(fast_wave, seg, field)
-        back = segment_phase_increment(fast_wave, seg.reversed(), field)
+        fwd = segment_phase_increment(fast_wave, a, b, field)
+        back = segment_phase_increment(fast_wave, b, a, field)
         assert back == pytest.approx(-fwd, rel=1e-12)
+
+    def test_coincident_endpoints_rejected(self, unit_wave):
+        with pytest.raises(GeometryError):
+            segment_phase_increment(unit_wave, Vec3(1, 1, 1), Vec3(1, 1, 1), MotionField())
 
     def test_increment_equals_moving_minus_rest(self, fast_wave, rng):
         for _ in range(50):
-            seg = Segment(
-                Vec3(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)),
-                Vec3(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1) + 2.0),
-            )
+            a = Vec3(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1))
+            b = Vec3(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1) + 2.0)
             field = MotionField(
                 translation=Vec3(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)),
                 omega=Vec3(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)),
                 pivot=Vec3(rng.uniform(-1, 1), 0, 0),
             )
             # Rest and moving phases by the independent wavelength route.
-            rest = rest_phase(fast_wave, seg.length)
-            v_parallel = velocity_at(field, seg.midpoint).dot(seg.direction)
+            rest = rest_phase(fast_wave, (b - a).norm())
+            v_parallel = velocity_at(field, (a + b) * 0.5).dot((b - a).unit())
             moving = rest * boost_factor(fast_wave, v_parallel)
-            increment = segment_phase_increment(fast_wave, seg, field)
+            increment = segment_phase_increment(fast_wave, a, b, field)
             scale = max(abs(rest), abs(moving))
             assert abs((moving - rest) - increment) <= 1e-12 * scale
 
@@ -160,10 +159,10 @@ class TestPathPhase:
         assert abs(result.total_phase_rad) <= 1e-9 * gross
 
     def test_single_segment_equals_increment(self, fast_wave):
-        seg = Segment(Vec3(0, 0, 0), Vec3(0.3, 0.4, 0.0))
+        a, b = Vec3(0, 0, 0), Vec3(0.3, 0.4, 0.0)
         field = MotionField(translation=Vec3(0.5, -0.2, 0.1))
-        path = BeamPath((seg.start, seg.end))
-        single = segment_phase_increment(fast_wave, seg, field)
+        path = BeamPath((a, b))
+        single = segment_phase_increment(fast_wave, a, b, field)
         assert path_phase(fast_wave, path, field).total_phase_rad == single
 
     def test_unit_square_under_rotation(self, unit_wave, rotation_z):
@@ -375,11 +374,11 @@ class TestPhaseProperties:
 
         def brute_line_integral(path):
             total = 0.0
-            for seg in path.segments:
+            for a, b in zip(path.vertices, path.vertices[1:]):
                 n = 4000
-                step = seg.delta * (1.0 / n)
+                step = (b - a) * (1.0 / n)
                 for k in range(n):
-                    r = seg.start + step * (k + 0.5)
+                    r = a + step * (k + 0.5)
                     v = motion.translation + motion.omega.cross(r - motion.pivot)
                     total += v.dot(step)
             return total
@@ -416,17 +415,44 @@ class TestPhaseProperties:
         field = MotionField(
             translation=Vec3(0.3, -0.1, 0.2), omega=Vec3(0.2, 0.5, -0.3), pivot=Vec3(0.1, 0, 0)
         )
-        whole = segment_phase_increment(wave, Segment(a, b), field)
+        whole = segment_phase_increment(wave, a, b, field)
         parts = (
-            segment_phase_increment(wave, Segment(a, mid), field)
-            + segment_phase_increment(wave, Segment(mid, b), field)
+            segment_phase_increment(wave, a, mid, field)
+            + segment_phase_increment(wave, mid, b, field)
         )
         gross = abs(whole) + abs(parts)
         assert abs(whole - parts) <= 1e-12 * max(gross, 1.0)
 
     def test_boost_domain_violation_propagates(self):
         wave = make_particle_wave(1.0, wavelength=1e-8)
-        seg = Segment(Vec3(0, 0, 0), Vec3(1, 0, 0))
         field = MotionField(translation=Vec3(-2.0, 0, 0))
         with pytest.raises(BoostDomainError):
-            segment_phase_increment(wave, seg, field)
+            segment_phase_increment(wave, Vec3(0, 0, 0), Vec3(1, 0, 0), field)
+
+    @settings(max_examples=100)
+    @given(vectors=st.lists(
+        st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3), min_size=5, max_size=5
+    ))
+    def test_float_kernel_matches_vec3_route_bit_for_bit(self, vectors):
+        # Speeds stay far below the particle speed, inside the boost domain.
+        wave = make_particle_wave(1e9, wavelength=1e-9)
+        a, b, translation, omega, pivot = (Vec3(*xyz) for xyz in vectors)
+        assume((b - a).norm() > 0.0)
+        field = MotionField(translation=translation, omega=omega, pivot=pivot)
+        expected = (TWO_PI / wave.v_lambda) * velocity_at(field, (a + b) * 0.5).dot(b - a)
+        assert segment_phase_increment(wave, a, b, field) == expected
+
+
+class TestNonFiniteSums:
+    def test_overflowing_increment_refused(self, unit_wave):
+        path = BeamPath((Vec3(0, 0, 0), Vec3(1e210, 0, 0)))
+        field = MotionField(translation=Vec3(1e100, 0, 0))
+        with pytest.raises(GeometryError, match="overflows the float range"):
+            path_phase(unit_wave, path, field)
+
+    def test_midpoint_beyond_float_range_refused(self, unit_wave):
+        # 0.5 * (1e308 + 1.7e308) overflows; the increment comes out nan.
+        path = BeamPath((Vec3(1e308, 0, 0), Vec3(1.7e308, 0, 0)))
+        field = MotionField(translation=Vec3(0, 1, 0))
+        with pytest.raises(GeometryError):
+            path_phase(unit_wave, path, field)
