@@ -168,11 +168,11 @@ def run_command(argv: list[str]) -> int:
             return 0 if report.passed else 2
 
         doc, config = _load_config(args.scene)
-        fmt = args.format or doc.output.format
+        fmt = args.format or doc.output["format"]
 
         breakdown = False
         if args.command == "phase":
-            breakdown = args.breakdown or doc.output.breakdown
+            breakdown = args.breakdown or doc.output["breakdown"]
             result = two_path_difference(config)
         elif args.command == "sagnac":
             loop = interference_loop(config)

@@ -110,6 +110,8 @@ def build_config(
 
     if opening_m is None:
         raise GeometryError(f"{kind} needs opening_m")
+    if not isinstance(opening_m, Vec3) and not opening_m > 0.0:
+        raise GeometryError(f"a scalar opening_m must be positive, got {opening_m!r}")
     opening = Vec3(0.0, float(opening_m), 0.0) if not isinstance(opening_m, Vec3) else opening_m
     if opening.norm() == 0.0:
         raise GeometryError("opening must be nonzero")

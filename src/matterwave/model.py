@@ -121,7 +121,7 @@ class Vec3:
         )
 
     def norm(self) -> float:
-        return math.sqrt(self.dot(self))
+        return math.hypot(self.x, self.y, self.z)  # no overflow or underflow of squares
 
     def unit(self) -> "Vec3":
         n = self.norm()

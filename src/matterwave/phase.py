@@ -62,6 +62,11 @@ def boost_factor(wave: ParticleWave, speed_parallel: float) -> float:
     return factor
 
 
+def _require_cos_theta(cos_theta: float) -> None:
+    if abs(cos_theta) > 1.0 or not math.isfinite(cos_theta):
+        raise GeometryError(f"cos_theta must lie in [-1, 1], got {cos_theta!r}")
+
+
 def boosted_wavelength(wave: ParticleWave, speed_V: float, cos_theta: float) -> float:
     """Wavelength seen in a segment moving with speed V at angle theta.
 
@@ -69,15 +74,13 @@ def boosted_wavelength(wave: ParticleWave, speed_V: float, cos_theta: float) -> 
     moving segment are faster or slower by the segment's velocity component
     along the beam, and the frequency is unchanged.
     """
-    if abs(cos_theta) > 1.0 or not math.isfinite(cos_theta):
-        raise GeometryError(f"cos_theta must lie in [-1, 1], got {cos_theta!r}")
+    _require_cos_theta(cos_theta)
     return wave.wavelength_lambda / boost_factor(wave, speed_V * cos_theta)
 
 
 def moving_phase(wave: ParticleWave, length: float, speed_V: float, cos_theta: float) -> float:
     """Phase accumulated along a moving segment: 2*pi*(length/lambda) * boost."""
-    if abs(cos_theta) > 1.0 or not math.isfinite(cos_theta):
-        raise GeometryError(f"cos_theta must lie in [-1, 1], got {cos_theta!r}")
+    _require_cos_theta(cos_theta)
     return rest_phase(wave, length) * boost_factor(wave, speed_V * cos_theta)
 
 

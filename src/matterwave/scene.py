@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 from .experiment import LAYOUT_KINDS, build_config
 from .model import (
@@ -49,48 +50,7 @@ class SceneError(MatterWaveError):
     """Malformed scene text or schema violation; message names the field path."""
 
 
-@dataclass(frozen=True)
-class ParticleSpec:
-    speed_mps: float
-    mass_kg: float | None = None
-    wavelength_m: float | None = None
-
-
-@dataclass(frozen=True)
-class GeometrySpec:
-    """Either a builder kind with its dimensions or two explicit paths."""
-
-    kind: str | None = None
-    side_m: float | None = None
-    width_m: float | None = None
-    height_m: float | None = None
-    opening_m: Vec3 | float | None = None
-    arm_length_m: float | None = None
-    path_I_m: tuple[Vec3, ...] | None = None
-    path_II_m: tuple[Vec3, ...] | None = None
-
-
-@dataclass(frozen=True)
-class OutputSpec:
-    format: str = "json"
-    breakdown: bool = False
-
-
-@dataclass(frozen=True)
-class SceneDocument:
-    particle: ParticleSpec
-    geometry: GeometrySpec
-    motion: MotionField = MotionField()
-    output: OutputSpec = OutputSpec()
-
-
-def _expect_object(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise SceneError(f"{path}: expected an object, got {type(value).__name__}")
-    return value
-
-
-def _expect_number(value, path: str) -> float:
+def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SceneError(f"{path}: expected a number, got {value!r}")
     # A comparison, unlike float(), also bounds integers beyond the float range.
@@ -99,100 +59,120 @@ def _expect_number(value, path: str) -> float:
     return float(value)
 
 
-def _expect_vec3(value, path: str) -> Vec3:
+def _vec3(value, path: str) -> Vec3:
     if not isinstance(value, list) or len(value) != 3:
         raise SceneError(f"{path}: expected [x, y, z]")
-    return Vec3(*(_expect_number(c, f"{path}[{i}]") for i, c in enumerate(value)))
+    return Vec3(*(_number(c, f"{path}[{i}]") for i, c in enumerate(value)))
 
 
-def _expect_bool(value, path: str) -> bool:
+def _points(value, path: str) -> tuple[Vec3, ...]:
+    if not isinstance(value, list) or len(value) < 2:
+        raise SceneError(f"{path}: expected a list of at least 2 [x, y, z] points")
+    return tuple(_vec3(p, f"{path}[{i}]") for i, p in enumerate(value))
+
+
+def _opening(value, path: str) -> Vec3 | float:
+    return _vec3(value, path) if isinstance(value, list) else _number(value, path)
+
+
+def _choice(names):
+    """Reader of one name out of ``names``."""
+
+    def read(value, path: str) -> str:
+        if not isinstance(value, str) or value not in names:
+            raise SceneError(f"{path}: expected one of {', '.join(names)}, got {value!r}")
+        return value
+    return read
+
+
+def _bool(value, path: str) -> bool:
     if not isinstance(value, bool):
         raise SceneError(f"{path}: expected true or false, got {value!r}")
     return value
 
 
-def _reject_unknown(obj: dict, allowed: tuple[str, ...], path: str) -> None:
+# One table per section, walked by parse, serialize and build alike: scene key
+# -> (reader, default[, name]). The default is the JSON value read for an absent
+# key (None: leave it out; _REQUIRED: refuse). The name is the keyword the value
+# is passed on as; builder keys are build_config's own. Order is output order.
+_REQUIRED = object()
+_PARTICLE = {
+    "speed_mps": (_number, _REQUIRED, "speed_v"),
+    "mass_kg": (_number, None, "mass"),
+    "wavelength_m": (_number, None, "wavelength"),
+}
+_MOTION = {
+    "translation_mps": (_vec3, None, "translation"),
+    "omega_radps": (_vec3, None, "omega"),
+    "pivot_m": (_vec3, None, "pivot"),
+}
+_BUILDER = {
+    "kind": (_choice(LAYOUT_KINDS), _REQUIRED),
+    "side_m": (_number, None),
+    "width_m": (_number, None),
+    "height_m": (_number, None),
+    "arm_length_m": (_number, None),
+    "opening_m": (_opening, None),
+}
+_EXPLICIT = {"path_I_m": (_points, _REQUIRED), "path_II_m": (_points, _REQUIRED)}
+_OUTPUT = {"format": (_choice(OUTPUT_FORMATS), "json"), "breakdown": (_bool, False)}
+
+
+def _read_section(table: dict, obj, path: str) -> dict:
+    """Validated values of one section, keyed by scene key in table order."""
+    if not isinstance(obj, dict):
+        raise SceneError(f"{path}: expected an object, got {type(obj).__name__}")
     for key in obj:
-        if key not in allowed:
-            raise SceneError(f"{path}.{key}: unknown key (allowed: {', '.join(allowed)})")
-
-
-def _parse_particle(obj, path: str) -> ParticleSpec:
-    obj = _expect_object(obj, path)
-    keys = ("speed_mps", "mass_kg", "wavelength_m")
-    _reject_unknown(obj, keys, path)
-    if "speed_mps" not in obj:
-        raise SceneError(f"{path}.speed_mps: required field is missing")
-    numbers = {key: _expect_number(obj[key], f"{path}.{key}") for key in keys if key in obj}
-    if numbers.keys() == {"speed_mps"}:
-        raise SceneError(f"{path}: needs mass_kg or wavelength_m")
-    return ParticleSpec(**numbers)
-
-
-# Scene key of each MotionField field.
-_MOTION_KEYS = {"translation": "translation_mps", "omega": "omega_radps", "pivot": "pivot_m"}
-
-
-def _parse_motion(obj, path: str) -> MotionField:
-    obj = _expect_object(obj, path)
-    _reject_unknown(obj, tuple(_MOTION_KEYS.values()), path)
-    kwargs = {}
-    for name, key in _MOTION_KEYS.items():
+        if key not in table:
+            raise SceneError(f"{path}.{key}: unknown key (allowed: {', '.join(table)})")
+    values = {}
+    for key, (read, default, *_) in table.items():
         if key in obj:
-            kwargs[name] = _expect_vec3(obj[key], f"{path}.{key}")
-    return MotionField(**kwargs)
+            values[key] = read(obj[key], f"{path}.{key}")
+        elif default is _REQUIRED:
+            raise SceneError(f"{path}.{key}: required field is missing")
+        elif default is not None:
+            values[key] = read(default, f"{path}.{key}")
+    return values
 
 
-def _parse_path(value, path: str) -> tuple[Vec3, ...]:
-    if not isinstance(value, list) or len(value) < 2:
-        raise SceneError(f"{path}: expected a list of at least 2 [x, y, z] points")
-    return tuple(_expect_vec3(p, f"{path}[{i}]") for i, p in enumerate(value))
+def _renamed(values: dict, table: dict) -> dict:
+    """Section values keyed by the names their table passes them on as."""
+    return {table[key][2]: value for key, value in values.items()}
 
 
-_BUILDER_KEYS = ("kind", "side_m", "width_m", "height_m", "opening_m", "arm_length_m")
-_EXPLICIT_KEYS = ("path_I_m", "path_II_m")
+def _particle(value, path: str) -> dict:
+    particle = _read_section(_PARTICLE, value, path)
+    if len(particle) == 1:  # the speed alone fixes no wavelength
+        raise SceneError(f"{path}: needs {' or '.join(list(_PARTICLE)[1:])}")
+    return particle
 
 
-def _parse_geometry(obj, path: str) -> GeometrySpec:
-    obj = _expect_object(obj, path)
-    explicit = any(k in obj for k in _EXPLICIT_KEYS)
-    if explicit:
-        _reject_unknown(obj, _EXPLICIT_KEYS, path)
-        for key in _EXPLICIT_KEYS:
-            if key not in obj:
-                raise SceneError(f"{path}.{key}: required field is missing")
-        return GeometrySpec(
-            path_I_m=_parse_path(obj["path_I_m"], f"{path}.path_I_m"),
-            path_II_m=_parse_path(obj["path_II_m"], f"{path}.path_II_m"),
-        )
-    _reject_unknown(obj, _BUILDER_KEYS, path)
-    if "kind" not in obj:
-        raise SceneError(f"{path}.kind: required field is missing")
-    kind = obj["kind"]
-    if not isinstance(kind, str) or kind not in LAYOUT_KINDS:
-        known = ", ".join(LAYOUT_KINDS)
-        raise SceneError(f"{path}.kind: unknown geometry kind {kind!r} (known: {known})")
-    dims = {}
-    for key in ("side_m", "width_m", "height_m", "arm_length_m"):
-        if key in obj:
-            dims[key] = _expect_number(obj[key], f"{path}.{key}")
-    if "opening_m" in obj:
-        value = obj["opening_m"]
-        if isinstance(value, list):
-            dims["opening_m"] = _expect_vec3(value, f"{path}.opening_m")
-        else:
-            dims["opening_m"] = _expect_number(value, f"{path}.opening_m")
-    return GeometrySpec(kind=kind, **dims)
+def _motion(value, path: str) -> MotionField:
+    return MotionField(**_renamed(_read_section(_MOTION, value, path), _MOTION))
 
 
-def _parse_output(obj, path: str) -> OutputSpec:
-    obj = _expect_object(obj, path)
-    _reject_unknown(obj, ("format", "breakdown"), path)
-    fmt = obj.get("format", "json")
-    if fmt not in OUTPUT_FORMATS:
-        raise SceneError(f"{path}.format: expected one of {OUTPUT_FORMATS}, got {fmt!r}")
-    breakdown = _expect_bool(obj["breakdown"], f"{path}.breakdown") if "breakdown" in obj else False
-    return OutputSpec(format=fmt, breakdown=breakdown)
+def _geometry(value, path: str) -> dict:
+    explicit = isinstance(value, dict) and any(key in value for key in _EXPLICIT)
+    return _read_section(_EXPLICIT if explicit else _BUILDER, value, path)
+
+
+_SCENE = {
+    "particle": (_particle, _REQUIRED),
+    "motion": (_motion, {}),
+    "geometry": (_geometry, _REQUIRED),
+    "output": (partial(_read_section, _OUTPUT), {}),
+}
+
+
+@dataclass(frozen=True)
+class SceneDocument:
+    """A validated scene, sections in file order; all but motion map key -> value."""
+
+    particle: dict
+    motion: MotionField
+    geometry: dict
+    output: dict
 
 
 def parse_scene(text: str) -> SceneDocument:
@@ -202,74 +182,29 @@ def parse_scene(text: str) -> SceneDocument:
     except json.JSONDecodeError as exc:
         raise SceneError(f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except (RecursionError, ValueError) as exc:
-        # Nesting beyond the decoder's recursion limit, or an integer
-        # literal longer than int() accepts.
+        # Nesting beyond the recursion limit, or an integer literal too long for int().
         raise SceneError(f"unreadable scene: {exc}") from None
-    raw = _expect_object(raw, "scene")
-    _reject_unknown(raw, ("particle", "motion", "geometry", "output"), "scene")
-    for key in ("particle", "geometry"):
-        if key not in raw:
-            raise SceneError(f"scene.{key}: required section is missing")
-    return SceneDocument(
-        particle=_parse_particle(raw["particle"], "particle"),
-        geometry=_parse_geometry(raw["geometry"], "geometry"),
-        motion=_parse_motion(raw["motion"], "motion") if "motion" in raw else MotionField(),
-        output=_parse_output(raw["output"], "output") if "output" in raw else OutputSpec(),
-    )
+    return SceneDocument(**_read_section(_SCENE, raw, "scene"))
+
+
+def _plain(value) -> dict | list:
+    """JSON form of the scene values json cannot write itself: motion and Vec3."""
+    if isinstance(value, MotionField):
+        return {key: getattr(value, name) for key, (*_, name) in _MOTION.items()}
+    return list(value.as_tuple())
 
 
 def serialize_scene(doc: SceneDocument) -> str:
     """Canonical JSON for a scene document; parse(serialize(doc)) == doc."""
-    particle: dict = {"speed_mps": doc.particle.speed_mps}
-    if doc.particle.mass_kg is not None:
-        particle["mass_kg"] = doc.particle.mass_kg
-    if doc.particle.wavelength_m is not None:
-        particle["wavelength_m"] = doc.particle.wavelength_m
-
-    motion = {key: list(getattr(doc.motion, name).as_tuple()) for name, key in _MOTION_KEYS.items()}
-
-    geometry: dict = {}
-    g = doc.geometry
-    if g.path_I_m is not None:
-        geometry["path_I_m"] = [list(p.as_tuple()) for p in g.path_I_m]
-        geometry["path_II_m"] = [list(p.as_tuple()) for p in g.path_II_m]
-    else:
-        geometry["kind"] = g.kind
-        for key in ("side_m", "width_m", "height_m", "arm_length_m"):
-            value = getattr(g, key)
-            if value is not None:
-                geometry[key] = value
-        if g.opening_m is not None:
-            geometry["opening_m"] = (
-                list(g.opening_m.as_tuple()) if isinstance(g.opening_m, Vec3) else g.opening_m
-            )
-
-    payload = {
-        "particle": particle,
-        "motion": motion,
-        "geometry": geometry,
-        "output": {"format": doc.output.format, "breakdown": doc.output.breakdown},
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(vars(doc), indent=2, default=_plain) + "\n"
 
 
 def config_from_scene(doc: SceneDocument) -> InterferometerConfig:
     """Realize the scene as a validated interferometer configuration."""
-    wave = make_particle_wave(
-        doc.particle.speed_mps,
-        mass=doc.particle.mass_kg,
-        wavelength=doc.particle.wavelength_m,
-    )
-    g = doc.geometry
-    if g.path_I_m is not None:
-        path_i = BeamPath(g.path_I_m)
-        path_ii = BeamPath(g.path_II_m)
+    wave = make_particle_wave(**_renamed(doc.particle, _PARTICLE))
+    if doc.geometry.keys() == _EXPLICIT.keys():
+        path_i, path_ii = (BeamPath(doc.geometry[key]) for key in _EXPLICIT)
         start_gap = (path_ii.start - path_i.start).norm()
         kind = ConfigKind.CLOSED_LOOP if start_gap <= ENDPOINT_TOL else ConfigKind.OPEN_LOOP
         return InterferometerConfig(path_i, path_ii, wave, doc.motion, kind)
-    dims = {
-        key: getattr(g, key)
-        for key in ("side_m", "width_m", "height_m", "opening_m", "arm_length_m")
-        if getattr(g, key) is not None
-    }
-    return build_config(g.kind, wave, doc.motion, **dims)
+    return build_config(wave=wave, motion=doc.motion, **doc.geometry)

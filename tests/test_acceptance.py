@@ -57,7 +57,7 @@ def _box(rng, scale=1.0):
 def test_ac1_full_fringe_sensitivity(data_dir):
     started = time.perf_counter()
     scene = parse_scene((data_dir / "slow_atom_open.json").read_text())
-    assert scene.particle.speed_mps * scene.particle.wavelength_m == 1e-8
+    assert scene.particle["speed_mps"] * scene.particle["wavelength_m"] == 1e-8
 
     wave = make_particle_wave(1.0, wavelength=1e-8)
     opening = Vec3(0.0, 1e-4, 0.0)       # D = 100 micrometers

@@ -64,6 +64,30 @@ def scene(data_dir, name):
     return str(data_dir / name)
 
 
+# Translations whose squared components overflow or underflow, with the
+# cos(theta) they make with a 1e-4 m opening along +y.
+EXTREME_TRANSLATIONS = pytest.mark.parametrize(
+    "translation,cos_theta",
+    [([1e200, 1e200, 0.0], math.sqrt(0.5)), ([1e-200, 0.0, 0.0], 0.0)],
+    ids=["huge", "tiny"],
+)
+
+
+def moving_open_scene(tmp_path, translation):
+    """Fig3bOpen scene with v*lambda = 1e-8 m^2/s: one fringe at V . D = 1e-8 m^2/s."""
+    scene_file = tmp_path / "moving_open.json"
+    scene_file.write_text(
+        json.dumps(
+            {
+                "particle": {"speed_mps": 1.0, "wavelength_m": 1e-8},
+                "motion": {"translation_mps": translation},
+                "geometry": {"kind": "Fig3bOpen", "opening_m": [0.0, 1e-4, 0.0]},
+            }
+        )
+    )
+    return str(scene_file)
+
+
 class TestPhaseCommand:
     def test_slow_atom_scene_gives_one_fringe(self, capsys, data_dir):
         code, out, _ = run(capsys, ["phase", "--scene", scene(data_dir, "slow_atom_open.json")])
@@ -145,6 +169,13 @@ class TestTranslateCommand:
         assert payload["cos_theta"] == pytest.approx(1.0, rel=1e-12)
         assert payload["opening_magnitude_m"] == pytest.approx(1e-4, rel=1e-12)
 
+    @EXTREME_TRANSLATIONS
+    def test_extreme_translation_angle(self, capsys, tmp_path, translation, cos_theta):
+        argv = ["translate", "--scene", moving_open_scene(tmp_path, translation)]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["cos_theta"] == pytest.approx(cos_theta, rel=1e-12)
+
     def test_closed_scene_rejected(self, capsys, data_dir):
         code, _, err = run(
             capsys, ["translate", "--scene", scene(data_dir, "closed_translation.json")]
@@ -207,6 +238,16 @@ class TestSweepCommand:
         assert code == 0
         last = out.splitlines()[-1].split(",")
         assert float(last[2]) == pytest.approx(1.0, rel=1e-12)
+
+    @EXTREME_TRANSLATIONS
+    def test_extreme_translation_direction(self, capsys, tmp_path, translation, cos_theta):
+        # The sweep runs along the translation: at V = 1e-4 m/s, cos(theta) fringes.
+        argv = ["sweep", "--scene", moving_open_scene(tmp_path, translation), "--vmax", "1e-4"]
+        code, out, _ = run(capsys, argv + ["--steps", "3"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["cos_theta"] == pytest.approx(cos_theta, rel=1e-12)
+        assert payload["rows"][-1]["fringe_count"] == pytest.approx(cos_theta, rel=1e-12)
 
     def test_rejects_bad_grid(self, capsys, data_dir):
         code, _, err = run(
@@ -378,9 +419,16 @@ finite_or_not = st.one_of(
     st.floats(-2.0, 2.0), st.floats(), near_overflow, near_overflow.map(lambda x: -x)
 )
 vectors = st.lists(finite_or_not, min_size=3, max_size=3)
-particles = st.fixed_dictionaries(
-    {"speed_mps": finite_or_not},
-    optional={"mass_kg": finite_or_not, "wavelength_m": finite_or_not},
+# Valid waves let the geometry and motion draws reach the kernel and emitters.
+valid_waves = st.fixed_dictionaries(
+    {"speed_mps": st.floats(1e-3, 1e3), "wavelength_m": st.floats(1e-12, 1e-3)}
+)
+particles = st.one_of(
+    valid_waves,
+    st.fixed_dictionaries(
+        {"speed_mps": finite_or_not},
+        optional={"mass_kg": finite_or_not, "wavelength_m": finite_or_not},
+    ),
 )
 geometries = st.one_of(
     st.fixed_dictionaries(

@@ -119,6 +119,7 @@ class TestBuildConfig:
             ("Fig3bOpen", {}),
             ("Fig3bOpen", dict(opening_m=0.0)),
             ("Fig3bOpen", dict(opening_m=1e-4, arm_length_m=0.0)),
+            ("Fig3bOpen", dict(opening_m=-1e-4)),
         ],
     )
     def test_bad_dimensions_rejected(self, unit_wave, kind, kwargs):

@@ -53,6 +53,12 @@ class TestVec3:
         with pytest.raises(GeometryError):
             Vec3(0.0, bad, 0.0)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_norm_of_extreme_components(self, scale):
+        # Squares of these components overflow to inf or underflow to 0.
+        assert Vec3(scale, scale, 0.0).norm() == pytest.approx(math.sqrt(2.0) * scale, rel=1e-15)
+        assert Vec3(0.0, 0.0, -scale).norm() == scale
+
     def test_unit_of_zero_vector_fails(self):
         with pytest.raises(GeometryError):
             Vec3(0.0, 0.0, 0.0).unit()

@@ -24,11 +24,11 @@ MINIMAL = """
 class TestParseScene:
     def test_minimal_scene(self):
         doc = parse_scene(MINIMAL)
-        assert doc.particle.speed_mps == 1.0
-        assert doc.particle.wavelength_m == 1e-8
-        assert doc.geometry.kind == "Fig3bOpen"
-        assert doc.output.format == "json"
-        wave_product = doc.particle.speed_mps * doc.particle.wavelength_m
+        assert doc.particle["speed_mps"] == 1.0
+        assert doc.particle["wavelength_m"] == 1e-8
+        assert doc.geometry["kind"] == "Fig3bOpen"
+        assert doc.output["format"] == "json"
+        wave_product = doc.particle["speed_mps"] * doc.particle["wavelength_m"]
         assert wave_product == 1e-8
 
     def test_missing_speed_names_field(self):
@@ -69,8 +69,8 @@ class TestParseScene:
 
     def test_explicit_paths_parsed(self, data_dir):
         doc = parse_scene((data_dir / "explicit_triangle.json").read_text())
-        assert doc.geometry.path_I_m is not None
-        assert len(doc.geometry.path_II_m) == 3
+        assert doc.geometry["path_I_m"] is not None
+        assert len(doc.geometry["path_II_m"]) == 3
 
     def test_explicit_paths_require_both(self):
         bad = '{"particle": {"speed_mps": 1.0, "wavelength_m": 1e-8}, "geometry": {"path_I_m": [[0,0,0],[1,0,0]]}}'
