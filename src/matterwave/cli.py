@@ -146,11 +146,36 @@ def _write(data: bytes, out: str | None) -> None:
         raise MatterWaveError(f"cannot write output file {out!r}: {exc}") from exc
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_numbers(argv: list[str]) -> list[str]:
+    """Join a negative number to the long option before it: ``--vmin=-1e-05``.
+
+    argparse takes a token such as ``-1e-05`` for an option, because its
+    negative-number pattern has no exponent form; joined, it is the value.
+    """
+    joined: list[str] = []
+    for token in argv:
+        previous = joined[-1] if joined else ""
+        long_option = previous.startswith("--") and "=" not in previous
+        if long_option and token.startswith("-") and _is_number(token):
+            joined[-1] = f"{previous}={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def run_command(argv: list[str]) -> int:
     """Run one CLI invocation; returns the process exit code."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_numbers(argv))
     except _UsageError as exc:
         sys.stderr.write(f"{PROG}: error: {exc}\n")
         return 1

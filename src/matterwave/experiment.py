@@ -337,7 +337,7 @@ def _random_closed_config(
 
 
 def _path_dict(path: BeamPath) -> list[list[float]]:
-    return [list(v.as_tuple()) for v in path.vertices]
+    return [list(v) for v in path.vertices]
 
 
 def _run_check(name, samples, tolerance, body) -> PropertyCheck:

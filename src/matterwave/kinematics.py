@@ -6,6 +6,7 @@ cross-checked against. All of them are pure functions of immutable inputs.
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 from .model import BeamPath, GeometryError, MotionField, Vec3, exact_sum
 
@@ -46,15 +47,29 @@ def circulation(field: MotionField, loop: BeamPath) -> float:
     """Closed-loop line integral of V along the path, in m^2/s.
 
     Uses the trapezoid rule on each straight segment, which is exact for
-    velocity fields affine in position, as every rigid field is.
+    velocity fields affine in position, as every rigid field is. On plain
+    floats in the operation order of ``velocity_at`` and ``Vec3``: the
+    velocity at a and at a + dl, averaged, dotted with dl.
     """
     if not loop.closed():
         raise GeometryError("circulation requires a closed path")
+    (tx, ty, tz), (wx, wy, wz), (px, py, pz) = (
+        field.translation.as_tuple(), field.omega.as_tuple(), field.pivot.as_tuple()
+    )
     terms = []
-    for a, b in zip(loop.vertices, loop.vertices[1:]):
-        dl = b - a
-        v_avg = (velocity_at(field, a) + velocity_at(field, a + dl)) * 0.5
-        terms.append(v_avg.dot(dl))
+    for (ax, ay, az), (bx, by, bz) in zip(loop.vertices, islice(loop.vertices, 1, None)):
+        dx, dy, dz = bx - ax, by - ay, bz - az
+        rx, ry, rz = ax - px, ay - py, az - pz
+        vax = tx + (wy * rz - wz * ry)
+        vay = ty + (wz * rx - wx * rz)
+        vaz = tz + (wx * ry - wy * rx)
+        rx, ry, rz = (ax + dx) - px, (ay + dy) - py, (az + dz) - pz
+        vbx = tx + (wy * rz - wz * ry)
+        vby = ty + (wz * rx - wx * rz)
+        vbz = tz + (wx * ry - wy * rx)
+        terms.append(
+            (vax + vbx) * 0.5 * dx + (vay + vby) * 0.5 * dy + (vaz + vbz) * 0.5 * dz
+        )
     return exact_sum(terms, "circulation")
 
 
@@ -63,11 +78,14 @@ def enclosed_area_vector(loop: BeamPath) -> Vec3:
 
     Orientation follows the right-hand rule. For non-planar loops this is
     the standard projected-area generalization; for self-intersecting loops
-    it is the algebraic, winding-weighted area.
+    it is the algebraic, winding-weighted area. Each axis is summed exactly.
     """
     if not loop.closed():
         raise GeometryError("enclosed area requires a closed path")
     v = loop.vertices
-    crosses = [v[i].cross(v[i + 1]).as_tuple() for i in range(len(v) - 1)]
+    crosses = [
+        (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
+        for (ax, ay, az), (bx, by, bz) in zip(v, islice(v, 1, None))
+    ]
     x, y, z = (0.5 * exact_sum(axis, "vector area") for axis in zip(*crosses))
     return Vec3(x, y, z)

@@ -7,9 +7,11 @@ between concurrent tasks.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 
 # Physical constants (exact SI values where defined exact).
 H_PLANCK = 6.62607015e-34      # J*s, exact by SI definition
@@ -88,13 +90,6 @@ class Vec3:
         object.__setattr__(self, "x", _require_finite("x", self.x))
         object.__setattr__(self, "y", _require_finite("y", self.y))
         object.__setattr__(self, "z", _require_finite("z", self.z))
-
-    @classmethod
-    def from_iterable(cls, xyz) -> "Vec3":
-        vals = list(xyz)
-        if len(vals) != 3:
-            raise GeometryError(f"expected 3 components, got {len(vals)}")
-        return cls(*(float(v) for v in vals))
 
     def __add__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
@@ -199,32 +194,69 @@ def make_particle_wave(
     return ParticleWave(speed_v=speed_v, wavelength_lambda=wavelength, mass=mass)
 
 
+def _triple(point) -> tuple[float, float, float]:
+    """A vertex as an (x, y, z) float triple, from a Vec3 or any 3 numbers."""
+    if isinstance(point, Vec3):
+        return (point.x, point.y, point.z)
+    xyz = tuple(map(float, point))
+    if len(xyz) != 3:
+        raise GeometryError(f"expected 3 components, got {len(xyz)}")
+    return xyz
+
+
+def _float_triples(points: tuple) -> bool:
+    """Whether every point is already a tuple of three floats."""
+    return (
+        set(map(type, points)) == {tuple}
+        and set(map(len, points)) == {3}
+        and set(map(type, chain.from_iterable(points))) == {float}
+    )
+
+
 @dataclass(frozen=True)
 class BeamPath:
-    """Oriented polyline traversed start to end; segment i is vertices[i] -> vertices[i + 1]."""
+    """Oriented polyline traversed start to end; segment i is vertices[i] -> vertices[i + 1].
 
-    vertices: tuple[Vec3, ...]
+    Vertices are (x, y, z) float triples; the constructor also takes Vec3
+    objects or any 3-sequences, and checks every vertex once.
+    """
+
+    vertices: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self) -> None:
         verts = tuple(self.vertices)
+        if not _float_triples(verts):  # float triples are kept as given: one copy of each
+            verts = tuple(map(_triple, verts))
         if len(verts) < 2:
             raise GeometryError("a beam path needs at least 2 vertices")
-        for i in range(len(verts) - 1):
-            if (verts[i + 1] - verts[i]).norm() == 0.0:
-                raise GeometryError(f"consecutive vertices {i} and {i + 1} coincide")
+        for name, axis in zip("xyz", zip(*verts)):
+            gaps = list(map(operator.sub, axis[1:], axis))
+            # A finite first coordinate and finite gaps make every coordinate finite.
+            if math.isfinite(axis[0]) and all(map(math.isfinite, gaps)):
+                continue
+            for i, c in enumerate(axis):
+                if not math.isfinite(c):
+                    raise GeometryError(f"vertex {i}: {name} must be finite, got {c!r}")
+            i = next(i for i, gap in enumerate(gaps) if not math.isfinite(gap))
+            raise GeometryError(f"{name} gap from vertex {i} to {i + 1} overflows the float range")
+        # Differences of finite floats vanish only between equal floats.
+        same = list(map(operator.eq, verts, verts[1:]))
+        if True in same:
+            i = same.index(True)
+            raise GeometryError(f"consecutive vertices {i} and {i + 1} coincide")
         object.__setattr__(self, "vertices", verts)
 
     @classmethod
     def from_points(cls, points) -> "BeamPath":
-        return cls(tuple(p if isinstance(p, Vec3) else Vec3.from_iterable(p) for p in points))
+        return cls(tuple(points))
 
     @property
     def start(self) -> Vec3:
-        return self.vertices[0]
+        return Vec3(*self.vertices[0])
 
     @property
     def end(self) -> Vec3:
-        return self.vertices[-1]
+        return Vec3(*self.vertices[-1])
 
     def closed(self) -> bool:
         return (self.end - self.start).norm() <= ENDPOINT_TOL
@@ -314,20 +346,30 @@ class SegmentContribution:
 class PhaseResult:
     """Phase difference in radians with a per-segment breakdown.
 
-    ``total_phase_rad`` is the exact (fsum) signed sum of the per-segment
-    contributions. Phases are unwrapped full radians, never reduced mod 2*pi.
+    ``increments`` holds, per beam in breakdown order, its label and the
+    signed increments with which its segments enter the total;
+    ``total_phase_rad`` is their exact (fsum) sum. Phases are unwrapped
+    full radians, never reduced mod 2*pi.
     """
 
     total_phase_rad: float
-    per_segment: tuple[SegmentContribution, ...]
+    increments: tuple[tuple[str, tuple[float, ...]], ...]
     v_lambda: float
 
     @classmethod
-    def from_contributions(cls, contributions, v_lambda: float) -> "PhaseResult":
-        """The result whose total is the exact sum of the contributions."""
-        contributions = tuple(contributions)
-        total = exact_sum((c.phase_rad for c in contributions), "phase")
-        return cls(total_phase_rad=total, per_segment=contributions, v_lambda=v_lambda)
+    def from_increments(cls, increments, v_lambda: float) -> "PhaseResult":
+        """The result whose total is the exact sum of every beam's increments."""
+        total = exact_sum(chain.from_iterable(incs for _, incs in increments), "phase")
+        return cls(total_phase_rad=total, increments=increments, v_lambda=v_lambda)
+
+    @property
+    def per_segment(self) -> tuple[SegmentContribution, ...]:
+        """The breakdown, one entry per segment, built when read."""
+        return tuple(
+            SegmentContribution(segment_index=index, path_id=path_id, phase_rad=phase)
+            for path_id, incs in self.increments
+            for index, phase in enumerate(incs)
+        )
 
     def payload(self, breakdown: bool = False) -> dict:
         """JSON form; ``breakdown`` adds the per-segment contributions."""

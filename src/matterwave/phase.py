@@ -19,7 +19,7 @@ unwrapped; fringe reduction happens in the experiment module.
 from __future__ import annotations
 
 import math
-from itertools import chain
+from itertools import islice
 
 from .kinematics import enclosed_area_vector
 from .model import (
@@ -33,7 +33,6 @@ from .model import (
     MotionField,
     ParticleWave,
     PhaseResult,
-    SegmentContribution,
     Vec3,
 )
 
@@ -84,6 +83,39 @@ def moving_phase(wave: ParticleWave, length: float, speed_V: float, cos_theta: f
     return rest_phase(wave, length) * boost_factor(wave, speed_V * cos_theta)
 
 
+def _increments(wave: ParticleWave, vertices, field: MotionField):
+    """Phase increment of each segment along the (x, y, z) vertex triples.
+
+    The per-segment law, stated once: the increment of the segment a -> b is
+    (2*pi / v*lambda) * (V . dL) with V evaluated at the segment midpoint,
+    and the segment's speed along the beam is checked against the domain of
+    the boost model. Plain floats in the operation order of ``velocity_at``
+    and ``Vec3``, so bit for bit the same; a non-finite increment is left
+    to ``exact_sum``.
+    """
+    (tx, ty, tz), (wx, wy, wz), (px, py, pz) = (
+        field.translation.as_tuple(), field.omega.as_tuple(), field.pivot.as_tuple()
+    )
+    scale = TWO_PI / wave.v_lambda
+    ax, ay, az = vertices[0]
+    for bx, by, bz in islice(vertices, 1, None):
+        dx, dy, dz = bx - ax, by - ay, bz - az
+        length = math.sqrt(dx * dx + dy * dy + dz * dz)
+        if length == 0.0:
+            raise GeometryError(f"segment endpoints coincide: {(ax, ay, az)}")
+        rx = 0.5 * (ax + bx) - px
+        ry = 0.5 * (ay + by) - py
+        rz = 0.5 * (az + bz) - pz
+        v_dot_dl = (
+            (tx + (wy * rz - wz * ry)) * dx
+            + (ty + (wz * rx - wx * rz)) * dy
+            + (tz + (wx * ry - wy * rx)) * dz
+        )
+        boost_factor(wave, v_dot_dl / length)
+        yield scale * v_dot_dl
+        ax, ay, az = bx, by, bz
+
+
 def segment_phase_increment(
     wave: ParticleWave, start: Vec3, end: Vec3, field: MotionField
 ) -> float:
@@ -93,36 +125,8 @@ def segment_phase_increment(
     segment midpoint. It equals the moving phase minus the rest phase; the
     segment's speed along the beam is checked against the domain of that
     boost model. Swapping start and end flips the increment's sign.
-    Plain floats in the operation order of ``velocity_at`` and ``Vec3``, so
-    bit for bit the same; a non-finite result is left to ``exact_sum``.
     """
-    ax, ay, az = start.x, start.y, start.z
-    bx, by, bz = end.x, end.y, end.z
-    dx, dy, dz = bx - ax, by - ay, bz - az
-    length = math.sqrt(dx * dx + dy * dy + dz * dz)
-    if length == 0.0:
-        raise GeometryError(f"segment endpoints coincide: {start}")
-    v0, w, p = field.translation, field.omega, field.pivot
-    rx = 0.5 * (ax + bx) - p.x
-    ry = 0.5 * (ay + by) - p.y
-    rz = 0.5 * (az + bz) - p.z
-    v_dot_dl = (
-        (v0.x + (w.y * rz - w.z * ry)) * dx
-        + (v0.y + (w.z * rx - w.x * rz)) * dy
-        + (v0.z + (w.x * ry - w.y * rx)) * dz
-    )
-    boost_factor(wave, v_dot_dl / length)
-    return (TWO_PI / wave.v_lambda) * v_dot_dl
-
-
-def _contributions(
-    wave: ParticleWave, path: BeamPath, field: MotionField, path_id: str, sign: float = 1.0
-):
-    """Per-segment increments along a path, times ``sign``, as breakdown entries."""
-    v = path.vertices
-    for index in range(len(v) - 1):
-        inc = segment_phase_increment(wave, v[index], v[index + 1], field)
-        yield SegmentContribution(segment_index=index, path_id=path_id, phase_rad=sign * inc)
+    return next(_increments(wave, (start.as_tuple(), end.as_tuple()), field))
 
 
 def path_phase(
@@ -137,19 +141,21 @@ def path_phase(
     Equals (2*pi / v*lambda) times the line integral of V along the path.
     ``path_id`` is only a label recorded in the breakdown entries.
     """
-    return PhaseResult.from_contributions(_contributions(wave, path, field, path_id), wave.v_lambda)
+    increments = tuple(_increments(wave, path.vertices, field))
+    return PhaseResult.from_increments(((path_id, increments),), wave.v_lambda)
 
 
 def two_path_difference(config: InterferometerConfig) -> PhaseResult:
     """Phase difference between the two beams: beam II minus beam I.
 
-    The merged breakdown keeps each contribution with the sign it enters
-    the difference (beam II positive, beam I negated), so the entries
-    still sum to the total.
+    The breakdown keeps each increment with the sign it enters the
+    difference (beam II positive, beam I negated), so the entries still
+    sum to the total.
     """
-    beam_ii = _contributions(config.wave, config.path_II, config.motion, "II")
-    beam_i = _contributions(config.wave, config.path_I, config.motion, "I", -1.0)
-    return PhaseResult.from_contributions(chain(beam_ii, beam_i), config.wave.v_lambda)
+    wave, motion = config.wave, config.motion
+    beam_ii = tuple(_increments(wave, config.path_II.vertices, motion))
+    beam_i = tuple(-inc for inc in _increments(wave, config.path_I.vertices, motion))
+    return PhaseResult.from_increments((("II", beam_ii), ("I", beam_i)), wave.v_lambda)
 
 
 def interference_loop(config: InterferometerConfig) -> BeamPath:

@@ -50,25 +50,33 @@ class SceneError(MatterWaveError):
     """Malformed scene text or schema violation; message names the field path."""
 
 
-def _number(value, path: str) -> float:
+def _number(value, path: str, index: int | None = None) -> float:
+    """A finite number as a float; errors name ``path``, plus ``[index]`` if given."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SceneError(f"{path}: expected a number, got {value!r}")
+        problem = f"expected a number, got {value!r}"
     # A comparison, unlike float(), also bounds integers beyond the float range.
-    if not abs(value) <= sys.float_info.max:
-        raise SceneError(f"{path}: must be finite, got {value!r}")
-    return float(value)
+    elif not abs(value) <= sys.float_info.max:
+        problem = f"must be finite, got {value!r}"
+    else:
+        return float(value)
+    raise SceneError(f"{path if index is None else f'{path}[{index}]'}: {problem}")
+
+
+def _triple(value, path: str) -> tuple[float, float, float]:
+    if not isinstance(value, list) or len(value) != 3:
+        raise SceneError(f"{path}: expected [x, y, z]")
+    x, y, z = value
+    return (_number(x, path, 0), _number(y, path, 1), _number(z, path, 2))
 
 
 def _vec3(value, path: str) -> Vec3:
-    if not isinstance(value, list) or len(value) != 3:
-        raise SceneError(f"{path}: expected [x, y, z]")
-    return Vec3(*(_number(c, f"{path}[{i}]") for i, c in enumerate(value)))
+    return Vec3(*_triple(value, path))
 
 
-def _points(value, path: str) -> tuple[Vec3, ...]:
+def _points(value, path: str) -> tuple[tuple[float, float, float], ...]:
     if not isinstance(value, list) or len(value) < 2:
         raise SceneError(f"{path}: expected a list of at least 2 [x, y, z] points")
-    return tuple(_vec3(p, f"{path}[{i}]") for i, p in enumerate(value))
+    return tuple(_triple(p, f"{path}[{i}]") for i, p in enumerate(value))
 
 
 def _opening(value, path: str) -> Vec3 | float:

@@ -392,6 +392,18 @@ class TestErrorContract:
         assert "not finite" in err
 
     @pytest.mark.parametrize(
+        "bounds", [["--vmin", "-1e-05", "--vmax", "1e-4"], ["--vmax", "-1e-05"]]
+    )
+    def test_negative_speed_in_exponent_form_reaches_the_grid_check(
+        self, capsys, data_dir, bounds
+    ):
+        # argparse alone reads -1e-05 as an option and refuses the flag before it.
+        argv = ["sweep", "--scene", scene(data_dir, "slow_atom_open.json")] + bounds
+        code, out, err = run(capsys, argv)
+        assert_refused(code, out, err)
+        assert "need 0 <= v_min < v_max" in err
+
+    @pytest.mark.parametrize(
         "content",
         [b"[" * 100_000, b'{"particle": "\xff"}'],
         ids=["nested-1e5", "not-utf8"],
@@ -430,12 +442,29 @@ particles = st.one_of(
         optional={"mass_kg": finite_or_not, "wavelength_m": finite_or_not},
     ),
 )
-geometries = st.one_of(
+closed_kinds = st.sampled_from(["Fig2Rotation", "Fig3aClosed"])
+open_kinds = st.sampled_from(["Fig3bOpen", "Fig3cIndependent", "Fig3dExtracted"])
+# Valid geometry lets the motion draws reach the kernel and emitters: a
+# positive side, a nonzero opening, explicit paths that share their endpoint.
+points = st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3)
+valid_geometries = st.one_of(
+    st.fixed_dictionaries({"kind": closed_kinds, "side_m": st.floats(1e-6, 1e3)}),
     st.fixed_dictionaries(
-        {"kind": st.sampled_from(["Fig2Rotation", "Fig3aClosed"]), "side_m": finite_or_not}
+        {
+            "kind": open_kinds,
+            "opening_m": st.one_of(st.floats(1e-6, 1.0), points.filter(any)),
+        },
+        optional={"arm_length_m": st.floats(1e-6, 1e3)},
     ),
+    st.tuples(
+        st.lists(points, min_size=1, max_size=3), st.lists(points, min_size=1, max_size=3), points
+    ).map(lambda t: {"path_I_m": t[0] + [t[2]], "path_II_m": t[1] + [t[2]]}),
+)
+geometries = st.one_of(
+    valid_geometries,
+    st.fixed_dictionaries({"kind": closed_kinds, "side_m": finite_or_not}),
     st.fixed_dictionaries(
-        {"kind": st.sampled_from(["Fig3bOpen", "Fig3cIndependent", "Fig3dExtracted"])},
+        {"kind": open_kinds},
         optional={"opening_m": st.one_of(finite_or_not, vectors), "arm_length_m": finite_or_not},
     ),
     st.fixed_dictionaries(

@@ -105,8 +105,8 @@ class TestBuildConfig:
         config = build_config(
             "Fig3bOpen", unit_wave, MotionField(translation=velocity), opening_m=opening
         )
-        assert all(v.y == 0.0 and v.z == 0.0 for v in config.path_I.vertices)
-        assert all(v.y == 0.0 and v.z == 0.0 for v in config.path_II.vertices)
+        assert all(y == 0.0 and z == 0.0 for _, y, z in config.path_I.vertices)
+        assert all(y == 0.0 and z == 0.0 for _, y, z in config.path_II.vertices)
         phase = two_path_difference(config).total_phase_rad
         assert phase == pytest.approx(TWO_PI, rel=1e-9)
 

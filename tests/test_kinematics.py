@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from matterwave import (
     BeamPath,
@@ -15,6 +17,7 @@ from matterwave import (
     enclosed_area_vector,
     velocity_at,
 )
+from matterwave.model import exact_sum
 
 EARTH_RATE = 7.2921159e-5  # rad/s
 
@@ -96,7 +99,7 @@ class TestCirculation:
         # into equal sub-segments leaves the circulation unchanged.
         field = MotionField(omega=Vec3(0.3, -0.2, 1.1), pivot=Vec3(0.2, 0.1, 0.0))
         base = circulation(field, unit_square())
-        corners = unit_square().vertices
+        corners = [Vec3(*v) for v in unit_square().vertices]
         for samples in (2, 5, 17):
             points = [corners[0]]
             for a, b in zip(corners, corners[1:]):
@@ -191,3 +194,59 @@ class TestStokesAgreement:
             rhs = 2.0 * field.omega.dot(enclosed_area_vector(loop))
             scale = max(abs(lhs), abs(rhs), 2.0 * field.omega.norm() * 0.1)
             assert abs(lhs - rhs) <= 1e-10 * scale
+
+
+def vec3_route_circulation(field, loop):
+    """The trapezoid on Vec3, as circulation computed it before it ran on floats."""
+    corners = [Vec3(*v) for v in loop.vertices]
+    terms = []
+    for a, b in zip(corners, corners[1:]):
+        dl = b - a
+        v_avg = (velocity_at(field, a) + velocity_at(field, a + dl)) * 0.5
+        terms.append(v_avg.dot(dl))
+    return exact_sum(terms, "circulation")
+
+
+def vec3_route_area(loop):
+    """The shoelace on Vec3, as enclosed_area_vector computed it before it ran on floats."""
+    corners = [Vec3(*v) for v in loop.vertices]
+    crosses = [a.cross(b).as_tuple() for a, b in zip(corners, corners[1:])]
+    return Vec3(*(0.5 * exact_sum(axis, "vector area") for axis in zip(*crosses)))
+
+
+def outcome(fn, *args):
+    """repr of the result (it tells -0.0 from 0.0), or the error class."""
+    try:
+        return repr(fn(*args))
+    except GeometryError:
+        return GeometryError
+
+
+# Moderate components, plus magnitudes whose products and sums overflow.
+components = st.one_of(st.floats(-1e3, 1e3), st.floats(-1e200, 1e200))
+triples = st.lists(components, min_size=3, max_size=3)
+
+
+def closed_loop(points):
+    try:
+        return BeamPath(tuple(map(tuple, points + points[:1])))
+    except GeometryError:  # coincident or overflowing neighbours
+        assume(False)
+
+
+class TestOraclesMatchVec3RouteBitForBit:
+    @settings(max_examples=100)
+    @given(
+        points=st.lists(triples, min_size=3, max_size=8),
+        motion=st.lists(triples, min_size=3, max_size=3),
+    )
+    def test_circulation(self, points, motion):
+        loop = closed_loop(points)
+        field = MotionField(*(Vec3(*xyz) for xyz in motion))
+        assert outcome(circulation, field, loop) == outcome(vec3_route_circulation, field, loop)
+
+    @settings(max_examples=100)
+    @given(points=st.lists(triples, min_size=3, max_size=8))
+    def test_enclosed_area_vector(self, points):
+        loop = closed_loop(points)
+        assert outcome(enclosed_area_vector, loop) == outcome(vec3_route_area, loop)

@@ -174,6 +174,41 @@ class TestBeamPath:
         path = BeamPath((Vec3(0, 0, 0), Vec3(1, 0, 0), Vec3(1, 1, 0)))
         assert path.reversed().vertices == tuple(reversed(path.vertices))
 
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [[math.inf, 0, 0], [1, 0, 0]],
+            [[0, 0, 0], [1, math.nan, 0], [1, 1, 0]],
+            [[0, 0, 0], [1, 0, 0], [1, 1, -math.inf]],
+            [[0, 0, 0], [0, 0, 0], [1, 0, 0]],
+            [[1e308, 0, 0], [-1e308, 0, 0]],
+            [[0, 0, 0], [1, 0]],
+        ],
+        ids=["inf-first", "nan-middle", "inf-last", "coincident", "gap-overflow", "two-components"],
+    )
+    def test_bad_vertices_rejected(self, points):
+        with pytest.raises(GeometryError):
+            BeamPath.from_points(points)
+        with pytest.raises(GeometryError):
+            BeamPath(tuple(tuple(p) for p in points))
+
+    def test_overflowing_gap_between_vec3_vertices_rejected(self):
+        with pytest.raises(GeometryError, match="overflows the float range"):
+            BeamPath((Vec3(1e308, 0, 0), Vec3(-1e308, 0, 0)))
+
+    def test_vertices_are_float_triples_from_lists_or_vec3(self):
+        from_lists = BeamPath.from_points([[0, 0, 0], [1, 2, 3], [0.5, -1, 2]])
+        from_vec3 = BeamPath.from_points([Vec3(0, 0, 0), Vec3(1, 2, 3), Vec3(0.5, -1, 2)])
+        assert from_lists == from_vec3
+        assert from_lists.vertices == ((0.0, 0.0, 0.0), (1.0, 2.0, 3.0), (0.5, -1.0, 2.0))
+        assert all(type(c) is float for v in from_lists.vertices for c in v)
+        assert from_lists.start == Vec3(0, 0, 0) and from_lists.end == Vec3(0.5, -1, 2)
+
+    def test_float_triples_are_kept_without_a_copy(self):
+        triples = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0))
+        path = BeamPath(triples)
+        assert all(kept is given for kept, given in zip(path.vertices, triples))
+
 
 class TestMotionField:
     def test_sum_preserves_velocity_field(self, rng):

@@ -223,6 +223,29 @@ class TestTwoPathDifference:
         )
 
 
+class TestBreakdown:
+    def test_breakdown_built_when_read_sums_to_total_in_order(self, fast_wave, rng):
+        # Beam II's entries first, then beam I's negated, each indexed from 0.
+        verts = [Vec3(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(9)]
+        motion = MotionField(
+            translation=Vec3(0.3, -0.2, 0.1), omega=Vec3(0.2, 0.5, -0.4), pivot=Vec3(0.1, 0, 0)
+        )
+        path_i = BeamPath(tuple(verts[:4]))
+        path_ii = BeamPath((verts[0],) + tuple(verts[4:]) + (verts[3],))
+        config = InterferometerConfig(path_i, path_ii, fast_wave, motion, ConfigKind.CLOSED_LOOP)
+        result = two_path_difference(config)
+        entries = result.per_segment
+        assert math.fsum(c.phase_rad for c in entries) == result.total_phase_rad
+        assert [(c.path_id, c.segment_index) for c in entries] == (
+            [("II", i) for i in range(6)] + [("I", i) for i in range(3)]
+        )
+        beam_ii = path_phase(fast_wave, config.path_II, motion, path_id="II").per_segment
+        beam_i = path_phase(fast_wave, config.path_I, motion).per_segment
+        assert [c.phase_rad for c in entries] == (
+            [c.phase_rad for c in beam_ii] + [-c.phase_rad for c in beam_i]
+        )
+
+
 class TestSagnacAreaPhase:
     def test_zero_rotation(self, unit_wave):
         assert sagnac_area_phase(unit_wave, unit_square_loop(), MotionField()) == 0.0
@@ -374,7 +397,8 @@ class TestPhaseProperties:
 
         def brute_line_integral(path):
             total = 0.0
-            for a, b in zip(path.vertices, path.vertices[1:]):
+            corners = [Vec3(*v) for v in path.vertices]
+            for a, b in zip(corners, corners[1:]):
                 n = 4000
                 step = (b - a) * (1.0 / n)
                 for k in range(n):
