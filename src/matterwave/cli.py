@@ -19,15 +19,16 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from itertools import chain, count, filterfalse
 
 from .experiment import fringe_reading, sensitivity_sweep, verify_suite
 from .kinematics import circulation, enclosed_area_vector
-from .model import MatterWaveError
+from .model import MatterWaveError, PhaseResult
 from .phase import (
     TWO_PI,
+    area_phase,
     interference_loop,
     open_loop_phase,
-    sagnac_area_phase,
     translation_opening,
     two_path_difference,
 )
@@ -51,10 +52,10 @@ class _Assembled(dict):
     """JSON payload a subcommand assembles itself. As CSV it is the table of
     records under "rows" when there is one, else one row per numeric quantity."""
 
-    def payload(self, breakdown: bool = False) -> dict:
+    def payload(self) -> dict:
         return self
 
-    def table(self, breakdown: bool = False) -> list[list]:
+    def table(self) -> list[list]:
         if "rows" in self:
             header = list(self["rows"][0].keys())
             return [header] + [[row[k] for k in header] for row in self["rows"]]
@@ -63,34 +64,81 @@ class _Assembled(dict):
         ]
 
 
+def _not_finite(value) -> MatterWaveError:
+    return MatterWaveError(f"result is not finite ({value}); refusing to write it")
+
+
 def _csv_cell(value) -> str:
     if not isinstance(value, float):
         return str(value)
     if not math.isfinite(value):
-        raise MatterWaveError(f"result is not finite ({value}); refusing to write it")
+        raise _not_finite(value)
     return repr(value)
+
+
+# The template of one per-segment entry of a beam, filled with (segment index,
+# increment): a JSON entry as json.dumps(..., indent=2) lays it out inside the
+# payload, and a CSV row. A "%" in the beam's label is escaped.
+def _json_entry(path_id) -> str:
+    label = json.dumps(path_id).replace("%", "%%")  # quoted and escaped as JSON
+    return (
+        '    {\n      "path_id": ' + label
+        + ',\n      "segment_index": %d,\n      "phase_rad": %r\n    }'
+    )
+
+
+def _csv_entry(path_id) -> str:
+    return f"per_segment.{path_id}.".replace("%", "%%") + "%d,%r"
+
+
+def _entries(entry, sep: str, beams) -> list[str]:
+    """Each beam's entries, ``entry(label)`` filled once per segment, joined by ``sep``.
+
+    One format operation over the repeated template per beam spares an
+    intermediate string per segment.
+    """
+    return [
+        sep.join([entry(path_id)] * len(incs)) % tuple(chain.from_iterable(zip(count(), incs)))
+        for path_id, incs in beams
+        if incs
+    ]
+
+
+def _json_list(beams) -> str:
+    """The breakdown as a JSON list; a function of its own, so that the joined
+    entries are freed before the document that holds the list is built."""
+    entries = ",\n".join(_entries(_json_entry, ",\n", beams))
+    return f"[\n{entries}\n  ]" if entries else "[]"
 
 
 def emit_results(result, fmt: str, breakdown: bool = False) -> bytes:
     """Serialize a result to CSV or JSON bytes (LF line endings, '.' decimals).
 
-    ``result.payload(breakdown)`` is the JSON document and
-    ``result.table(breakdown)`` the CSV rows, header first; ``breakdown`` asks
-    for per-segment entries where a result has them. A number that is not
-    finite has no JSON form, so output holding one is refused in both formats.
+    ``result.payload()`` is the JSON document and ``result.table()`` the CSV
+    rows, header first. ``breakdown`` appends a PhaseResult's per-segment
+    entries, written from a fixed template: the bytes json.dumps(indent=2)
+    and the CSV cells would give. A number that is not finite has no JSON
+    form, so output holding one is refused in both formats.
     """
+    per_segment = breakdown and isinstance(result, PhaseResult)
+    beams = result.increments if per_segment else ()
+    bad = next(filterfalse(math.isfinite, chain.from_iterable(incs for _, incs in beams)), None)
+    if bad is not None:
+        raise _not_finite(bad)
     if fmt == "json":
-        payload = result.payload(breakdown)
         try:
-            text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+            text = json.dumps(result.payload(), indent=2, allow_nan=False)
         except ValueError as exc:  # raised only for a float that is inf or nan
-            raise MatterWaveError(f"result is not finite ({exc}); refusing to write it") from None
+            raise _not_finite(exc) from None
+        if per_segment:  # the list goes in before the payload's closing brace
+            text = f'{text[:-2]},\n  "per_segment": {_json_list(beams)}\n}}'
     elif fmt == "csv":
-        lines = [",".join(_csv_cell(v) for v in row) for row in result.table(breakdown)]
-        text = "\n".join(lines) + "\n"
+        lines = [",".join(map(_csv_cell, row)) for row in result.table()]
+        lines.extend(_entries(_csv_entry, "\n", beams))
+        text = "\n".join(lines)
     else:
         raise MatterWaveError(f"unknown output format {fmt!r}")
-    return text.encode()
+    return (text + "\n").encode()
 
 
 def _build_parser() -> _Parser:
@@ -202,7 +250,8 @@ def run_command(argv: list[str]) -> int:
         elif args.command == "sagnac":
             loop = interference_loop(config)
             loop_integral = (TWO_PI / config.wave.v_lambda) * circulation(config.motion, loop)
-            area_form = sagnac_area_phase(config.wave, loop, config.motion)
+            area = enclosed_area_vector(loop)
+            area_form = area_phase(config.wave, area, config.motion)
             denom = max(abs(loop_integral), abs(area_form))
             result = _Assembled({
                 "loop_integral_phase_rad": loop_integral,
@@ -210,7 +259,7 @@ def run_command(argv: list[str]) -> int:
                 "relative_difference": (
                     abs(loop_integral - area_form) / denom if denom > 0.0 else 0.0
                 ),
-                "enclosed_area_m2": list(enclosed_area_vector(loop).as_tuple()),
+                "enclosed_area_m2": list(area.as_tuple()),
                 "v_lambda_m2ps": config.wave.v_lambda,
             })
         elif args.command == "translate":

@@ -165,7 +165,7 @@ class SweepResult:
     cos_theta: float
     v_lambda: float
 
-    def payload(self, breakdown: bool = False) -> dict:
+    def payload(self) -> dict:
         return {
             "rows": [asdict(r) for r in self.rows],
             "v_full_fringe_mps": self.v_full_fringe_mps,
@@ -175,7 +175,7 @@ class SweepResult:
             "v_lambda_m2ps": self.v_lambda,
         }
 
-    def table(self, breakdown: bool = False) -> list[list]:
+    def table(self) -> list[list]:
         header = ["V_mps", "phase_rad", "fringe_count"]
         return [header] + [[r.V_mps, r.phase_rad, r.fringe_count] for r in self.rows]
 
@@ -251,14 +251,14 @@ class VerifyReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def payload(self, breakdown: bool = False) -> dict:
+    def payload(self) -> dict:
         return {
             "seed": self.seed,
             "passed": self.passed,
             "checks": [asdict(c) for c in self.checks],
         }
 
-    def table(self, breakdown: bool = False) -> list[list]:
+    def table(self) -> list[list]:
         return [["check", "samples", "max_violation", "tolerance", "passed"]] + [
             [c.name, c.samples, c.max_violation, c.tolerance, str(c.passed).lower()]
             for c in self.checks

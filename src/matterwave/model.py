@@ -213,6 +213,33 @@ def _float_triples(points: tuple) -> bool:
     )
 
 
+_HALF_MAX = sys.float_info.max / 2.0
+
+
+def _check_vertices(verts: tuple, first: int = 0) -> None:
+    """Refuse non-finite coordinates, overflowing gaps and repeated consecutive
+    vertices of float triples; messages number the vertices from ``first``."""
+    # Coordinates within half the float range in magnitude are finite, and so
+    # is every gap between them. Only a sum beyond that (or an inf or nan
+    # coordinate) walks the axes, to find what to refuse, if anything.
+    if not sum(map(abs, chain.from_iterable(verts))) <= _HALF_MAX:
+        for name, axis in zip("xyz", zip(*verts)):
+            gaps = list(map(operator.sub, axis[1:], axis))
+            # A finite first coordinate and finite gaps make every coordinate finite.
+            if math.isfinite(axis[0]) and all(map(math.isfinite, gaps)):
+                continue
+            for i, c in enumerate(axis):
+                if not math.isfinite(c):
+                    raise GeometryError(f"vertex {first + i}: {name} must be finite, got {c!r}")
+            i = first + next(i for i, gap in enumerate(gaps) if not math.isfinite(gap))
+            raise GeometryError(f"{name} gap from vertex {i} to {i + 1} overflows the float range")
+    # Differences of finite floats vanish only between equal floats.
+    same = list(map(operator.eq, verts, verts[1:]))
+    if True in same:
+        i = first + same.index(True)
+        raise GeometryError(f"consecutive vertices {i} and {i + 1} coincide")
+
+
 @dataclass(frozen=True)
 class BeamPath:
     """Oriented polyline traversed start to end; segment i is vertices[i] -> vertices[i + 1].
@@ -229,21 +256,7 @@ class BeamPath:
             verts = tuple(map(_triple, verts))
         if len(verts) < 2:
             raise GeometryError("a beam path needs at least 2 vertices")
-        for name, axis in zip("xyz", zip(*verts)):
-            gaps = list(map(operator.sub, axis[1:], axis))
-            # A finite first coordinate and finite gaps make every coordinate finite.
-            if math.isfinite(axis[0]) and all(map(math.isfinite, gaps)):
-                continue
-            for i, c in enumerate(axis):
-                if not math.isfinite(c):
-                    raise GeometryError(f"vertex {i}: {name} must be finite, got {c!r}")
-            i = next(i for i, gap in enumerate(gaps) if not math.isfinite(gap))
-            raise GeometryError(f"{name} gap from vertex {i} to {i + 1} overflows the float range")
-        # Differences of finite floats vanish only between equal floats.
-        same = list(map(operator.eq, verts, verts[1:]))
-        if True in same:
-            i = same.index(True)
-            raise GeometryError(f"consecutive vertices {i} and {i + 1} coincide")
+        _check_vertices(verts)
         object.__setattr__(self, "vertices", verts)
 
     @classmethod
@@ -262,7 +275,24 @@ class BeamPath:
         return (self.end - self.start).norm() <= ENDPOINT_TOL
 
     def reversed(self) -> "BeamPath":
-        return BeamPath(tuple(reversed(self.vertices)))
+        # Reversal keeps every check true: gaps change sign, neighbours stay neighbours.
+        return BeamPath._checked(self.vertices[::-1])
+
+    def joined(self, tail: "BeamPath") -> "BeamPath":
+        """This path, then ``tail`` after its first vertex, which stands where this path ends.
+
+        Both paths are checked already, so only the segment joining them is;
+        a refusal numbers its vertices as a check of the whole path would.
+        """
+        _check_vertices((self.vertices[-1], tail.vertices[1]), first=len(self.vertices) - 1)
+        return BeamPath._checked(self.vertices + tail.vertices[1:])
+
+    @classmethod
+    def _checked(cls, verts: tuple) -> "BeamPath":
+        """A path of float triples known to pass ``__post_init__``, built without it."""
+        path = object.__new__(cls)
+        object.__setattr__(path, "vertices", verts)
+        return path
 
 
 @dataclass(frozen=True)
@@ -371,26 +401,14 @@ class PhaseResult:
             for index, phase in enumerate(incs)
         )
 
-    def payload(self, breakdown: bool = False) -> dict:
-        """JSON form; ``breakdown`` adds the per-segment contributions."""
-        payload = {
+    def payload(self) -> dict:
+        """JSON form of the totals; the CLI appends the per-segment breakdown."""
+        return {
             "total_phase_rad": self.total_phase_rad,
             "fringe_count": self.total_phase_rad / TWO_PI,
             "v_lambda_m2ps": self.v_lambda,
         }
-        if breakdown:
-            payload["per_segment"] = [
-                {"path_id": c.path_id, "segment_index": c.segment_index, "phase_rad": c.phase_rad}
-                for c in self.per_segment
-            ]
-        return payload
 
-    def table(self, breakdown: bool = False) -> list[list]:
-        """CSV form: a header, one quantity per row, then one row per segment if asked."""
-        rows = [["quantity", "value"]] + [[name, value] for name, value in self.payload().items()]
-        if breakdown:
-            rows += [
-                [f"per_segment.{c.path_id}.{c.segment_index}", c.phase_rad]
-                for c in self.per_segment
-            ]
-        return rows
+    def table(self) -> list[list]:
+        """CSV form of the totals: a header, then one quantity per row."""
+        return [["quantity", "value"]] + [[name, value] for name, value in self.payload().items()]

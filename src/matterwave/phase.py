@@ -166,18 +166,21 @@ def interference_loop(config: InterferometerConfig) -> BeamPath:
     """
     if config.kind is not ConfigKind.CLOSED_LOOP:
         raise GeometryError("only closed-loop configurations define an interference loop")
-    back = tuple(reversed(config.path_I.vertices))
-    return BeamPath(config.path_II.vertices + back[1:])
+    return config.path_II.joined(config.path_I.reversed())
 
 
 def sagnac_area_phase(wave: ParticleWave, loop: BeamPath, field: MotionField) -> float:
+    """Rotation phase of a closed loop from its signed vector area (see ``area_phase``)."""
+    return area_phase(wave, enclosed_area_vector(loop), field)  # rejects an open loop
+
+
+def area_phase(wave: ParticleWave, area: Vec3, field: MotionField) -> float:
     """Rotation phase from the area form: (4*pi / v*lambda) * (Omega . A).
 
     A is the signed vector area of the closed loop. Any uniform translation
     part of the field contributes nothing around a closed loop and is
     ignored here by construction.
     """
-    area = enclosed_area_vector(loop)  # rejects an open loop
     return (4.0 * math.pi / wave.v_lambda) * field.omega.dot(area)
 
 

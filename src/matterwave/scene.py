@@ -27,9 +27,11 @@ starts make a closed loop, separated starts an open one.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 
 from .experiment import LAYOUT_KINDS, build_config
 from .model import (
@@ -76,6 +78,16 @@ def _vec3(value, path: str) -> Vec3:
 def _points(value, path: str) -> tuple[tuple[float, float, float], ...]:
     if not isinstance(value, list) or len(value) < 2:
         raise SceneError(f"{path}: expected a list of at least 2 [x, y, z] points")
+    # Lists of three finite floats, checked in bulk: a sum of floats is finite
+    # only if every term is. Anything else (an int, a literal beyond the float
+    # range, a sum that overflows) takes the walk, which names what it refuses.
+    if (
+        set(map(type, value)) == {list}
+        and set(map(len, value)) == {3}
+        and set(map(type, chain.from_iterable(value))) == {float}
+        and math.isfinite(sum(chain.from_iterable(value)))
+    ):
+        return tuple(map(tuple, value))
     return tuple(_triple(p, f"{path}[{i}]") for i, p in enumerate(value))
 
 

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from matterwave import (
     BeamPath,
+    MatterWaveError,
     MotionField,
+    PhaseResult,
     Vec3,
     build_config,
     make_particle_wave,
@@ -52,6 +54,84 @@ class TestEmitResults:
 
         with pytest.raises(MatterWaveError):
             emit_results({"x": 1.0}, "xml")
+
+
+def reference_json(result: PhaseResult) -> bytes:
+    """The breakdown as json.dumps writes the whole document."""
+    payload = {
+        "total_phase_rad": result.total_phase_rad,
+        "fringe_count": result.total_phase_rad / TWO_PI,
+        "v_lambda_m2ps": result.v_lambda,
+        "per_segment": [
+            {"path_id": path_id, "segment_index": index, "phase_rad": phase}
+            for path_id, incs in result.increments
+            for index, phase in enumerate(incs)
+        ],
+    }
+    return (json.dumps(payload, indent=2) + "\n").encode()
+
+
+def reference_csv(result: PhaseResult) -> bytes:
+    """The breakdown as a join of one cell per value writes it."""
+
+    def cell(value):
+        return repr(value) if isinstance(value, float) else str(value)
+
+    rows = [["quantity", "value"]] + [
+        ["total_phase_rad", result.total_phase_rad],
+        ["fringe_count", result.total_phase_rad / TWO_PI],
+        ["v_lambda_m2ps", result.v_lambda],
+    ]
+    rows += [
+        [f"per_segment.{path_id}.{index}", phase]
+        for path_id, incs in result.increments
+        for index, phase in enumerate(incs)
+    ]
+    return ("\n".join(",".join(cell(v) for v in row) for row in rows) + "\n").encode()
+
+
+# Finite increments, with the values where repr changes notation (1e16, 1e-4)
+# and the ends of the float range.
+finite_increments = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(
+        [
+            -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+            9999999999999998.0, 1e16, 1.0000000000000002e16, -1e16,
+            9.999999999999999e-05, 1e-4, 0.00010000000000000002, -1e-4,
+        ]
+    ),
+)
+# Per beam, a label (the usual ones, or any text) and its increments.
+labelled_beams = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from(["II", "I"]), st.text(max_size=4)),
+        st.lists(finite_increments, max_size=8).map(tuple),
+    ),
+    max_size=3,
+).map(tuple)
+
+
+class TestBreakdownTemplate:
+    """The per-segment breakdown comes from a template; it is the serializers' bytes."""
+
+    @given(labelled_beams, st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300))
+    @example((('%d"%%', (1.0, -0.0)), ("II", ()), ("I", (5e-324,))), 0.0)
+    def test_template_matches_the_reference_serializers(self, beams, total):
+        result = PhaseResult(total_phase_rad=total, increments=beams, v_lambda=1e-8)
+        assert emit_results(result, "json", breakdown=True) == reference_json(result)
+        assert emit_results(result, "csv", breakdown=True) == reference_csv(result)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_increment_refused(self, bad, fmt):
+        result = PhaseResult(
+            total_phase_rad=1.0, increments=(("II", (0.5, 0.5)), ("I", (1.0, bad))), v_lambda=1.0
+        )
+        with pytest.raises(MatterWaveError, match="not finite"):
+            emit_results(result, fmt, breakdown=True)
+        # Without the breakdown the increments are not written, so not refused.
+        assert emit_results(result, fmt)
 
 
 def run(capsys, argv):
@@ -158,6 +238,26 @@ class TestSagnacCommand:
         code, _, err = run(capsys, ["sagnac", "--scene", scene(data_dir, "slow_atom_open.json")])
         assert code == 1
         assert "error" in err
+
+    def test_loop_repeating_a_vertex_at_the_join_refused(self, capsys, tmp_path):
+        # Beam I ends 1e-13 m from beam II, and its last but one vertex is
+        # beam II's end: loop vertices 2 and 3 are the same point.
+        scene_file = tmp_path / "coincident_join.json"
+        scene_file.write_text(
+            json.dumps(
+                {
+                    "particle": {"speed_mps": 1.0, "wavelength_m": 1e-8},
+                    "motion": {"omega_radps": [0, 0, 1]},
+                    "geometry": {
+                        "path_II_m": [[0, 0, 0], [1, 0, 0], [1, 1, 0]],
+                        "path_I_m": [[0, 0, 0], [0, 1, 0], [1, 1, 0], [1.0000000000001, 1, 0]],
+                    },
+                }
+            )
+        )
+        code, out, err = run(capsys, ["sagnac", "--scene", str(scene_file)])
+        assert (code, out) == (1, "")
+        assert err == "matterwave: error: consecutive vertices 2 and 3 coincide\n"
 
 
 class TestTranslateCommand:

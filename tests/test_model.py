@@ -210,6 +210,58 @@ class TestBeamPath:
         assert all(kept is given for kept, given in zip(path.vertices, triples))
 
 
+def per_axis_refusal(points) -> str | None:
+    """The vertex checks as a walk over every axis: the message of the first
+    refusal, or None. Written out here to pin BeamPath's faster route to it."""
+    for name, axis in zip("xyz", zip(*points)):
+        for i, c in enumerate(axis):
+            if not math.isfinite(c):
+                return f"vertex {i}: {name} must be finite, got {c!r}"
+        for i, (a, b) in enumerate(zip(axis, axis[1:])):
+            if not math.isfinite(b - a):
+                return f"{name} gap from vertex {i} to {i + 1} overflows the float range"
+    for i, (a, b) in enumerate(zip(points, points[1:])):
+        if a == b:
+            return f"consecutive vertices {i} and {i + 1} coincide"
+    return None
+
+
+# Coordinates whose sums and gaps overflow, and repeats that make vertices coincide.
+edge_coordinates = st.sampled_from(
+    [0.0, -0.0, 1.0, -2.5, 1e308, -1e308, 1.7976931348623157e308, 8e307, math.inf, -math.inf, math.nan]
+)
+
+
+class TestVertexChecks:
+    @given(st.lists(st.tuples(edge_coordinates, edge_coordinates, edge_coordinates), min_size=2, max_size=6))
+    def test_refusal_is_the_per_axis_walks(self, points):
+        points = tuple(points)
+        try:
+            BeamPath(points)
+            message = None
+        except GeometryError as exc:
+            message = str(exc)
+        assert message == per_axis_refusal(points)
+
+    def test_join_refusal_numbers_vertices_in_the_whole_path(self):
+        head = BeamPath(((0.0, 0.0, 0.0), (1e308, 0.0, 0.0)))
+        tail = BeamPath(((5.0, 0.0, 0.0), (-1e308, 0.0, 0.0), (0.0, 1.0, 0.0)))
+        message = "x gap from vertex 1 to 2 overflows the float range"
+        with pytest.raises(GeometryError, match=f"^{message}$"):
+            head.joined(tail)
+        assert per_axis_refusal(head.vertices + tail.vertices[1:]) == message
+
+    def test_joined_path_skips_the_tails_first_vertex(self):
+        head = BeamPath(((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)))
+        tail = BeamPath(((1.0, 1e-13, 0.0), (1.0, 1.0, 0.0), (0.0, 0.0, 0.0)))
+        assert head.joined(tail).vertices == ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 0.0, 0.0))
+
+    def test_reversed_path_is_a_beam_path(self):
+        path = BeamPath(((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0)))
+        back = path.reversed()
+        assert isinstance(back, BeamPath) and back.reversed() == path
+
+
 class TestMotionField:
     def test_sum_preserves_velocity_field(self, rng):
         f1 = MotionField(Vec3(0.1, -0.2, 0.3), Vec3(0.5, 0.0, 1.0), Vec3(1.0, 2.0, -1.0))

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from matterwave import (
@@ -244,6 +244,62 @@ class TestBreakdown:
         assert [c.phase_rad for c in entries] == (
             [c.phase_rad for c in beam_ii] + [-c.phase_rad for c in beam_i]
         )
+
+
+# Beam I ends 1e-13 m from beam II's end, within the shared-endpoint tolerance,
+# and its last but one vertex is beam II's end: the loop repeats that vertex.
+COINCIDENT_JOIN_II = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0))
+COINCIDENT_JOIN_I = ((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0), (1.0000000000001, 1.0, 0.0))
+
+
+def closed_config(path_i, path_ii, wave, motion=MotionField()):
+    return InterferometerConfig(
+        BeamPath(path_i), BeamPath(path_ii), wave, motion, ConfigKind.CLOSED_LOOP
+    )
+
+
+def concatenated_loop(config):
+    """The loop as a whole new path: beam II, then beam I backward from its last but one vertex."""
+    return BeamPath(config.path_II.vertices + tuple(reversed(config.path_I.vertices))[1:])
+
+
+class TestInterferenceLoop:
+    def test_coincident_join_refused_with_the_loops_vertex_indices(self, unit_wave, rotation_z):
+        config = closed_config(COINCIDENT_JOIN_I, COINCIDENT_JOIN_II, unit_wave, rotation_z)
+        message = "^consecutive vertices 2 and 3 coincide$"
+        with pytest.raises(GeometryError, match=message):
+            interference_loop(config)
+        with pytest.raises(GeometryError, match=message):
+            concatenated_loop(config)
+
+    # Distinct vertices on a small grid; beam I's may include beam II's end,
+    # 1e-13 m from its own, which makes the loop repeat a vertex at the join.
+    end = (0.0, 0.0, 3.0)
+    grid_point = st.tuples(*[st.sampled_from([0.0, 1.0])] * 3)
+
+    @example([(1.0, 1.0, 1.0), end], [(1.0, 0.0, 0.0)], 1e-13)
+    @given(
+        st.lists(st.one_of(grid_point, st.just(end)), min_size=1, max_size=4, unique=True),
+        st.lists(grid_point, min_size=1, max_size=4, unique=True),
+        st.sampled_from([0.0, 1e-13]),
+    )
+    def test_loop_is_the_concatenation_checked_whole(self, middle_i, middle_ii, nudge):
+        start = (0.0, 0.0, -1.0)
+        path_i = (start, *middle_i, (nudge, 0.0, 3.0))
+        path_ii = (start, *middle_ii, self.end)
+        try:
+            config = closed_config(path_i, path_ii, make_particle_wave(1.0, wavelength=1e-8))
+        except GeometryError:
+            assume(False)  # a beam repeats a vertex of its own
+        try:
+            expected = concatenated_loop(config).vertices
+        except GeometryError as exc:
+            expected = str(exc)
+        try:
+            loop = interference_loop(config).vertices
+        except GeometryError as exc:
+            loop = str(exc)
+        assert loop == expected
 
 
 class TestSagnacAreaPhase:

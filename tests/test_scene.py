@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from matterwave import (
     ConfigKind,
@@ -85,6 +87,73 @@ class TestParseScene:
         )
         with pytest.raises(SceneError, match=r"geometry\.kind"):
             parse_scene(bad)
+
+
+def explicit_scene(path_i: str) -> str:
+    """Scene text whose beam I is the JSON ``path_i``, written as given."""
+    return (
+        '{"particle": {"speed_mps": 1.0, "wavelength_m": 1e-8}, "geometry":'
+        ' {"path_II_m": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], "path_I_m": %s}}' % path_i
+    )
+
+
+def walked_points(points: list) -> tuple:
+    """Beam path vertices as a per-coordinate walk reads them."""
+    return tuple(tuple(float(c) for c in point) for point in points)
+
+
+finite_coordinates = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestPointParse:
+    """Lists of finite floats are checked in bulk; the walk keeps every answer."""
+
+    @given(st.lists(st.lists(finite_coordinates, min_size=3, max_size=3), min_size=2, max_size=20))
+    @example([[1.7976931348623157e308, 0.0, 0.0], [1.7976931348623157e308, -0.0, 5e-324]])
+    def test_float_lists_parse_to_the_walks_triples(self, points):
+        doc = parse_scene(explicit_scene(json.dumps(points)))
+        parsed = doc.geometry["path_I_m"]
+        assert [[c.hex() for c in p] for p in parsed] == [
+            [c.hex() for c in p] for p in walked_points(points)
+        ]
+        assert all(type(p) is tuple for p in parsed)
+
+    def test_mixed_int_and_float_coordinates_accepted(self):
+        doc = parse_scene(explicit_scene("[[0, 0, 0], [1.5, 2, 0], [3, 0.25, 1]]"))
+        parsed = doc.geometry["path_I_m"]
+        assert parsed == ((0.0, 0.0, 0.0), (1.5, 2.0, 0.0), (3.0, 0.25, 1.0))
+        assert {type(c) for p in parsed for c in p} == {float}
+
+    @pytest.mark.parametrize(
+        "path_i,message",
+        [
+            ("[[0.0, 0.0, 0.0], [1.0, true, 0.0]]", "[1][1]: expected a number, got True"),
+            ('[[0.0, 0.0, 0.0], [1.0, "1", 0.0]]', "[1][1]: expected a number, got '1'"),
+            ("[[0.0, 0.0, 0.0], [1.0, null, 0.0]]", "[1][1]: expected a number, got None"),
+            ("[[0.0, 0.0, 0.0], [1.0, NaN, 0.0]]", "[1][1]: must be finite, got nan"),
+            ("[[0.0, 0.0, 0.0], [1.0, Infinity, 0.0]]", "[1][1]: must be finite, got inf"),
+            ("[[0.0, 0.0, 0.0], [1.0, -Infinity, 0.0]]", "[1][1]: must be finite, got -inf"),
+            ("[[0.0, 0.0, 0.0], [1.0, 1e999, 0.0]]", "[1][1]: must be finite, got inf"),
+            (
+                "[[0.0, 0.0, 0.0], [1.0, %d, 0.0]]" % 10**400,
+                "[1][1]: must be finite, got %d" % 10**400,
+            ),
+            ("[[0.0, 0.0, 0.0], [1.0, 0.0]]", "[1]: expected [x, y, z]"),
+            ("[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]", "[1]: expected [x, y, z]"),
+            ('[[0.0, 0.0, 0.0], {"x": 1.0}]', "[1]: expected [x, y, z]"),
+            ("[[0.0, 0.0, 0.0], [[1.0, 0.0, 0.0]]]", "[1]: expected [x, y, z]"),
+            ("[[0.0, 0.0, 0.0], [1.0, [0.0], 0.0]]", "[1][1]: expected a number, got [0.0]"),
+            ("[[0.0, 0.0, 0.0]]", ": expected a list of at least 2 [x, y, z] points"),
+        ],
+        ids=[
+            "true", "string", "null", "NaN", "Infinity", "-Infinity", "1e999", "10**400",
+            "2-element", "4-element", "dict", "nested-point", "nested-coordinate", "one-point",
+        ],
+    )
+    def test_bad_points_refused_with_the_field_path(self, path_i, message):
+        with pytest.raises(SceneError) as info:
+            parse_scene(explicit_scene(path_i))
+        assert str(info.value) == "scene.geometry.path_I_m" + message
 
 
 class TestRoundTrip:
