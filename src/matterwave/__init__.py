@@ -4,6 +4,7 @@ The package computes the phase difference between two beam paths when the
 apparatus translates, rotates, or both, from the per-segment law
 (2*pi / v*lambda) * (V . dL), and cross-checks the rotational (Sagnac) and
 open-loop translational consequences against independent numerical oracles.
+The public names are the ones imported below.
 """
 from .experiment import (
     FringeReading,
@@ -63,52 +64,3 @@ from .scene import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BeamPath",
-    "BoostDomainError",
-    "C_LIGHT",
-    "ConfigKind",
-    "FringeReading",
-    "GeometryError",
-    "H_PLANCK",
-    "HBAR",
-    "InterferometerConfig",
-    "MatterWaveError",
-    "MotionField",
-    "PARTICLE_MASSES_KG",
-    "ParticleWave",
-    "PhaseResult",
-    "PropertyCheck",
-    "SceneDocument",
-    "SceneError",
-    "SegmentContribution",
-    "SweepResult",
-    "SweepRow",
-    "Vec3",
-    "VerifyReport",
-    "WaveError",
-    "boosted_wavelength",
-    "build_config",
-    "circulation",
-    "config_from_scene",
-    "curl_fd",
-    "enclosed_area_vector",
-    "fringe_reading",
-    "gse_light_phase",
-    "interference_loop",
-    "make_particle_wave",
-    "moving_phase",
-    "open_loop_phase",
-    "parse_scene",
-    "path_phase",
-    "rest_phase",
-    "sagnac_area_phase",
-    "segment_phase_increment",
-    "sensitivity_sweep",
-    "serialize_scene",
-    "translation_opening",
-    "two_path_difference",
-    "velocity_at",
-    "verify_suite",
-]

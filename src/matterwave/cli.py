@@ -17,13 +17,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from itertools import chain, count, filterfalse
 
 from .experiment import fringe_reading, sensitivity_sweep, verify_suite
 from .kinematics import circulation, enclosed_area_vector
-from .model import MatterWaveError, PhaseResult
+from .model import MatterWaveError
 from .phase import (
     TWO_PI,
     area_phase,
@@ -46,22 +47,6 @@ class _Parser(argparse.ArgumentParser):
     # can keep the documented exit-code contract.
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(f"{message}\n{self.format_usage()}")
-
-
-class _Assembled(dict):
-    """JSON payload a subcommand assembles itself. As CSV it is the table of
-    records under "rows" when there is one, else one row per numeric quantity."""
-
-    def payload(self) -> dict:
-        return self
-
-    def table(self) -> list[list]:
-        if "rows" in self:
-            header = list(self["rows"][0].keys())
-            return [header] + [[row[k] for k in header] for row in self["rows"]]
-        return [["quantity", "value"]] + [
-            [k, v] for k, v in self.items() if isinstance(v, (int, float))
-        ]
 
 
 def _not_finite(value) -> MatterWaveError:
@@ -111,29 +96,35 @@ def _json_list(beams) -> str:
     return f"[\n{entries}\n  ]" if entries else "[]"
 
 
-def emit_results(result, fmt: str, breakdown: bool = False) -> bytes:
-    """Serialize a result to CSV or JSON bytes (LF line endings, '.' decimals).
+def emit_results(doc: dict, fmt: str, per_segment=None, table=None) -> bytes:
+    """Serialize a payload to JSON or CSV bytes (LF line endings, '.' decimals).
 
-    ``result.payload()`` is the JSON document and ``result.table()`` the CSV
-    rows, header first. ``breakdown`` appends a PhaseResult's per-segment
-    entries, written from a fixed template: the bytes json.dumps(indent=2)
+    JSON is ``doc`` as json.dumps(indent=2) writes it. CSV is ``table`` (rows,
+    header first) when given; else the records under ``doc["rows"]``, one row
+    each; else one ``quantity,value`` row per number in ``doc``.
+    ``per_segment``, the (label, increments) of each beam, appends the
+    breakdown, written from a fixed template: the bytes json.dumps(indent=2)
     and the CSV cells would give. A number that is not finite has no JSON
     form, so output holding one is refused in both formats.
     """
-    per_segment = breakdown and isinstance(result, PhaseResult)
-    beams = result.increments if per_segment else ()
+    beams = per_segment or ()
     bad = next(filterfalse(math.isfinite, chain.from_iterable(incs for _, incs in beams)), None)
     if bad is not None:
         raise _not_finite(bad)
     if fmt == "json":
         try:
-            text = json.dumps(result.payload(), indent=2, allow_nan=False)
+            text = json.dumps(doc, indent=2, allow_nan=False)
         except ValueError as exc:  # raised only for a float that is inf or nan
             raise _not_finite(exc) from None
-        if per_segment:  # the list goes in before the payload's closing brace
+        if per_segment is not None:  # the list goes in before the payload's closing brace
             text = f'{text[:-2]},\n  "per_segment": {_json_list(beams)}\n}}'
     elif fmt == "csv":
-        lines = [",".join(map(_csv_cell, row)) for row in result.table()]
+        if table is None:
+            records = doc["rows"] if "rows" in doc else [
+                {"quantity": k, "value": v} for k, v in doc.items() if isinstance(v, (int, float))
+            ]
+            table = [list(records[0])] + [list(record.values()) for record in records]
+        lines = [",".join(map(_csv_cell, row)) for row in table]
         lines.extend(_entries(_csv_entry, "\n", beams))
         text = "\n".join(lines)
     else:
@@ -185,7 +176,15 @@ def _load_config(path: str):
 
 def _write(data: bytes, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(data.decode())
+        try:
+            sys.stdout.write(data.decode())
+            sys.stdout.flush()
+        except OSError as exc:
+            # What is still buffered would fail again at exit: send it to the null device.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise MatterWaveError(f"cannot write output: {exc}") from exc
         return
     try:
         with open(out, "wb") as fh:
@@ -237,23 +236,35 @@ def run_command(argv: list[str]) -> int:
     try:
         if args.command == "verify":
             report = verify_suite(seed=args.seed)
-            _write(emit_results(report, args.format or "json"), args.out)
+            checks = [asdict(c) for c in report.checks]
+            doc = {"seed": report.seed, "passed": report.passed, "checks": checks}
+            table = [["check", "samples", "max_violation", "tolerance", "passed"]] + [
+                [c.name, c.samples, c.max_violation, c.tolerance, str(c.passed).lower()]
+                for c in report.checks
+            ]
+            _write(emit_results(doc, args.format or "json", table=table), args.out)
             return 0 if report.passed else 2
 
-        doc, config = _load_config(args.scene)
-        fmt = args.format or doc.output["format"]
+        scene, config = _load_config(args.scene)
+        fmt = args.format or scene.output["format"]
 
-        breakdown = False
+        per_segment = None
         if args.command == "phase":
-            breakdown = args.breakdown or doc.output["breakdown"]
             result = two_path_difference(config)
+            doc = {
+                "total_phase_rad": result.total_phase_rad,
+                "fringe_count": result.total_phase_rad / TWO_PI,
+                "v_lambda_m2ps": result.v_lambda,
+            }
+            if args.breakdown or scene.output["breakdown"]:
+                per_segment = result.increments
         elif args.command == "sagnac":
             loop = interference_loop(config)
             loop_integral = (TWO_PI / config.wave.v_lambda) * circulation(config.motion, loop)
             area = enclosed_area_vector(loop)
             area_form = area_phase(config.wave, area, config.motion)
             denom = max(abs(loop_integral), abs(area_form))
-            result = _Assembled({
+            doc = {
                 "loop_integral_phase_rad": loop_integral,
                 "area_formula_phase_rad": area_form,
                 "relative_difference": (
@@ -261,7 +272,7 @@ def run_command(argv: list[str]) -> int:
                 ),
                 "enclosed_area_m2": list(area.as_tuple()),
                 "v_lambda_m2ps": config.wave.v_lambda,
-            })
+            }
         elif args.command == "translate":
             opening = translation_opening(config)
             velocity = config.motion.translation
@@ -269,7 +280,7 @@ def run_command(argv: list[str]) -> int:
             cos_theta = (
                 velocity.unit().dot(opening.unit()) if velocity.norm() > 0.0 else None
             )
-            result = _Assembled({
+            doc = {
                 "phase_rad": phase,
                 "fringe_count": phase / TWO_PI,
                 "opening_m": list(opening.as_tuple()),
@@ -277,9 +288,17 @@ def run_command(argv: list[str]) -> int:
                 "translation_mps": list(velocity.as_tuple()),
                 "cos_theta": cos_theta,
                 "v_lambda_m2ps": config.wave.v_lambda,
-            })
+            }
         elif args.command == "sweep":
-            result = sensitivity_sweep(config, args.vmin, args.vmax, args.steps)
+            sweep = sensitivity_sweep(config, args.vmin, args.vmax, args.steps)
+            doc = {
+                "rows": [asdict(r) for r in sweep.rows],
+                "v_full_fringe_mps": sweep.v_full_fringe_mps,
+                "bracket_mps": list(sweep.bracket) if sweep.bracket else None,
+                "opening_m": list(sweep.opening_m.as_tuple()),
+                "cos_theta": sweep.cos_theta,
+                "v_lambda_m2ps": sweep.v_lambda,
+            }
         elif args.command == "fringes":
             if args.steps < 2:
                 raise MatterWaveError(f"--steps must be at least 2, got {args.steps}")
@@ -288,10 +307,10 @@ def run_command(argv: list[str]) -> int:
             for i in range(args.steps):
                 offset = TWO_PI * i / (args.steps - 1)
                 rows.append({"offset_rad": offset, **asdict(fringe_reading(base + offset))})
-            result = _Assembled({"base_phase_rad": base, "rows": rows})
+            doc = {"base_phase_rad": base, "rows": rows}
         else:
             raise MatterWaveError(f"unknown subcommand {args.command!r}")
-        _write(emit_results(result, fmt, breakdown=breakdown), args.out)
+        _write(emit_results(doc, fmt, per_segment), args.out)
         return 0
     except MatterWaveError as exc:
         sys.stderr.write(f"{PROG}: error: {exc}\n")

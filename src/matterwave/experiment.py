@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 from .kinematics import circulation, curl_fd, velocity_at
 from .model import (
@@ -165,20 +165,6 @@ class SweepResult:
     cos_theta: float
     v_lambda: float
 
-    def payload(self) -> dict:
-        return {
-            "rows": [asdict(r) for r in self.rows],
-            "v_full_fringe_mps": self.v_full_fringe_mps,
-            "bracket_mps": list(self.bracket) if self.bracket else None,
-            "opening_m": list(self.opening_m.as_tuple()),
-            "cos_theta": self.cos_theta,
-            "v_lambda_m2ps": self.v_lambda,
-        }
-
-    def table(self) -> list[list]:
-        header = ["V_mps", "phase_rad", "fringe_count"]
-        return [header] + [[r.V_mps, r.phase_rad, r.fringe_count] for r in self.rows]
-
 
 def sensitivity_sweep(
     config: InterferometerConfig, v_min: float, v_max: float, steps: int
@@ -250,19 +236,6 @@ class VerifyReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def payload(self) -> dict:
-        return {
-            "seed": self.seed,
-            "passed": self.passed,
-            "checks": [asdict(c) for c in self.checks],
-        }
-
-    def table(self) -> list[list]:
-        return [["check", "samples", "max_violation", "tolerance", "passed"]] + [
-            [c.name, c.samples, c.max_violation, c.tolerance, str(c.passed).lower()]
-            for c in self.checks
-        ]
 
 
 def _unit_vec(rng: random.Random) -> Vec3:
@@ -418,7 +391,7 @@ def verify_suite(seed: int = 0) -> VerifyReport:
         )
         r = _random_vec(rng)
         expected = field.omega * 2.0
-        estimate = curl_fd(field, r, 1e-6)
+        estimate = curl_fd(field, r)
         return (estimate - expected).norm() / expected.norm(), {
             "omega_radps": list(field.omega.as_tuple()),
             "at_m": list(r.as_tuple()),

@@ -5,7 +5,6 @@ cross-checked against. All of them are pure functions of immutable inputs.
 """
 from __future__ import annotations
 
-import math
 from itertools import islice
 
 from .model import BeamPath, GeometryError, MotionField, Vec3, exact_sum
@@ -18,16 +17,14 @@ def velocity_at(field: MotionField, r: Vec3) -> Vec3:
     return field.translation + field.omega.cross(r - field.pivot)
 
 
-def curl_fd(field: MotionField, r: Vec3, fd_step: float = DEFAULT_FD_STEP) -> Vec3:
-    """Central-difference curl of the velocity field at r, in 1/s.
+def curl_fd(field: MotionField, r: Vec3) -> Vec3:
+    """Central-difference curl of the velocity field at r, in 1/s, with step DEFAULT_FD_STEP.
 
     For any rigid field the exact curl is 2*omega everywhere; the central
     difference reproduces it to rounding error because the field is affine
     in position.
     """
-    if not (fd_step > 0.0 and math.isfinite(fd_step)):
-        raise GeometryError(f"fd_step must be positive, got {fd_step!r}")
-    h = fd_step
+    h = DEFAULT_FD_STEP
     axes = (Vec3(h, 0.0, 0.0), Vec3(0.0, h, 0.0), Vec3(0.0, 0.0, h))
     # partial[j] = dV/dx_j as a Vec3
     partials = []

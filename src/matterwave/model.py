@@ -97,9 +97,6 @@ class Vec3:
     def __sub__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
 
-    def __neg__(self) -> "Vec3":
-        return Vec3(-self.x, -self.y, -self.z)
-
     def __mul__(self, scalar: float) -> "Vec3":
         return Vec3(self.x * scalar, self.y * scalar, self.z * scalar)
 
@@ -400,15 +397,3 @@ class PhaseResult:
             for path_id, incs in self.increments
             for index, phase in enumerate(incs)
         )
-
-    def payload(self) -> dict:
-        """JSON form of the totals; the CLI appends the per-segment breakdown."""
-        return {
-            "total_phase_rad": self.total_phase_rad,
-            "fringe_count": self.total_phase_rad / TWO_PI,
-            "v_lambda_m2ps": self.v_lambda,
-        }
-
-    def table(self) -> list[list]:
-        """CSV form of the totals: a header, then one quantity per row."""
-        return [["quantity", "value"]] + [[name, value] for name, value in self.payload().items()]

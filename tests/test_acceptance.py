@@ -175,7 +175,7 @@ def test_ac5_curl_oracle_and_zero_area_loop():
             pivot=_box(rng),
         )
         expected = field.omega * 2.0
-        got = curl_fd(field, _box(rng), 1e-6)
+        got = curl_fd(field, _box(rng))
         assert (got - expected).norm() <= 1e-6 * expected.norm()
 
     wave = make_particle_wave(1.0, wavelength=1e-8)

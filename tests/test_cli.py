@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -13,7 +17,9 @@ from matterwave import (
     MatterWaveError,
     MotionField,
     PhaseResult,
+    PropertyCheck,
     Vec3,
+    VerifyReport,
     build_config,
     make_particle_wave,
     path_phase,
@@ -24,14 +30,23 @@ from matterwave.cli import emit_results, run_command
 TWO_PI = 2.0 * math.pi
 
 
+def totals(result: PhaseResult) -> dict:
+    """The phase command's document without its breakdown."""
+    return {
+        "total_phase_rad": result.total_phase_rad,
+        "fringe_count": result.total_phase_rad / TWO_PI,
+        "v_lambda_m2ps": result.v_lambda,
+    }
+
+
 class TestEmitResults:
     def test_two_segment_breakdown_length(self):
         wave = make_particle_wave(50.0, wavelength=0.1)
         path = BeamPath((Vec3(0, 0, 0), Vec3(0.5, 0, 0), Vec3(0.5, 0.5, 0)))
         result = path_phase(wave, path, MotionField(translation=Vec3(0.1, 0.2, 0)))
-        payload = json.loads(emit_results(result, "json", breakdown=True))
+        payload = json.loads(emit_results(totals(result), "json", result.increments))
         assert len(payload["per_segment"]) == 2
-        payload = json.loads(emit_results(result, "json", breakdown=False))
+        payload = json.loads(emit_results(totals(result), "json"))
         assert "per_segment" not in payload
 
     def test_sweep_csv_reparses_bitwise(self):
@@ -43,7 +58,8 @@ class TestEmitResults:
             opening_m=Vec3(0, 1e-4, 0),
         )
         sweep = sensitivity_sweep(config, 0.0, 2e-4, 7)
-        lines = emit_results(sweep, "csv").decode().splitlines()
+        doc = {"rows": [asdict(row) for row in sweep.rows], "cos_theta": sweep.cos_theta}
+        lines = emit_results(doc, "csv").decode().splitlines()
         assert len(lines) == 1 + 7
         for line, row in zip(lines[1:], sweep.rows):
             v, phase, fringes = (float(tok) for tok in line.split(","))
@@ -59,9 +75,7 @@ class TestEmitResults:
 def reference_json(result: PhaseResult) -> bytes:
     """The breakdown as json.dumps writes the whole document."""
     payload = {
-        "total_phase_rad": result.total_phase_rad,
-        "fringe_count": result.total_phase_rad / TWO_PI,
-        "v_lambda_m2ps": result.v_lambda,
+        **totals(result),
         "per_segment": [
             {"path_id": path_id, "segment_index": index, "phase_rad": phase}
             for path_id, incs in result.increments
@@ -77,11 +91,7 @@ def reference_csv(result: PhaseResult) -> bytes:
     def cell(value):
         return repr(value) if isinstance(value, float) else str(value)
 
-    rows = [["quantity", "value"]] + [
-        ["total_phase_rad", result.total_phase_rad],
-        ["fringe_count", result.total_phase_rad / TWO_PI],
-        ["v_lambda_m2ps", result.v_lambda],
-    ]
+    rows = [["quantity", "value"]] + [[name, value] for name, value in totals(result).items()]
     rows += [
         [f"per_segment.{path_id}.{index}", phase]
         for path_id, incs in result.increments
@@ -119,8 +129,8 @@ class TestBreakdownTemplate:
     @example((('%d"%%', (1.0, -0.0)), ("II", ()), ("I", (5e-324,))), 0.0)
     def test_template_matches_the_reference_serializers(self, beams, total):
         result = PhaseResult(total_phase_rad=total, increments=beams, v_lambda=1e-8)
-        assert emit_results(result, "json", breakdown=True) == reference_json(result)
-        assert emit_results(result, "csv", breakdown=True) == reference_csv(result)
+        assert emit_results(totals(result), "json", beams) == reference_json(result)
+        assert emit_results(totals(result), "csv", beams) == reference_csv(result)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -129,9 +139,9 @@ class TestBreakdownTemplate:
             total_phase_rad=1.0, increments=(("II", (0.5, 0.5)), ("I", (1.0, bad))), v_lambda=1.0
         )
         with pytest.raises(MatterWaveError, match="not finite"):
-            emit_results(result, fmt, breakdown=True)
+            emit_results(totals(result), fmt, result.increments)
         # Without the breakdown the increments are not written, so not refused.
-        assert emit_results(result, fmt)
+        assert emit_results(totals(result), fmt)
 
 
 def run(capsys, argv):
@@ -382,6 +392,28 @@ class TestVerifyCommand:
         assert payload["passed"] is True
         assert len(payload["checks"]) == 10
 
+    def test_failed_check_exits_two_and_reports_its_worst_case(self, capsys, monkeypatch):
+        worst_case = {"loop": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], "omega_radps": [0.0, 0.0, 1.0]}
+        checks = (
+            PropertyCheck("curl-doubles-rotation", 50, 1e-8, 1e-6, True),
+            PropertyCheck("sagnac-loop-vs-area", 200, 0.25, 1e-10, False, worst_case),
+        )
+        monkeypatch.setattr("matterwave.cli.verify_suite", lambda seed: VerifyReport(seed, checks))
+        code, out, _ = run(capsys, ["verify", "--seed", "7"])
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["passed"] is False
+        assert payload["checks"][1]["worst_case"] == worst_case
+        code, out, _ = run(capsys, ["verify", "--seed", "7", "--format", "csv"])
+        assert code == 2
+        header, passing, failing = out.splitlines()
+        assert header == "check,samples,max_violation,tolerance,passed"
+        assert (passing, failing) == (
+            "curl-doubles-rotation,50,1e-08,1e-06,true",
+            "sagnac-loop-vs-area,200,0.25,1e-10,false",
+        )
+        assert "worst_case" not in out
+
 
 class TestCliContract:
     def test_unknown_subcommand_exits_one(self, capsys):
@@ -517,6 +549,42 @@ class TestErrorContract:
         target = tmp_path / "missing" / "result.json"
         argv = ["phase", "--scene", scene(data_dir, "slow_atom_open.json"), "--out", str(target)]
         assert_refused(*run(capsys, argv))
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_stdout_on_a_full_device_refused(self, data_dir):
+        argv = ["phase", "--scene", scene(data_dir, "slow_atom_open.json")]
+        with open("/dev/full", "wb") as full:
+            assert_stdout_refused(run_child(argv, full))
+
+    def test_stdout_on_a_pipe_without_reader_refused(self, data_dir):
+        argv = ["phase", "--scene", scene(data_dir, "slow_atom_open.json")]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = run_child(argv, write_end)
+        finally:
+            os.close(write_end)
+        assert_stdout_refused(child)
+
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_child(argv, stdout):
+    """The CLI in a new process with buffered stdout: no PYTHONUNBUFFERED."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "matterwave.cli", *argv]
+    return subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60)
+
+
+def assert_stdout_refused(child):
+    # One error line: neither the write nor the flush at exit ends in a traceback.
+    err = child.stderr.decode()
+    assert child.returncode == 1
+    assert err.startswith("matterwave: error: cannot write output:")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def _reject_constant(token):

@@ -71,13 +71,9 @@ class TestCurlFd:
             )
             r = Vec3(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1))
             expected = field.omega * 2.0
-            got = curl_fd(field, r, 1e-6)
+            got = curl_fd(field, r)
             if expected.norm() > 0:
                 assert (got - expected).norm() <= 1e-6 * expected.norm()
-
-    def test_rejects_bad_step(self):
-        with pytest.raises(GeometryError):
-            curl_fd(MotionField(), Vec3(0, 0, 0), fd_step=0.0)
 
 
 class TestCirculation:
