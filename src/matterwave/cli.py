@@ -15,6 +15,7 @@ Results go to stdout unless ``--out`` names a file. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -174,11 +175,28 @@ def _load_config(path: str):
     return doc, config_from_scene(doc)
 
 
+def _write_stdout(data: bytes) -> None:
+    """Write the bytes to stdout, all of them: an unbuffered stdout may take part of a
+    write, and its text layer would drop the rest without a word."""
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:  # a text stream with no bytes below it, such as io.StringIO
+        sys.stdout.write(data.decode())
+        sys.stdout.flush()
+        return
+    sys.stdout.flush()
+    view = memoryview(data)
+    while view:
+        written = buffer.write(view)
+        if not written:  # None: a non-blocking stdout would block
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        view = view[written:]
+    buffer.flush()
+
+
 def _write(data: bytes, out: str | None) -> None:
     if out is None:
         try:
-            sys.stdout.write(data.decode())
-            sys.stdout.flush()
+            _write_stdout(data)
         except OSError as exc:
             # What is still buffered would fail again at exit: send it to the null device.
             devnull = os.open(os.devnull, os.O_WRONLY)

@@ -9,9 +9,12 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
+from functools import cached_property
+from itertools import chain, repeat
+from typing import NamedTuple
 
 # Physical constants (exact SI values where defined exact).
 H_PLANCK = 6.62607015e-34      # J*s, exact by SI definition
@@ -87,6 +90,11 @@ class Vec3:
     z: float
 
     def __post_init__(self) -> None:
+        # Floats whose sum is finite are finite, and are kept as given.
+        if type(self.x) is type(self.y) is type(self.z) is float and math.isfinite(
+            self.x + self.y + self.z
+        ):
+            return
         object.__setattr__(self, "x", _require_finite("x", self.x))
         object.__setattr__(self, "y", _require_finite("y", self.y))
         object.__setattr__(self, "z", _require_finite("z", self.z))
@@ -237,6 +245,30 @@ def _check_vertices(verts: tuple, first: int = 0) -> None:
         raise GeometryError(f"consecutive vertices {i} and {i + 1} coincide")
 
 
+class PathMoments(NamedTuple):
+    """A beam path compiled for rigid motion.
+
+    In offsets a' = a - origin from the reference vertex, a rigid field reads
+    V(r) = U0 + omega x (r - origin), and its line integral along the path is
+    U0 . delta + omega . moment, whatever the motion.
+    """
+
+    origin: tuple[float, float, float]  # the reference vertex r0
+    delta: tuple[float, float, float]   # end - start
+    moment: tuple[float, float, float]  # sum of a'_i x a'_(i+1); nan where it overflows
+    reach: float                        # half-diagonal of the offsets' bounding box
+
+
+def _cross_sum(p: list, q: list, dp: list, dq: list) -> float:
+    """Sum of p_i * dq_i - q_i * dp_i, each term rounded, the sum exact; nan beyond the
+    float range."""
+    terms = map(operator.sub, map(operator.mul, p, dq), map(operator.mul, q, dp))
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):  # overflowed partial sum, or inf - inf
+        return math.nan
+
+
 @dataclass(frozen=True)
 class BeamPath:
     """Oriented polyline traversed start to end; segment i is vertices[i] -> vertices[i + 1].
@@ -255,6 +287,41 @@ class BeamPath:
             raise GeometryError("a beam path needs at least 2 vertices")
         _check_vertices(verts)
         object.__setattr__(self, "vertices", verts)
+
+    @cached_property
+    def moments(self) -> PathMoments:
+        """The path compiled for rigid motion, built on first use and kept.
+
+        The reference vertex is the larger end vertex in tuple order, and the
+        moment is summed along the orientation that ends there: a path and its
+        reverse share both, so reversal negates a phase exactly. Offsets from
+        the reference vertex that leave the float range are refused.
+        """
+        verts = self.vertices
+        flip = verts[0] > verts[-1]
+        ordered = verts[::-1] if flip else verts
+        origin = ox, oy, oz = ordered[-1]
+        flat = list(chain.from_iterable(ordered))
+        axes = xs, ys, zs = flat[0::3], flat[1::3], flat[2::3]
+        # Subtraction keeps order, so the extreme offsets are those of the extreme coordinates.
+        extents = [max(max(axis) - o, o - min(axis)) for axis, o in zip(axes, origin)]
+        if not all(map(math.isfinite, extents)):
+            raise GeometryError(
+                "vertex offsets from the path's reference vertex overflow the float range"
+            )
+        x = list(map(operator.sub, xs, repeat(ox)))
+        y = list(map(operator.sub, ys, repeat(oy)))
+        z = list(map(operator.sub, zs, repeat(oz)))
+        # a'_i x a'_(i+1) = a'_i x dL_i, with dL_i taken between the stored
+        # vertices: each term's rounding scales with its segment, not the path.
+        dx, dy, dz = (list(map(operator.sub, axis[1:], axis)) for axis in axes)
+        moment = (_cross_sum(y, z, dy, dz), _cross_sum(z, x, dz, dx), _cross_sum(x, y, dx, dy))
+        return PathMoments(
+            origin,
+            tuple(map(operator.sub, verts[-1], verts[0])),
+            tuple(-m for m in moment) if flip else moment,
+            math.hypot(*extents),
+        )
 
     @classmethod
     def from_points(cls, points) -> "BeamPath":
@@ -283,6 +350,12 @@ class BeamPath:
         """
         _check_vertices((self.vertices[-1], tail.vertices[1]), first=len(self.vertices) - 1)
         return BeamPath._checked(self.vertices + tail.vertices[1:])
+
+    @classmethod
+    def _from_float_triples(cls, verts: tuple) -> "BeamPath":
+        """A path of at least two float triples, built with the checks between vertices only."""
+        _check_vertices(verts)
+        return cls._checked(verts)
 
     @classmethod
     def _checked(cls, verts: tuple) -> "BeamPath":
@@ -371,23 +444,22 @@ class SegmentContribution:
 
 @dataclass(frozen=True)
 class PhaseResult:
-    """Phase difference in radians with a per-segment breakdown.
+    """Phase difference in radians, with a per-segment breakdown built when read.
 
-    ``increments`` holds, per beam in breakdown order, its label and the
-    signed increments with which its segments enter the total;
-    ``total_phase_rad`` is their exact (fsum) sum. Phases are unwrapped
-    full radians, never reduced mod 2*pi.
+    ``walk`` returns, per beam in breakdown order, its label and the signed
+    increments with which its segments enter the total; ``increments`` is
+    that result, computed on first read and kept. The increments sum to
+    ``total_phase_rad`` within the kernel's stated error bound, not bit for
+    bit. Phases are unwrapped full radians, never reduced mod 2*pi.
     """
 
     total_phase_rad: float
-    increments: tuple[tuple[str, tuple[float, ...]], ...]
     v_lambda: float
+    walk: Callable[[], tuple] = field(repr=False, compare=False)
 
-    @classmethod
-    def from_increments(cls, increments, v_lambda: float) -> "PhaseResult":
-        """The result whose total is the exact sum of every beam's increments."""
-        total = exact_sum(chain.from_iterable(incs for _, incs in increments), "phase")
-        return cls(total_phase_rad=total, increments=increments, v_lambda=v_lambda)
+    @cached_property
+    def increments(self) -> tuple[tuple[str, tuple[float, ...]], ...]:
+        return self.walk()
 
     @property
     def per_segment(self) -> tuple[SegmentContribution, ...]:

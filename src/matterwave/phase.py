@@ -2,24 +2,35 @@
 
 The per-segment law: a segment of oriented length dL moving with velocity V
 shifts the accumulated phase by (2*pi / v*lambda) * (V . dL), where v is the
-particle speed and lambda the wavelength at rest. Everything else in this
-module is an aggregate or a special case of that law:
+particle speed and lambda the wavelength at rest. For a rigid motion, summed
+along a beam path, the law is one identity: with V(r) = U0 + omega x (r - r0)
+about the path's reference vertex r0,
 
-  * summing over a closed loop under rigid rotation gives the Sagnac phase
-    (4*pi / v*lambda) * (Omega . A),
-  * summing over a closed two-path loop under uniform translation gives
-    exactly zero,
+    sum_i V(m_i) . dL_i = U0 . delta + omega . moment,
+
+where delta is the path's end minus its start and moment the sum of
+a'_i x a'_(i+1) over its vertices' offsets a' from r0 (``BeamPath.moments``).
+A path compiles to delta and moment once; each new motion then costs O(1).
+For two beams, ``two_path_difference`` takes one velocity U, at beam II's
+end, and evaluates (2*pi / v*lambda) * [U . D + omega . (M_II - M_I)], D
+the opening between the beams. The paper's results are special cases:
+
+  * a closed two-path loop has D = 0: under uniform translation its phase
+    is exactly zero, and under rotation M_II - M_I is twice its vector
+    area, the Sagnac phase (4*pi / v*lambda) * (Omega . A),
   * a two-path layout whose starts are separated by an opening D retains
     (2*pi / v*lambda) * (V . D) under uniform translation.
 
-Velocities are sampled at segment midpoints, which makes each per-segment
-dot product exact for the rigid (affine) fields in scope. Phases are kept
-unwrapped; fringe reduction happens in the experiment module.
+Each entry of the per-segment breakdown is V . dL for the segment, which
+for the rigid (affine) fields in scope is the same with V at any point of
+it.
+Phases are kept unwrapped; fringe reduction happens in the experiment
+module.
 """
 from __future__ import annotations
 
 import math
-from itertools import islice
+import operator
 
 from .kinematics import enclosed_area_vector
 from .model import (
@@ -32,8 +43,10 @@ from .model import (
     InterferometerConfig,
     MotionField,
     ParticleWave,
+    PathMoments,
     PhaseResult,
     Vec3,
+    exact_sum,
 )
 
 
@@ -83,37 +96,94 @@ def moving_phase(wave: ParticleWave, length: float, speed_V: float, cos_theta: f
     return rest_phase(wave, length) * boost_factor(wave, speed_V * cos_theta)
 
 
-def _increments(wave: ParticleWave, vertices, field: MotionField):
-    """Phase increment of each segment along the (x, y, z) vertex triples.
+# Relative slack on the boost-domain bound, far above its rounding error.
+_BOUND_MARGIN = 1e-9
 
-    The per-segment law, stated once: the increment of the segment a -> b is
-    (2*pi / v*lambda) * (V . dL) with V evaluated at the segment midpoint,
-    and the segment's speed along the beam is checked against the domain of
-    the boost model. Plain floats in the operation order of ``velocity_at``
-    and ``Vec3``, so bit for bit the same; a non-finite increment is left
-    to ``exact_sum``.
-    """
+
+def _u0(field: MotionField, origin) -> tuple[float, float, float]:
+    """U0 = T + omega x (origin - pivot), the field's velocity at ``origin``."""
     (tx, ty, tz), (wx, wy, wz), (px, py, pz) = (
         field.translation.as_tuple(), field.omega.as_tuple(), field.pivot.as_tuple()
     )
+    ox, oy, oz = origin
+    rx, ry, rz = ox - px, oy - py, oz - pz
+    return (tx + (wy * rz - wz * ry), ty + (wz * rx - wx * rz), tz + (wx * ry - wy * rx))
+
+
+def _within_bound(wave: ParticleWave, form, u0, omega) -> bool:
+    """Whether |U0| + |omega| * reach stays below v, so that no segment can leave the
+    boost domain: every point of the path moves slower than that."""
+    bound = math.hypot(*u0) + math.hypot(*omega) * form.reach
+    return bound * (1.0 + _BOUND_MARGIN) < wave.speed_v
+
+
+def _increments(wave: ParticleWave, path: BeamPath, field: MotionField) -> list[float]:
+    """Phase increment of each segment of the path, walked in the path's local frame.
+
+    The per-segment law, stated once: the segment a -> b moves with
+    V = U0 + omega x m at its midpoint m, in offsets from the path's
+    reference vertex, and its increment is (2*pi / v*lambda) * (V . dL),
+    with dL = b - a taken between the stored vertices. For a rigid field
+    V . dL is the same with V at a, as computed here, since
+    (omega x dL) . dL = 0. Unless the bound rules it out, each segment's
+    speed along the beam, V . dL / |dL|, is checked against the domain of
+    the boost model wherever it could reach -v. A non-finite increment is
+    left to the caller.
+    """
+    form = path.moments
+    ox, oy, oz = form.origin
+    omega = field.omega.as_tuple()
+    ux, uy, uz = u0 = _u0(field, form.origin)
+    wx, wy, wz = omega
+    check = not _within_bound(wave, form, u0, omega)
     scale = TWO_PI / wave.v_lambda
-    ax, ay, az = vertices[0]
-    for bx, by, bz in islice(vertices, 1, None):
+    limit = -0.5 * wave.speed_v  # boost_factor refuses only speeds below -v
+    hypot = math.hypot
+    increments = []
+    append = increments.append
+    ax, ay, az = path.vertices[0]
+    for bx, by, bz in path.vertices[1:]:
         dx, dy, dz = bx - ax, by - ay, bz - az
-        length = math.sqrt(dx * dx + dy * dy + dz * dz)
-        if length == 0.0:
-            raise GeometryError(f"segment endpoints coincide: {(ax, ay, az)}")
-        rx = 0.5 * (ax + bx) - px
-        ry = 0.5 * (ay + by) - py
-        rz = 0.5 * (az + bz) - pz
+        rx, ry, rz = ax - ox, ay - oy, az - oz
         v_dot_dl = (
-            (tx + (wy * rz - wz * ry)) * dx
-            + (ty + (wz * rx - wx * rz)) * dy
-            + (tz + (wx * ry - wy * rx)) * dz
+            (ux + (wy * rz - wz * ry)) * dx
+            + (uy + (wz * rx - wx * rz)) * dy
+            + (uz + (wx * ry - wy * rx)) * dz
         )
-        boost_factor(wave, v_dot_dl / length)
-        yield scale * v_dot_dl
+        if check:
+            length = hypot(dx, dy, dz)
+            if v_dot_dl <= limit * length:
+                boost_factor(wave, v_dot_dl / length)
+        append(scale * v_dot_dl)
         ax, ay, az = bx, by, bz
+    return increments
+
+
+def _checked_moments(wave: ParticleWave, path: BeamPath, field: MotionField) -> PathMoments:
+    """The path's compiled form, once no segment is found outside the boost domain.
+
+    Where the bound does not keep every segment in the domain, the segments
+    are walked, and the first one outside raises.
+    """
+    form = path.moments
+    if not _within_bound(wave, form, _u0(field, form.origin), field.omega.as_tuple()):
+        _increments(wave, path, field)
+    return form
+
+
+def _rotation_terms(scale: float, omega, moment) -> list[float]:
+    """scale * omega_j * moment_j per axis; a zero rate component drops its term, whose
+    moment may have overflowed."""
+    return [scale * (w * m) for w, m in zip(omega, moment) if w]
+
+
+def _path_total(wave: ParticleWave, path: BeamPath, field: MotionField) -> float:
+    """(2*pi / v*lambda) * [U0 . delta + omega . moment], U0 the velocity at the path's
+    reference vertex."""
+    form = _checked_moments(wave, path, field)
+    scale = TWO_PI / wave.v_lambda
+    terms = [scale * (u * d) for u, d in zip(_u0(field, form.origin), form.delta)]
+    return exact_sum(terms + _rotation_terms(scale, field.omega.as_tuple(), form.moment), "phase")
 
 
 def segment_phase_increment(
@@ -126,7 +196,7 @@ def segment_phase_increment(
     segment's speed along the beam is checked against the domain of that
     boost model. Swapping start and end flips the increment's sign.
     """
-    return next(_increments(wave, (start.as_tuple(), end.as_tuple()), field))
+    return _path_total(wave, BeamPath._from_float_triples((start.as_tuple(), end.as_tuple())), field)
 
 
 def path_phase(
@@ -136,26 +206,53 @@ def path_phase(
     *,
     path_id: str = "I",
 ) -> PhaseResult:
-    """Summed per-segment increments along a beam path, with breakdown.
+    """Phase along a beam path, with breakdown.
 
     Equals (2*pi / v*lambda) times the line integral of V along the path.
     ``path_id`` is only a label recorded in the breakdown entries.
     """
-    increments = tuple(_increments(wave, path.vertices, field))
-    return PhaseResult.from_increments(((path_id, increments),), wave.v_lambda)
+    total = _path_total(wave, path, field)
+    return PhaseResult(
+        total, wave.v_lambda, lambda: ((path_id, tuple(_increments(wave, path, field))),)
+    )
 
 
 def two_path_difference(config: InterferometerConfig) -> PhaseResult:
     """Phase difference between the two beams: beam II minus beam I.
 
-    The breakdown keeps each increment with the sign it enters the
-    difference (beam II positive, beam I negated), so the entries still
-    sum to the total.
+    A path's U0 . delta takes the velocity at either end vertex alike, since
+    (omega x delta) . delta = 0; both beams take U, the velocity at beam II's
+    end. Their translational part is then U . (delta_II - delta_I), with
+    delta_II - delta_I = (start_I - start_II) - (end_I - end_II) formed before
+    it meets U, less (omega x (end_I - end_II)) . delta_I for beam I's end:
+    the opening phase, exactly zero for beams that share start and end, and
+    free of the cancellation between two long beams' phases. The breakdown
+    keeps each increment with the sign it enters the difference (beam II
+    positive, beam I negated).
     """
-    wave, motion = config.wave, config.motion
-    beam_ii = tuple(_increments(wave, config.path_II.vertices, motion))
-    beam_i = tuple(-inc for inc in _increments(wave, config.path_I.vertices, motion))
-    return PhaseResult.from_increments((("II", beam_ii), ("I", beam_i)), wave.v_lambda)
+    wave, motion, path_ii, path_i = config.wave, config.motion, config.path_II, config.path_I
+    form_ii = _checked_moments(wave, path_ii, motion)
+    form_i = _checked_moments(wave, path_i, motion)
+    wx, wy, wz = omega = motion.omega.as_tuple()
+    gx, gy, gz = gap = tuple(map(operator.sub, path_i.vertices[-1], path_ii.vertices[-1]))
+    opening = map(operator.sub, map(operator.sub, path_i.vertices[0], path_ii.vertices[0]), gap)
+    end_motion = (wy * gz - wz * gy, wz * gx - wx * gz, wx * gy - wy * gx)  # omega x gap
+    scale = TWO_PI / wave.v_lambda
+    terms = (
+        [scale * (u * d) for u, d in zip(_u0(motion, path_ii.vertices[-1]), opening)]
+        + [-scale * (c * d) for c, d in zip(end_motion, form_i.delta)]
+        + _rotation_terms(scale, omega, form_ii.moment)
+        + _rotation_terms(-scale, omega, form_i.moment)
+    )
+    total = exact_sum(terms, "phase")
+
+    def walk():
+        return (
+            ("II", tuple(_increments(wave, path_ii, motion))),
+            ("I", tuple(map(operator.neg, _increments(wave, path_i, motion)))),
+        )
+
+    return PhaseResult(total, wave.v_lambda, walk)
 
 
 def interference_loop(config: InterferometerConfig) -> BeamPath:

@@ -223,7 +223,8 @@ def config_from_scene(doc: SceneDocument) -> InterferometerConfig:
     """Realize the scene as a validated interferometer configuration."""
     wave = make_particle_wave(**_renamed(doc.particle, _PARTICLE))
     if doc.geometry.keys() == _EXPLICIT.keys():
-        path_i, path_ii = (BeamPath(doc.geometry[key]) for key in _EXPLICIT)
+        # _points has read at least two float triples: only the checks between vertices are left.
+        path_i, path_ii = (BeamPath._from_float_triples(doc.geometry[key]) for key in _EXPLICIT)
         start_gap = (path_ii.start - path_i.start).norm()
         kind = ConfigKind.CLOSED_LOOP if start_gap <= ENDPOINT_TOL else ConfigKind.OPEN_LOOP
         return InterferometerConfig(path_i, path_ii, wave, doc.motion, kind)

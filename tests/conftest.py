@@ -13,6 +13,11 @@ settings.register_profile(
     max_examples=50,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# The fuzz rule: draws that follow --hypothesis-seed, with no example database,
+# so that each seed is reproducible on its own.
+settings.register_profile(
+    "fuzz", parent=settings.get_profile("ci"), derandomize=False, database=None
+)
 settings.load_profile("ci")
 
 DATA_DIR = Path(__file__).parent / "data"

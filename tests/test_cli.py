@@ -128,16 +128,15 @@ class TestBreakdownTemplate:
     @given(labelled_beams, st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300))
     @example((('%d"%%', (1.0, -0.0)), ("II", ()), ("I", (5e-324,))), 0.0)
     def test_template_matches_the_reference_serializers(self, beams, total):
-        result = PhaseResult(total_phase_rad=total, increments=beams, v_lambda=1e-8)
+        result = PhaseResult(total_phase_rad=total, v_lambda=1e-8, walk=lambda: beams)
         assert emit_results(totals(result), "json", beams) == reference_json(result)
         assert emit_results(totals(result), "csv", beams) == reference_csv(result)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_non_finite_increment_refused(self, bad, fmt):
-        result = PhaseResult(
-            total_phase_rad=1.0, increments=(("II", (0.5, 0.5)), ("I", (1.0, bad))), v_lambda=1.0
-        )
+        beams = (("II", (0.5, 0.5)), ("I", (1.0, bad)))
+        result = PhaseResult(total_phase_rad=1.0, v_lambda=1.0, walk=lambda: beams)
         with pytest.raises(MatterWaveError, match="not finite"):
             emit_results(totals(result), fmt, result.increments)
         # Without the breakdown the increments are not written, so not refused.
@@ -503,7 +502,7 @@ class TestErrorContract:
     def test_wave_outside_float_range_refused(self, capsys, tmp_path, particle):
         assert_refused(*run(capsys, ["phase", "--scene", write_scene(tmp_path, particle)]))
 
-    @pytest.mark.parametrize("command", ["phase", "sagnac"])
+    @pytest.mark.parametrize("command", ["sagnac"])
     def test_sum_beyond_float_range_refused(self, capsys, tmp_path, command):
         # Segment terms of 1e310 overflow to +inf on one side, -inf on the other.
         path = write_scene(
@@ -515,6 +514,19 @@ class TestErrorContract:
         code, out, err = run(capsys, [command, "--scene", path])
         assert_refused(code, out, err)
         assert "overflows the float range" in err
+
+    def test_closed_translation_beyond_float_range_answered(self, capsys, tmp_path):
+        # The same loop: its segment terms overflow, but beams that share start
+        # and end have the opening 0, and the phase is exactly 0.
+        path = write_scene(
+            tmp_path,
+            {"speed_mps": 1.0, "wavelength_m": 1.0},
+            side_m=1e210,
+            motion={"translation_mps": [1e100, 0.0, 0.0]},
+        )
+        code, out, err = run(capsys, ["phase", "--scene", path])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["total_phase_rad"] == 0.0
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_non_finite_result_refused(self, capsys, data_dir, fmt):
@@ -566,16 +578,55 @@ class TestErrorContract:
             os.close(write_end)
         assert_stdout_refused(child)
 
+    def test_short_write_to_an_unbuffered_stdout_refused(self, tmp_path):
+        # About 2 MB of breakdown, far more than a pipe holds: the reader's exit
+        # cuts a write short, and the write after it fails.
+        n = 20_000
+        beam_i = [[0.0, 0.0, 0.0]] + [[1e-3 * i, 1.0, 0.0] for i in range(n)] + [[20.0, 0.0, 0.0]]
+        geometry = {"path_I_m": beam_i, "path_II_m": [[0.0, 0.0, 0.0], [20.0, 0.0, 0.0]]}
+        scene_file = tmp_path / "long.json"
+        scene_file.write_text(json.dumps({
+            "particle": {"speed_mps": 1.0, "wavelength_m": 1e-8},
+            "motion": {"omega_radps": [0.0, 0.0, 1e-3]},
+            "geometry": geometry,
+        }))
+        argv = ["phase", "--breakdown", "--scene", str(scene_file)]
+        read_end, write_end = os.pipe()
+        try:
+            child = subprocess.Popen(
+                CHILD + argv, stdout=write_end, stderr=subprocess.PIPE,
+                env=child_env(unbuffered=True),
+            )
+        finally:
+            os.close(write_end)
+        try:
+            assert len(os.read(read_end, 1)) == 1
+        finally:
+            os.close(read_end)
+        _, err = child.communicate(timeout=60)
+        assert_stdout_refused(subprocess.CompletedProcess(argv, child.returncode, None, err))
+
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
+def child_env(unbuffered=False):
+    """The environment of a CLI child: stdout buffered unless ``unbuffered``."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    return env
+
+
+CHILD = [sys.executable, "-m", "matterwave.cli"]
+
+
 def run_child(argv, stdout):
     """The CLI in a new process with buffered stdout: no PYTHONUNBUFFERED."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
-    command = [sys.executable, "-m", "matterwave.cli", *argv]
-    return subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60)
+    return subprocess.run(
+        CHILD + argv, stdout=stdout, stderr=subprocess.PIPE, env=child_env(), timeout=60
+    )
 
 
 def assert_stdout_refused(child):

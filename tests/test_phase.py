@@ -34,6 +34,8 @@ from matterwave import (
 )
 from matterwave.phase import boost_factor
 
+import exact
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -235,7 +237,10 @@ class TestBreakdown:
         config = InterferometerConfig(path_i, path_ii, fast_wave, motion, ConfigKind.CLOSED_LOOP)
         result = two_path_difference(config)
         entries = result.per_segment
-        assert math.fsum(c.phase_rad for c in entries) == result.total_phase_rad
+        # The entries are walked segment by segment, the total from the compiled
+        # moments: each is within its stated bound of the exact phase.
+        bound = exact.two_path_bound(config) + exact.breakdown_bound(fast_wave, motion, path_i, path_ii)
+        assert abs(math.fsum(c.phase_rad for c in entries) - result.total_phase_rad) <= bound
         assert [(c.path_id, c.segment_index) for c in entries] == (
             [("II", i) for i in range(6)] + [("I", i) for i in range(3)]
         )
@@ -513,14 +518,16 @@ class TestPhaseProperties:
     @given(vectors=st.lists(
         st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3), min_size=5, max_size=5
     ))
-    def test_float_kernel_matches_vec3_route_bit_for_bit(self, vectors):
+    def test_segment_increment_matches_the_exact_phase_within_the_bound(self, vectors):
         # Speeds stay far below the particle speed, inside the boost domain.
         wave = make_particle_wave(1e9, wavelength=1e-9)
         a, b, translation, omega, pivot = (Vec3(*xyz) for xyz in vectors)
         assume((b - a).norm() > 0.0)
         field = MotionField(translation=translation, omega=omega, pivot=pivot)
-        expected = (TWO_PI / wave.v_lambda) * velocity_at(field, (a + b) * 0.5).dot(b - a)
-        assert segment_phase_increment(wave, a, b, field) == expected
+        segment = BeamPath((a, b))
+        expected = exact.path_phase(wave, segment, field)
+        got = segment_phase_increment(wave, a, b, field)
+        assert abs(got - expected) <= exact.path_bound(wave, field, segment)
 
 
 class TestNonFiniteSums:
@@ -530,9 +537,88 @@ class TestNonFiniteSums:
         with pytest.raises(GeometryError, match="overflows the float range"):
             path_phase(unit_wave, path, field)
 
-    def test_midpoint_beyond_float_range_refused(self, unit_wave):
-        # 0.5 * (1e308 + 1.7e308) overflows; the increment comes out nan.
+    def test_path_beyond_half_the_float_range_answered(self, unit_wave):
+        # 1e308 + 1.7e308 overflows, but no offset from the reference vertex
+        # does: the velocity is across the path, and the phase is exactly 0.
         path = BeamPath((Vec3(1e308, 0, 0), Vec3(1.7e308, 0, 0)))
         field = MotionField(translation=Vec3(0, 1, 0))
-        with pytest.raises(GeometryError):
+        result = path_phase(unit_wave, path, field)
+        assert result.total_phase_rad == 0.0
+        assert result.increments == (("I", (0.0,)),)
+
+    def test_offsets_beyond_the_float_range_refused(self, unit_wave):
+        # Each gap is finite, but the start lies 2e308 m from the reference
+        # vertex, the end: the compiled form cannot hold the offset.
+        path = BeamPath(((-1e308, 0.0, 0.0), (0.0, 0.0, 0.0), (1e308, 0.0, 0.0)))
+        field = MotionField(translation=Vec3(1e-10, 0, 0))
+        message = "^vertex offsets from the path's reference vertex overflow the float range$"
+        with pytest.raises(GeometryError, match=message):
             path_phase(unit_wave, path, field)
+
+    def test_rotating_path_whose_moments_overflow_refused(self, unit_wave):
+        path = BeamPath(OVERFLOWING_MOMENTS)
+        field = MotionField(omega=Vec3(0, 0, 1e-200))
+        with pytest.raises(GeometryError, match="^phase overflows the float range$"):
+            path_phase(unit_wave, path, field)
+
+
+# Offsets near 1e155 m from the reference vertex: every moment term overflows.
+OVERFLOWING_MOMENTS = (
+    (0.0, 0.0, 0.0), (1e155, 0.0, 0.0), (1e155, 2e155, 0.0), (-1e155, 2e155, 3e155),
+)
+
+
+class TestCompiledForm:
+    def test_second_motion_reuses_the_form_and_equals_fresh_paths(self, fast_wave, rng):
+        verts = [(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(7)]
+        path_i, path_ii = BeamPath(tuple(verts[:4])), BeamPath((verts[0], *verts[4:], verts[3]))
+        first = MotionField(Vec3(0.1, 0.2, 0.3), Vec3(0.3, -0.1, 0.2), Vec3(0.5, 0, 0))
+        second = MotionField(Vec3(-0.2, 0.1, 0.0), Vec3(0.0, 0.4, -0.3), Vec3(0, -1, 2))
+        kind = ConfigKind.CLOSED_LOOP
+        two_path_difference(InterferometerConfig(path_i, path_ii, fast_wave, first, kind))
+        forms = path_i.moments, path_ii.moments
+        again = two_path_difference(InterferometerConfig(path_i, path_ii, fast_wave, second, kind))
+        assert (path_i.moments, path_ii.moments) == forms
+        assert path_i.moments is forms[0] and path_ii.moments is forms[1]
+        fresh_i, fresh_ii = BeamPath(tuple(verts[:4])), BeamPath((verts[0], *verts[4:], verts[3]))
+        assert "moments" not in vars(fresh_i)
+        fresh = two_path_difference(InterferometerConfig(fresh_i, fresh_ii, fast_wave, second, kind))
+        assert again.total_phase_rad == fresh.total_phase_rad
+        assert again.increments == fresh.increments
+
+    def test_bound_at_the_particle_speed_without_a_violation_answered(self, unit_wave):
+        # |U0| = 5 m/s against v = 1 m/s, but along the beam the speed is 0.5 m/s.
+        path = BeamPath(((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0)))
+        field = MotionField(translation=Vec3(0.5, 5.0, 0.0))
+        result = path_phase(unit_wave, path, field)
+        assert result.total_phase_rad == exact.path_phase(unit_wave, path, field)
+        assert result.total_phase_rad == pytest.approx(TWO_PI / unit_wave.v_lambda, rel=1e-15)
+
+    def test_one_violating_segment_refused_with_the_boost_message(self, unit_wave):
+        path = BeamPath(((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0)))
+        field = MotionField(translation=Vec3(0.0, -2.0, 0.0))
+        message = (
+            r"^segment speed along the beam \(-2\.0 m/s\) cancels or exceeds the particle "
+            r"speed \(1\.0 m/s\); phase model does not apply$"
+        )
+        with pytest.raises(BoostDomainError, match=message):
+            path_phase(unit_wave, path, field)
+        config = InterferometerConfig(
+            BeamPath(((0.0, 1.0, 0.0), (1.0, 1.0, 0.0))), path, unit_wave, field,
+            ConfigKind.OPEN_LOOP,
+        )
+        with pytest.raises(BoostDomainError, match=message):
+            two_path_difference(config)
+
+    def test_zero_rotation_with_overflowing_moments_answered(self, unit_wave):
+        path = BeamPath(OVERFLOWING_MOMENTS)
+        assert not all(map(math.isfinite, path.moments.moment))
+        field = MotionField(translation=Vec3(1e-150, 2e-150, 1e-150), pivot=Vec3(1, 2, 3))
+        result = path_phase(unit_wave, path, field)
+        bound = exact.path_bound(unit_wave, field, path)
+        assert abs(result.total_phase_rad - exact.path_phase(unit_wave, path, field)) <= bound
+        bound += exact.breakdown_bound(unit_wave, field, path)
+        assert abs(math.fsum(result.increments[0][1]) - result.total_phase_rad) <= bound
+
+
+

@@ -7,7 +7,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from matterwave import (
+    BeamPath,
     ConfigKind,
+    GeometryError,
     SceneError,
     Vec3,
     config_from_scene,
@@ -107,6 +109,23 @@ finite_coordinates = st.floats(allow_nan=False, allow_infinity=False)
 
 class TestPointParse:
     """Lists of finite floats are checked in bulk; the walk keeps every answer."""
+
+    @pytest.mark.parametrize(
+        "path_i",
+        [
+            "[[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 0.0, 0.0]]",
+            "[[0.0, 0.0, 0.0], [1e308, 0.0, 0.0], [-1e308, 0.0, 0.0], [1.0, 0.0, 0.0]]",
+            "[[0, 0, 0], [2, 0, 0], [2, 0, 0], [1, 0, 0]]",
+        ],
+        ids=["coincident", "overflowing-gap", "ints-coincident"],
+    )
+    def test_explicit_paths_refused_as_beam_paths_refuse_them(self, path_i):
+        doc = parse_scene(explicit_scene(path_i))
+        with pytest.raises(GeometryError) as direct:
+            BeamPath(doc.geometry["path_I_m"])
+        with pytest.raises(GeometryError) as from_scene:
+            config_from_scene(doc)
+        assert str(from_scene.value) == str(direct.value)
 
     @given(st.lists(st.lists(finite_coordinates, min_size=3, max_size=3), min_size=2, max_size=20))
     @example([[1.7976931348623157e308, 0.0, 0.0], [1.7976931348623157e308, -0.0, 5e-324]])
