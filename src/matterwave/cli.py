@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import json
 import math
 import os
@@ -171,8 +172,16 @@ def _load_config(path: str):
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise SceneError(f"cannot read scene file {path!r}: {exc}") from exc
-    doc = parse_scene(text)
-    return doc, config_from_scene(doc)
+    # The scene is JSON lists and float triples, free of reference cycles: a
+    # cyclic collection while it is built would only walk it.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        doc = parse_scene(text)
+        return doc, config_from_scene(doc)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _write_stdout(data: bytes) -> None:

@@ -79,10 +79,12 @@ def enclosed_area_vector(loop: BeamPath) -> Vec3:
     """
     if not loop.closed():
         raise GeometryError("enclosed area requires a closed path")
-    v = loop.vertices
-    crosses = [
-        (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
-        for (ax, ay, az), (bx, by, bz) in zip(v, islice(v, 1, None))
-    ]
-    x, y, z = (0.5 * exact_sum(axis, "vector area") for axis in zip(*crosses))
-    return Vec3(x, y, z)
+    terms = tx, ty, tz = [], [], []
+    append_x, append_y, append_z = tx.append, ty.append, tz.append
+    ax, ay, az = loop.vertices[0]
+    for bx, by, bz in loop.vertices[1:]:
+        append_x(ay * bz - az * by)
+        append_y(az * bx - ax * bz)
+        append_z(ax * by - ay * bx)
+        ax, ay, az = bx, by, bz
+    return Vec3(*(0.5 * exact_sum(axis, "vector area") for axis in terms))

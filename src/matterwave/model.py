@@ -13,7 +13,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 from typing import NamedTuple
 
 # Physical constants (exact SI values where defined exact).
@@ -259,16 +259,6 @@ class PathMoments(NamedTuple):
     reach: float                        # half-diagonal of the offsets' bounding box
 
 
-def _cross_sum(p: list, q: list, dp: list, dq: list) -> float:
-    """Sum of p_i * dq_i - q_i * dp_i, each term rounded, the sum exact; nan beyond the
-    float range."""
-    terms = map(operator.sub, map(operator.mul, p, dq), map(operator.mul, q, dp))
-    try:
-        return math.fsum(terms)
-    except (OverflowError, ValueError):  # overflowed partial sum, or inf - inf
-        return math.nan
-
-
 @dataclass(frozen=True)
 class BeamPath:
     """Oriented polyline traversed start to end; segment i is vertices[i] -> vertices[i + 1].
@@ -301,26 +291,40 @@ class BeamPath:
         flip = verts[0] > verts[-1]
         ordered = verts[::-1] if flip else verts
         origin = ox, oy, oz = ordered[-1]
-        flat = list(chain.from_iterable(ordered))
-        axes = xs, ys, zs = flat[0::3], flat[1::3], flat[2::3]
-        # Subtraction keeps order, so the extreme offsets are those of the extreme coordinates.
-        extents = [max(max(axis) - o, o - min(axis)) for axis, o in zip(axes, origin)]
-        if not all(map(math.isfinite, extents)):
+        # a'_i x a'_(i+1) = a'_i x dL_i, with dL_i taken between the stored
+        # vertices: each term's rounding scales with its segment, not the path.
+        terms = tx, ty, tz = [], [], []
+        append_x, append_y, append_z = tx.append, ty.append, tz.append
+        mx = my = mz = 0.0  # the largest offset magnitude per axis; the last offset is 0
+        ax, ay, az = ordered[0]
+        for bx, by, bz in ordered[1:]:
+            x, y, z = ax - ox, ay - oy, az - oz
+            dx, dy, dz = bx - ax, by - ay, bz - az
+            append_x(y * dz - z * dy)
+            append_y(z * dx - x * dz)
+            append_z(x * dy - y * dx)
+            if abs(x) > mx:
+                mx = abs(x)
+            if abs(y) > my:
+                my = abs(y)
+            if abs(z) > mz:
+                mz = abs(z)
+            ax, ay, az = bx, by, bz
+        if math.inf in (mx, my, mz):
             raise GeometryError(
                 "vertex offsets from the path's reference vertex overflow the float range"
             )
-        x = list(map(operator.sub, xs, repeat(ox)))
-        y = list(map(operator.sub, ys, repeat(oy)))
-        z = list(map(operator.sub, zs, repeat(oz)))
-        # a'_i x a'_(i+1) = a'_i x dL_i, with dL_i taken between the stored
-        # vertices: each term's rounding scales with its segment, not the path.
-        dx, dy, dz = (list(map(operator.sub, axis[1:], axis)) for axis in axes)
-        moment = (_cross_sum(y, z, dy, dz), _cross_sum(z, x, dz, dx), _cross_sum(x, y, dx, dy))
+        moment = []
+        for axis in terms:  # each term rounded, the sum exact; nan beyond the float range
+            try:
+                moment.append(math.fsum(axis))
+            except (OverflowError, ValueError):  # overflowed partial sum, or inf - inf
+                moment.append(math.nan)
         return PathMoments(
             origin,
             tuple(map(operator.sub, verts[-1], verts[0])),
-            tuple(-m for m in moment) if flip else moment,
-            math.hypot(*extents),
+            tuple(-m for m in moment) if flip else tuple(moment),
+            math.hypot(mx, my, mz),
         )
 
     @classmethod

@@ -43,7 +43,6 @@ from .model import (
     InterferometerConfig,
     MotionField,
     ParticleWave,
-    PathMoments,
     PhaseResult,
     Vec3,
     exact_sum,
@@ -159,16 +158,18 @@ def _increments(wave: ParticleWave, path: BeamPath, field: MotionField) -> list[
     return increments
 
 
-def _checked_moments(wave: ParticleWave, path: BeamPath, field: MotionField) -> PathMoments:
-    """The path's compiled form, once no segment is found outside the boost domain.
+def _checked_moments(wave: ParticleWave, path: BeamPath, field: MotionField) -> tuple:
+    """The path's compiled form and U0 at its reference vertex, once no segment is found
+    outside the boost domain.
 
     Where the bound does not keep every segment in the domain, the segments
     are walked, and the first one outside raises.
     """
     form = path.moments
-    if not _within_bound(wave, form, _u0(field, form.origin), field.omega.as_tuple()):
+    u0 = _u0(field, form.origin)
+    if not _within_bound(wave, form, u0, field.omega.as_tuple()):
         _increments(wave, path, field)
-    return form
+    return form, u0
 
 
 def _rotation_terms(scale: float, omega, moment) -> list[float]:
@@ -180,9 +181,9 @@ def _rotation_terms(scale: float, omega, moment) -> list[float]:
 def _path_total(wave: ParticleWave, path: BeamPath, field: MotionField) -> float:
     """(2*pi / v*lambda) * [U0 . delta + omega . moment], U0 the velocity at the path's
     reference vertex."""
-    form = _checked_moments(wave, path, field)
+    form, u0 = _checked_moments(wave, path, field)
     scale = TWO_PI / wave.v_lambda
-    terms = [scale * (u * d) for u, d in zip(_u0(field, form.origin), form.delta)]
+    terms = [scale * (u * d) for u, d in zip(u0, form.delta)]
     return exact_sum(terms + _rotation_terms(scale, field.omega.as_tuple(), form.moment), "phase")
 
 
@@ -231,8 +232,8 @@ def two_path_difference(config: InterferometerConfig) -> PhaseResult:
     positive, beam I negated).
     """
     wave, motion, path_ii, path_i = config.wave, config.motion, config.path_II, config.path_I
-    form_ii = _checked_moments(wave, path_ii, motion)
-    form_i = _checked_moments(wave, path_i, motion)
+    form_ii, _ = _checked_moments(wave, path_ii, motion)
+    form_i, _ = _checked_moments(wave, path_i, motion)
     wx, wy, wz = omega = motion.omega.as_tuple()
     gx, gy, gz = gap = tuple(map(operator.sub, path_i.vertices[-1], path_ii.vertices[-1]))
     opening = map(operator.sub, map(operator.sub, path_i.vertices[0], path_ii.vertices[0]), gap)

@@ -1,5 +1,6 @@
 """CLI subcommands: outputs, exit codes, determinism, CSV discipline."""
 
+import gc
 import json
 import math
 import os
@@ -470,6 +471,34 @@ class TestCliContract:
         assert code1 == code2 == 0
         assert out1 == out2
         assert len(out1) > 0
+
+
+class TestCollectorStateKept:
+    """Loading a scene pauses the cyclic garbage collector; the call leaves it as it was."""
+
+    def test_enabled_after_an_answer(self, capsys, data_dir):
+        assert gc.isenabled()
+        code, _, _ = run(capsys, ["phase", "--scene", scene(data_dir, "slow_atom_open.json")])
+        assert code == 0
+        assert gc.isenabled()
+
+    def test_enabled_after_a_scene_refusal(self, capsys, tmp_path):
+        scene_file = tmp_path / "scene.json"
+        scene_file.write_text('{"particle": {"speed_mps": 1.0,')
+        assert gc.isenabled()
+        code, out, err = run(capsys, ["phase", "--scene", str(scene_file)])
+        assert_refused(code, out, err)
+        assert "syntax error" in err
+        assert gc.isenabled()
+
+    def test_disabled_by_the_caller_stays_disabled(self, capsys, data_dir):
+        gc.disable()
+        try:
+            code, _, _ = run(capsys, ["phase", "--scene", scene(data_dir, "slow_atom_open.json")])
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        assert code == 0
 
 
 def write_scene(tmp_path, particle, side_m=0.01, motion=None):

@@ -1,7 +1,9 @@
 """Phase laws: per-segment increment, path sums, Sagnac and open-loop cases."""
 
 import math
+import operator
 import random
+from itertools import chain, repeat
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -32,6 +34,7 @@ from matterwave import (
     two_path_difference,
     velocity_at,
 )
+from matterwave.model import PathMoments
 from matterwave.phase import boost_factor
 
 import exact
@@ -621,4 +624,65 @@ class TestCompiledForm:
         assert abs(math.fsum(result.increments[0][1]) - result.total_phase_rad) <= bound
 
 
+def _cross_sum(p, q, dp, dq):
+    terms = map(operator.sub, map(operator.mul, p, dq), map(operator.mul, q, dp))
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        return math.nan
 
+
+def list_of_maps_moments(path):
+    """BeamPath.moments as it was compiled before the one-pass loop: per-axis lists of
+    coordinates, offsets and gaps, combined with map."""
+    verts = path.vertices
+    flip = verts[0] > verts[-1]
+    ordered = verts[::-1] if flip else verts
+    origin = ox, oy, oz = ordered[-1]
+    flat = list(chain.from_iterable(ordered))
+    axes = xs, ys, zs = flat[0::3], flat[1::3], flat[2::3]
+    extents = [max(max(axis) - o, o - min(axis)) for axis, o in zip(axes, origin)]
+    if not all(map(math.isfinite, extents)):
+        raise GeometryError(
+            "vertex offsets from the path's reference vertex overflow the float range"
+        )
+    x = list(map(operator.sub, xs, repeat(ox)))
+    y = list(map(operator.sub, ys, repeat(oy)))
+    z = list(map(operator.sub, zs, repeat(oz)))
+    dx, dy, dz = (list(map(operator.sub, axis[1:], axis)) for axis in axes)
+    moment = (_cross_sum(y, z, dy, dz), _cross_sum(z, x, dz, dx), _cross_sum(x, y, dx, dy))
+    return PathMoments(
+        origin,
+        tuple(map(operator.sub, verts[-1], verts[0])),
+        tuple(-m for m in moment) if flip else moment,
+        math.hypot(*extents),
+    )
+
+
+def compiled(compile_, path):
+    """repr of (origin, delta, moment, reach), nan moments included, or the refusal's text."""
+    try:
+        return repr(tuple(compile_(path)))
+    except GeometryError as exc:
+        return f"GeometryError: {exc}"
+
+
+# Moderate components, plus magnitudes whose moment terms overflow to inf and nan.
+moment_components = st.one_of(st.floats(-1e3, 1e3), st.floats(-1e200, 1e200))
+
+
+class TestOnePassCompileMatchesListOfMapsBitForBit:
+    @settings(max_examples=200)
+    @given(points=st.lists(st.tuples(*[moment_components] * 3), min_size=2, max_size=8))
+    @example(points=[(-1e308, 0.0, 0.0), (0.0, 0.0, 0.0), (1e308, 0.0, 0.0)])
+    @example(points=[(0.0, 1e308, 0.0), (0.0, 0.0, 0.0), (0.0, -1.5e308, 0.0)])
+    @example(points=[(0.0, 0.0, 1e308), (0.0, 0.0, 0.0), (0.0, 0.0, -1e308)])
+    @example(points=list(OVERFLOWING_MOMENTS))
+    def test_moments(self, points):
+        try:
+            path = BeamPath(tuple(points))
+        except GeometryError:  # coincident or overflowing neighbours
+            assume(False)
+        # Both orientations: the reference vertex is the larger end vertex.
+        for p in (path, path.reversed()):
+            assert compiled(BeamPath.moments.func, p) == compiled(list_of_maps_moments, p)
