@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 from itertools import chain, count, filterfalse
 
 from .experiment import fringe_reading, sensitivity_sweep, verify_suite
@@ -263,7 +262,7 @@ def run_command(argv: list[str]) -> int:
     try:
         if args.command == "verify":
             report = verify_suite(seed=args.seed)
-            checks = [asdict(c) for c in report.checks]
+            checks = [c._asdict() for c in report.checks]
             doc = {"seed": report.seed, "passed": report.passed, "checks": checks}
             table = [["check", "samples", "max_violation", "tolerance", "passed"]] + [
                 [c.name, c.samples, c.max_violation, c.tolerance, str(c.passed).lower()]
@@ -319,7 +318,7 @@ def run_command(argv: list[str]) -> int:
         elif args.command == "sweep":
             sweep = sensitivity_sweep(config, args.vmin, args.vmax, args.steps)
             doc = {
-                "rows": [asdict(r) for r in sweep.rows],
+                "rows": [r._asdict() for r in sweep.rows],
                 "v_full_fringe_mps": sweep.v_full_fringe_mps,
                 "bracket_mps": list(sweep.bracket) if sweep.bracket else None,
                 "opening_m": list(sweep.opening_m.as_tuple()),
@@ -333,7 +332,7 @@ def run_command(argv: list[str]) -> int:
             rows = []
             for i in range(args.steps):
                 offset = TWO_PI * i / (args.steps - 1)
-                rows.append({"offset_rad": offset, **asdict(fringe_reading(base + offset))})
+                rows.append({"offset_rad": offset, **fringe_reading(base + offset)._asdict()})
             doc = {"base_phase_rad": base, "rows": rows}
         else:
             raise MatterWaveError(f"unknown subcommand {args.command!r}")

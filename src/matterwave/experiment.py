@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .kinematics import circulation, curl_fd, velocity_at
 from .model import (
@@ -121,8 +121,7 @@ def build_config(
     return InterferometerConfig(path_i, path_ii, wave, motion, ConfigKind.OPEN_LOOP)
 
 
-@dataclass(frozen=True)
-class FringeReading:
+class FringeReading(NamedTuple):
     """Ideal two-beam readout of a phase: unit-contrast cosine fringe."""
 
     phase_rad: float
@@ -141,15 +140,13 @@ def fringe_reading(phase: float) -> FringeReading:
     )
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     V_mps: float
     phase_rad: float
     fringe_count: float
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     """Phase versus apparatus speed for an open configuration.
 
     ``v_full_fringe_mps`` is the speed producing one full fringe,
@@ -218,8 +215,7 @@ def sensitivity_sweep(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PropertyCheck:
+class PropertyCheck(NamedTuple):
     name: str
     samples: int
     max_violation: float
@@ -228,8 +224,7 @@ class PropertyCheck:
     worst_case: dict | None = None
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     seed: int
     checks: tuple[PropertyCheck, ...]
 
@@ -406,8 +401,12 @@ def verify_suite(seed: int = 0) -> VerifyReport:
         base = _random_closed_config(
             rng, wave, MotionField(translation=translation, omega=omega, pivot=_random_vec(rng))
         )
-        shifted = replace(
-            base, motion=MotionField(translation=translation, omega=omega, pivot=_random_vec(rng))
+        shifted = InterferometerConfig(
+            base.path_I,
+            base.path_II,
+            base.wave,
+            MotionField(translation=translation, omega=omega, pivot=_random_vec(rng)),
+            base.kind,
         )
         delta = abs(
             two_path_difference(base).total_phase_rad

@@ -10,7 +10,6 @@ import math
 import operator
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain
@@ -81,13 +80,50 @@ def exact_sum(values, quantity: str) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class Vec3:
+_set = object.__setattr__  # how a constructor stores a field past the refusal below
+
+
+class _Value:
+    """The value behaviour of the classes below, over the attributes named in
+    ``_fields``: equality with an instance of the same class, a hash, a keyword
+    repr, and a refusal to assign or delete after construction."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        # ``_key`` is the tuple of field values, read in one call.
+        get = operator.attrgetter(*cls._fields)
+        cls._key = property(get if len(cls._fields) > 1 else lambda self: (get(self),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        items = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key))
+        return f"{type(self).__qualname__}({items})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Vec3(_Value):
     """Immutable 3-vector. Units depend on context (m, m/s, or rad/s)."""
 
-    x: float
-    y: float
-    z: float
+    _fields = ("x", "y", "z")
+
+    def __init__(self, x: float, y: float, z: float) -> None:
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "z", z)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         # Floats whose sum is finite are finite, and are kept as given.
@@ -95,9 +131,9 @@ class Vec3:
             self.x + self.y + self.z
         ):
             return
-        object.__setattr__(self, "x", _require_finite("x", self.x))
-        object.__setattr__(self, "y", _require_finite("y", self.y))
-        object.__setattr__(self, "z", _require_finite("z", self.z))
+        _set(self, "x", _require_finite("x", self.x))
+        _set(self, "y", _require_finite("y", self.y))
+        _set(self, "z", _require_finite("z", self.z))
 
     def __add__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
@@ -133,8 +169,7 @@ class Vec3:
         return (self.x, self.y, self.z)
 
 
-@dataclass(frozen=True)
-class ParticleWave:
+class ParticleWave(_Value):
     """Particle species and wave parameters.
 
     ``v_lambda`` is the product of particle speed and wavelength, the single
@@ -143,10 +178,13 @@ class ParticleWave:
     v_lambda = h/m.
     """
 
-    speed_v: float                 # m/s
-    wavelength_lambda: float       # m
-    mass: float | None = None      # kg
-    v_lambda: float = field(init=False)
+    _fields = ("speed_v", "wavelength_lambda", "mass", "v_lambda")  # m/s, m, kg, m^2/s
+
+    def __init__(self, speed_v: float, wavelength_lambda: float, mass: float | None = None) -> None:
+        _set(self, "speed_v", speed_v)
+        _set(self, "wavelength_lambda", wavelength_lambda)
+        _set(self, "mass", mass)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _require_positive("speed_v", self.speed_v)
@@ -170,7 +208,7 @@ class ParticleWave:
                     f"given {self.wavelength_lambda!r}, speed {self.speed_v!r}, "
                     f"mass {self.mass!r} (relative mismatch {rel:.3e})"
                 )
-        object.__setattr__(self, "v_lambda", v_lambda)
+        _set(self, "v_lambda", v_lambda)
 
 
 def make_particle_wave(
@@ -221,13 +259,21 @@ def _float_triples(points: tuple) -> bool:
 _HALF_MAX = sys.float_info.max / 2.0
 
 
+class _Bounded(tuple):
+    """Float triples whose coordinate magnitudes are known to sum to at most
+    ``_HALF_MAX``, as the scene reader's bulk check proves: every coordinate and
+    every gap between two is finite, and ``_check_vertices`` need not sum them."""
+
+    __slots__ = ()
+
+
 def _check_vertices(verts: tuple, first: int = 0) -> None:
     """Refuse non-finite coordinates, overflowing gaps and repeated consecutive
     vertices of float triples; messages number the vertices from ``first``."""
     # Coordinates within half the float range in magnitude are finite, and so
     # is every gap between them. Only a sum beyond that (or an inf or nan
     # coordinate) walks the axes, to find what to refuse, if anything.
-    if not sum(map(abs, chain.from_iterable(verts))) <= _HALF_MAX:
+    if type(verts) is not _Bounded and not sum(map(abs, chain.from_iterable(verts))) <= _HALF_MAX:
         for name, axis in zip("xyz", zip(*verts)):
             gaps = list(map(operator.sub, axis[1:], axis))
             # A finite first coordinate and finite gaps make every coordinate finite.
@@ -259,15 +305,18 @@ class PathMoments(NamedTuple):
     reach: float                        # half-diagonal of the offsets' bounding box
 
 
-@dataclass(frozen=True)
-class BeamPath:
+class BeamPath(_Value):
     """Oriented polyline traversed start to end; segment i is vertices[i] -> vertices[i + 1].
 
     Vertices are (x, y, z) float triples; the constructor also takes Vec3
     objects or any 3-sequences, and checks every vertex once.
     """
 
-    vertices: tuple[tuple[float, float, float], ...]
+    _fields = ("vertices",)
+
+    def __init__(self, vertices) -> None:
+        _set(self, "vertices", vertices)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         verts = tuple(self.vertices)
@@ -276,7 +325,7 @@ class BeamPath:
         if len(verts) < 2:
             raise GeometryError("a beam path needs at least 2 vertices")
         _check_vertices(verts)
-        object.__setattr__(self, "vertices", verts)
+        _set(self, "vertices", verts)
 
     @cached_property
     def moments(self) -> PathMoments:
@@ -359,23 +408,28 @@ class BeamPath:
     def _from_float_triples(cls, verts: tuple) -> "BeamPath":
         """A path of at least two float triples, built with the checks between vertices only."""
         _check_vertices(verts)
-        return cls._checked(verts)
+        return cls._checked(tuple(verts))  # a plain tuple, also when given _Bounded
 
     @classmethod
     def _checked(cls, verts: tuple) -> "BeamPath":
         """A path of float triples known to pass ``__post_init__``, built without it."""
         path = object.__new__(cls)
-        object.__setattr__(path, "vertices", verts)
+        _set(path, "vertices", verts)
         return path
 
 
-@dataclass(frozen=True)
-class MotionField:
+_ZERO = Vec3(0.0, 0.0, 0.0)
+
+
+class MotionField(_Value):
     """Rigid-motion velocity field V(r) = translation + omega x (r - pivot)."""
 
-    translation: Vec3 = Vec3(0.0, 0.0, 0.0)  # m/s
-    omega: Vec3 = Vec3(0.0, 0.0, 0.0)        # rad/s
-    pivot: Vec3 = Vec3(0.0, 0.0, 0.0)        # m
+    _fields = ("translation", "omega", "pivot")  # m/s, rad/s, m
+
+    def __init__(self, translation: Vec3 = _ZERO, omega: Vec3 = _ZERO, pivot: Vec3 = _ZERO) -> None:
+        _set(self, "translation", translation)
+        _set(self, "omega", omega)
+        _set(self, "pivot", pivot)
 
     def __add__(self, other: "MotionField") -> "MotionField":
         # Sum of two rigid fields is rigid: fold each pivot into the
@@ -409,15 +463,21 @@ class ConfigKind(Enum):
     OPEN_LOOP = "OpenLoop"
 
 
-@dataclass(frozen=True)
-class InterferometerConfig:
+class InterferometerConfig(_Value):
     """Two beam paths, the wave they carry, and the motion of the apparatus."""
 
-    path_I: BeamPath
-    path_II: BeamPath
-    wave: ParticleWave
-    motion: MotionField
-    kind: ConfigKind
+    _fields = ("path_I", "path_II", "wave", "motion", "kind")
+
+    def __init__(
+        self, path_I: BeamPath, path_II: BeamPath, wave: ParticleWave, motion: MotionField,
+        kind: ConfigKind,
+    ) -> None:
+        _set(self, "path_I", path_I)
+        _set(self, "path_II", path_II)
+        _set(self, "wave", wave)
+        _set(self, "motion", motion)
+        _set(self, "kind", kind)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         end_gap = (self.path_I.end - self.path_II.end).norm()
@@ -437,8 +497,7 @@ class InterferometerConfig:
             )
 
 
-@dataclass(frozen=True)
-class SegmentContribution:
+class SegmentContribution(NamedTuple):
     """Signed phase contribution of one segment as it enters a total."""
 
     segment_index: int
@@ -446,8 +505,7 @@ class SegmentContribution:
     phase_rad: float
 
 
-@dataclass(frozen=True)
-class PhaseResult:
+class PhaseResult(_Value):
     """Phase difference in radians, with a per-segment breakdown built when read.
 
     ``walk`` returns, per beam in breakdown order, its label and the signed
@@ -457,9 +515,12 @@ class PhaseResult:
     bit. Phases are unwrapped full radians, never reduced mod 2*pi.
     """
 
-    total_phase_rad: float
-    v_lambda: float
-    walk: Callable[[], tuple] = field(repr=False, compare=False)
+    _fields = ("total_phase_rad", "v_lambda")  # walk is left out of ==, hash and repr
+
+    def __init__(self, total_phase_rad: float, v_lambda: float, walk: Callable[[], tuple]) -> None:
+        _set(self, "total_phase_rad", total_phase_rad)
+        _set(self, "v_lambda", v_lambda)
+        _set(self, "walk", walk)
 
     @cached_property
     def increments(self) -> tuple[tuple[str, tuple[float, ...]], ...]:

@@ -27,11 +27,10 @@ starts make a closed loop, separated starts an open one.
 from __future__ import annotations
 
 import json
-import math
 import sys
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain
+from typing import NamedTuple
 
 from .experiment import LAYOUT_KINDS, build_config
 from .model import (
@@ -43,6 +42,8 @@ from .model import (
     MotionField,
     Vec3,
     make_particle_wave,
+    _Bounded,
+    _HALF_MAX,
 )
 
 OUTPUT_FORMATS = ("csv", "json")
@@ -78,16 +79,18 @@ def _vec3(value, path: str) -> Vec3:
 def _points(value, path: str) -> tuple[tuple[float, float, float], ...]:
     if not isinstance(value, list) or len(value) < 2:
         raise SceneError(f"{path}: expected a list of at least 2 [x, y, z] points")
-    # Lists of three finite floats, checked in bulk: a sum of floats is finite
-    # only if every term is. Anything else (an int, a literal beyond the float
-    # range, a sum that overflows) takes the walk, which names what it refuses.
+    # Lists of three floats whose magnitudes sum to at most half the float
+    # range, checked in bulk: such floats are finite, and so is every gap
+    # between two of them, which BeamPath then need not sum again. Anything
+    # else (an int, a literal beyond the float range, a sum beyond the bound)
+    # takes the walk, which names what it refuses.
     if (
         set(map(type, value)) == {list}
         and set(map(len, value)) == {3}
         and set(map(type, chain.from_iterable(value))) == {float}
-        and math.isfinite(sum(chain.from_iterable(value)))
+        and sum(map(abs, chain.from_iterable(value))) <= _HALF_MAX
     ):
-        return tuple(map(tuple, value))
+        return _Bounded(map(tuple, value))
     return tuple(_triple(p, f"{path}[{i}]") for i, p in enumerate(value))
 
 
@@ -185,8 +188,7 @@ _SCENE = {
 }
 
 
-@dataclass(frozen=True)
-class SceneDocument:
+class SceneDocument(NamedTuple):
     """A validated scene, sections in file order; all but motion map key -> value."""
 
     particle: dict
@@ -216,7 +218,7 @@ def _plain(value) -> dict | list:
 
 def serialize_scene(doc: SceneDocument) -> str:
     """Canonical JSON for a scene document; parse(serialize(doc)) == doc."""
-    return json.dumps(vars(doc), indent=2, default=_plain) + "\n"
+    return json.dumps(doc._asdict(), indent=2, default=_plain) + "\n"
 
 
 def config_from_scene(doc: SceneDocument) -> InterferometerConfig:

@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -59,7 +58,7 @@ class TestEmitResults:
             opening_m=Vec3(0, 1e-4, 0),
         )
         sweep = sensitivity_sweep(config, 0.0, 2e-4, 7)
-        doc = {"rows": [asdict(row) for row in sweep.rows], "cos_theta": sweep.cos_theta}
+        doc = {"rows": [row._asdict() for row in sweep.rows], "cos_theta": sweep.cos_theta}
         lines = emit_results(doc, "csv").decode().splitlines()
         assert len(lines) == 1 + 7
         for line, row in zip(lines[1:], sweep.rows):
@@ -471,6 +470,28 @@ class TestCliContract:
         assert code1 == code2 == 0
         assert out1 == out2
         assert len(out1) > 0
+
+
+def test_startup_imports_no_code_introspection_modules():
+    # Every CLI run pays for what ``import matterwave.cli`` loads. Each module
+    # below costs milliseconds at start-up and is not needed: the dataclass
+    # machinery alone pulls in all of them. Measured against the bare
+    # interpreter (no site), so that what site loads does not count.
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys; before = set(sys.modules); import matterwave.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    added = set(done.stdout.split())
+    assert "matterwave.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize"})
 
 
 class TestCollectorStateKept:

@@ -127,6 +127,38 @@ class TestPointParse:
             config_from_scene(doc)
         assert str(from_scene.value) == str(direct.value)
 
+    @pytest.mark.parametrize(
+        "path_i,message",
+        [
+            (
+                "[[0.0, 0.0, 0.0], [1e308, 0.0, 0.0], [-1e308, 0.0, 0.0], [1.0, 0.0, 0.0]]",
+                "x gap from vertex 1 to 2 overflows the float range",
+            ),
+            (
+                "[[0.0, 0.0, 0.0], [0.0, -1e308, 0.0], [0.0, 1e308, 0.0], [1.0, 0.0, 0.0]]",
+                "y gap from vertex 1 to 2 overflows the float range",
+            ),
+            (
+                "[[0.0, 0.0, 0.0], [1e308, 0.0, 0.0], [1e308, 0.0, 0.0], [1.0, 0.0, 0.0]]",
+                "consecutive vertices 1 and 2 coincide",
+            ),
+        ],
+        ids=["x-gap", "y-gap", "coincident"],
+    )
+    def test_coordinates_beyond_the_bulk_bound_refused_by_the_walk(self, path_i, message):
+        doc = parse_scene(explicit_scene(path_i))
+        with pytest.raises(GeometryError) as info:
+            config_from_scene(doc)
+        assert str(info.value) == message
+
+    def test_coordinates_beyond_the_bulk_bound_with_finite_gaps_accepted(self):
+        # The magnitudes sum past half the float range, so the bulk check does
+        # not vouch for them; the walk finds every gap finite.
+        path_i = "[[0.0, 0.0, 0.0], [1e308, 0.0, 0.0], [1e308, 1e308, 0.0], [1.0, 0.0, 0.0]]"
+        config = config_from_scene(parse_scene(explicit_scene(path_i)))
+        assert config.path_I.vertices[2] == (1e308, 1e308, 0.0)
+        assert type(config.path_I.vertices) is type(config.path_II.vertices) is tuple
+
     @given(st.lists(st.lists(finite_coordinates, min_size=3, max_size=3), min_size=2, max_size=20))
     @example([[1.7976931348623157e308, 0.0, 0.0], [1.7976931348623157e308, -0.0, 5e-324]])
     def test_float_lists_parse_to_the_walks_triples(self, points):
