@@ -12,7 +12,7 @@ import math
 import random
 from typing import NamedTuple
 
-from .kinematics import circulation, curl_fd, velocity_at
+from .kinematics import _velocity, circulation, curl_fd
 from .model import (
     BeamPath,
     ConfigKind,
@@ -233,24 +233,47 @@ class VerifyReport(NamedTuple):
         return all(c.passed for c in self.checks)
 
 
-def _unit_vec(rng: random.Random) -> Vec3:
+# The generators and checks below work on (x, y, z) float triples; a Vec3 is
+# built only where a public function takes one. A seed's report depends on the
+# order of the draws and of the float operations, so both are kept as they are.
+
+
+def _dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a, b) -> tuple[float, float, float]:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _scaled(v, factor: float) -> tuple[float, float, float]:
+    return (v[0] * factor, v[1] * factor, v[2] * factor)
+
+
+def _unit(v) -> tuple[float, float, float]:
+    n = math.hypot(*v)
+    return (v[0] / n, v[1] / n, v[2] / n)
+
+
+def _unit_vec(rng: random.Random) -> tuple[float, float, float]:
     while True:
-        v = Vec3(rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1))
-        if v.norm() > 1e-3:
-            return v.unit()
+        v = (rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1))
+        if math.hypot(*v) > 1e-3:
+            return _unit(v)
 
 
-def _random_vec(rng: random.Random, scale: float = 1.0) -> Vec3:
-    return Vec3(
-        rng.uniform(-scale, scale), rng.uniform(-scale, scale), rng.uniform(-scale, scale)
-    )
+def _random_vec(rng: random.Random, scale: float = 1.0) -> tuple[float, float, float]:
+    return (rng.uniform(-scale, scale), rng.uniform(-scale, scale), rng.uniform(-scale, scale))
+
+
+def _field(translation, omega, pivot) -> MotionField:
+    """The rigid field of three float triples."""
+    return MotionField(Vec3(*translation), Vec3(*omega), Vec3(*pivot))
 
 
 def _random_field(rng: random.Random) -> MotionField:
     """Rigid field with translation, rotation rate and pivot each in the unit box."""
-    return MotionField(
-        translation=_random_vec(rng), omega=_random_vec(rng), pivot=_random_vec(rng)
-    )
+    return _field(_random_vec(rng), _random_vec(rng), _random_vec(rng))
 
 
 def _random_wave(rng: random.Random) -> ParticleWave:
@@ -261,22 +284,22 @@ def _random_wave(rng: random.Random) -> ParticleWave:
     )
 
 
-def _random_planar_polygon(rng: random.Random, n_vertices: int) -> tuple[BeamPath, Vec3]:
+def _random_planar_polygon(rng: random.Random, n_vertices: int) -> tuple[BeamPath, tuple]:
     """Star-shaped planar polygon with a random orientation; returns path and normal.
 
     Jittered angular spacing keeps every edge nondegenerate and the signed
     area bounded away from zero.
     """
     normal = _unit_vec(rng)
-    helper = Vec3(1.0, 0.0, 0.0) if abs(normal.x) < 0.9 else Vec3(0.0, 1.0, 0.0)
-    u = normal.cross(helper).unit()
-    w = normal.cross(u)
-    center = _random_vec(rng, 0.5)
+    u = _unit(_cross(normal, (1.0, 0.0, 0.0) if abs(normal[0]) < 0.9 else (0.0, 1.0, 0.0)))
+    w = _cross(normal, u)
+    (cx, cy, cz), (ux, uy, uz), (wx, wy, wz) = _random_vec(rng, 0.5), u, w
     verts = []
     for i in range(n_vertices):
         theta = TWO_PI * (i + 0.2 * rng.random()) / n_vertices
         radius = rng.uniform(0.3, 1.2)
-        verts.append(center + u * (radius * math.cos(theta)) + w * (radius * math.sin(theta)))
+        p, q = radius * math.cos(theta), radius * math.sin(theta)
+        verts.append((cx + ux * p + wx * q, cy + uy * p + wy * q, cz + uz * p + wz * q))
     verts.append(verts[0])
     return BeamPath(tuple(verts)), normal
 
@@ -286,8 +309,7 @@ def _random_closed_polygon(rng: random.Random, n_vertices: int) -> BeamPath:
     while True:
         verts = [_random_vec(rng) for _ in range(n_vertices)]
         verts.append(verts[0])
-        gaps = [(verts[i + 1] - verts[i]).norm() for i in range(n_vertices)]
-        if min(gaps) > 0.05:
+        if min(math.dist(verts[i + 1], verts[i]) for i in range(n_vertices)) > 0.05:
             return BeamPath(tuple(verts))
 
 
@@ -296,11 +318,11 @@ def _random_closed_config(
 ) -> InterferometerConfig:
     """Random closed two-path configuration: a polygon split at a random vertex."""
     n = rng.randrange(4, 10)
-    loop = _random_closed_polygon(rng, n)
-    verts = loop.vertices[:-1]
+    verts = _random_closed_polygon(rng, n).vertices[:-1]
     split = rng.randrange(1, n - 1)
-    path_i = BeamPath(verts[: split + 1])
-    path_ii = BeamPath((verts[0],) + tuple(reversed(verts[split:])))
+    # Both beams are runs of the checked loop, so they pass BeamPath's checks.
+    path_i = BeamPath._checked(verts[: split + 1])
+    path_ii = BeamPath._checked((verts[0],) + verts[split:][::-1])
     return InterferometerConfig(path_i, path_ii, wave, motion, ConfigKind.CLOSED_LOOP)
 
 
@@ -340,10 +362,10 @@ def verify_suite(seed: int = 0) -> VerifyReport:
 
     def translational_null(_i):
         wave = _random_wave(rng)
-        motion = MotionField(translation=_unit_vec(rng) * rng.uniform(0.0, 1.0))
+        motion = MotionField(translation=Vec3(*_scaled(_unit_vec(rng), rng.uniform(0.0, 1.0))))
         config = _random_closed_config(rng, wave, motion)
         result = two_path_difference(config)
-        gross = math.fsum(abs(c.phase_rad) for c in result.per_segment)
+        gross = math.fsum(abs(p) for _, incs in result.increments for p in incs)
         if gross == 0.0:
             return 0.0, {}
         return abs(result.total_phase_rad) / gross, {
@@ -359,12 +381,10 @@ def verify_suite(seed: int = 0) -> VerifyReport:
         loop, normal = _random_planar_polygon(rng, rng.randrange(3, 13))
         while True:
             axis = _unit_vec(rng)
-            if abs(axis.dot(normal)) >= 0.1:  # keep Omega . A away from cancellation
+            if abs(_dot(axis, normal)) >= 0.1:  # keep Omega . A away from cancellation
                 break
-        field = MotionField(
-            translation=_random_vec(rng, 0.5),
-            omega=axis * rng.uniform(0.3, 2.0),
-            pivot=_random_vec(rng),
+        field = _field(
+            _random_vec(rng, 0.5), _scaled(axis, rng.uniform(0.3, 2.0)), _random_vec(rng)
         )
         loop_integral = (TWO_PI / wave.v_lambda) * circulation(field, loop)
         area_form = sagnac_area_phase(wave, loop, field)
@@ -379,33 +399,29 @@ def verify_suite(seed: int = 0) -> VerifyReport:
     checks.append(_run_check("sagnac-loop-vs-area", 200, 1e-10, sagnac_agreement))
 
     def curl_identity(_i):
-        field = MotionField(
-            translation=_random_vec(rng),
-            omega=_unit_vec(rng) * rng.uniform(0.1, 2.0),
-            pivot=_random_vec(rng),
+        field = _field(
+            _random_vec(rng), _scaled(_unit_vec(rng), rng.uniform(0.1, 2.0)), _random_vec(rng)
         )
         r = _random_vec(rng)
-        expected = field.omega * 2.0
-        estimate = curl_fd(field, r)
-        return (estimate - expected).norm() / expected.norm(), {
+        expected = _scaled(field.omega.as_tuple(), 2.0)
+        estimate = curl_fd(field, Vec3(*r)).as_tuple()
+        return math.dist(estimate, expected) / math.hypot(*expected), {
             "omega_radps": list(field.omega.as_tuple()),
-            "at_m": list(r.as_tuple()),
+            "at_m": list(r),
         }
 
     checks.append(_run_check("curl-doubles-rotation", 50, 1e-6, curl_identity))
 
     def pivot_invariance(_i):
         wave = _random_wave(rng)
-        omega = _unit_vec(rng) * rng.uniform(0.1, 2.0)
+        omega = _scaled(_unit_vec(rng), rng.uniform(0.1, 2.0))
         translation = _random_vec(rng, 0.5)
-        base = _random_closed_config(
-            rng, wave, MotionField(translation=translation, omega=omega, pivot=_random_vec(rng))
-        )
+        base = _random_closed_config(rng, wave, _field(translation, omega, _random_vec(rng)))
         shifted = InterferometerConfig(
             base.path_I,
             base.path_II,
             base.wave,
-            MotionField(translation=translation, omega=omega, pivot=_random_vec(rng)),
+            _field(translation, omega, _random_vec(rng)),
             base.kind,
         )
         delta = abs(
@@ -439,23 +455,21 @@ def verify_suite(seed: int = 0) -> VerifyReport:
         field = _random_field(rng)
         a = _random_vec(rng)
         b = _random_vec(rng)
-        if (b - a).norm() < 0.05:
+        if math.dist(b, a) < 0.05:
             return 0.0, {}
         t = rng.uniform(0.2, 0.8)
-        mid = a + (b - a) * t
-        whole = segment_phase_increment(wave, a, b, field)
+        start, mid, end = (Vec3(*v) for v in (a, [p + (q - p) * t for p, q in zip(a, b)], b))
+        whole = segment_phase_increment(wave, start, end, field)
         parts = (
-            segment_phase_increment(wave, a, mid, field)
-            + segment_phase_increment(wave, mid, b, field)
+            segment_phase_increment(wave, start, mid, field)
+            + segment_phase_increment(wave, mid, end, field)
         )
         # Compare against the segment's gross phase scale; the signed value
         # can cancel to zero when V is nearly perpendicular to the segment.
-        gross = (TWO_PI / wave.v_lambda) * velocity_at(field, (a + b) * 0.5).norm() * (b - a).norm()
+        speed = math.hypot(*_velocity(field, [(p + q) * 0.5 for p, q in zip(a, b)]))
+        gross = (TWO_PI / wave.v_lambda) * speed * math.dist(b, a)
         scale = max(abs(whole), abs(parts), gross, 1e-300)
-        return abs(whole - parts) / scale, {
-            "segment": [list(a.as_tuple()), list(b.as_tuple())],
-            "split_at": t,
-        }
+        return abs(whole - parts) / scale, {"segment": [list(a), list(b)], "split_at": t}
 
     checks.append(_run_check("split-additivity", 100, 1e-12, split_additivity))
 
@@ -473,7 +487,7 @@ def verify_suite(seed: int = 0) -> VerifyReport:
         scaled = path_phase(wave, path, f1.scaled(alpha)).total_phase_rad
         direct = alpha * path_phase(wave, path, f1).total_phase_rad
         # Totals may cancel across segments; measure against the gross scale.
-        gross = math.fsum(abs(c.phase_rad) for c in combined.per_segment)
+        gross = math.fsum(abs(p) for _, incs in combined.increments for p in incs)
         scale = max(abs(combined.total_phase_rad), abs(separate), abs(scaled), abs(direct),
                     gross, 1e-300)
         violation = max(abs(combined.total_phase_rad - separate), abs(scaled - direct)) / scale
@@ -483,34 +497,31 @@ def verify_suite(seed: int = 0) -> VerifyReport:
 
     def consistency_chain(_i):
         wave = _random_wave(rng)
-        field = MotionField(
-            translation=_random_vec(rng, 0.3),
-            omega=_random_vec(rng, 0.3),
-            pivot=_random_vec(rng),
-        )
+        field = _field(_random_vec(rng, 0.3), _random_vec(rng, 0.3), _random_vec(rng))
         a, b = _random_vec(rng), _random_vec(rng)
-        if (b - a).norm() < 0.05:
+        if math.dist(b, a) < 0.05:
             return 0.0, {}
         # The rest and moving phases go through lambda and the boost factor,
         # a route independent of the increment's (2*pi / v*lambda) * (V . dL).
-        delta = b - a
-        rest = rest_phase(wave, delta.norm())
-        moving = rest * boost_factor(wave, velocity_at(field, (a + b) * 0.5).dot(delta.unit()))
-        increment = segment_phase_increment(wave, a, b, field)
+        delta = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
+        rest = rest_phase(wave, math.hypot(*delta))
+        velocity = _velocity(field, [(p + q) * 0.5 for p, q in zip(a, b)])
+        moving = rest * boost_factor(wave, _dot(velocity, _unit(delta)))
+        increment = segment_phase_increment(wave, Vec3(*a), Vec3(*b), field)
         scale = max(abs(rest), abs(moving))
         diff = abs((moving - rest) - increment)
-        return diff / scale, {"segment": [list(a.as_tuple()), list(b.as_tuple())]}
+        return diff / scale, {"segment": [list(a), list(b)]}
 
     checks.append(_run_check("rest-moving-increment-chain", 100, 1e-12, consistency_chain))
 
     def arm_length_invariance(_i):
         wave = _random_wave(rng)
-        opening = _unit_vec(rng) * rng.uniform(0.01, 0.1)
+        along = _scaled(_unit_vec(rng), rng.uniform(0.01, 0.1))
         while True:
             direction = _unit_vec(rng)
-            if abs(direction.dot(opening.unit())) >= 0.1:  # keep V . D resolvable
+            if abs(_dot(direction, _unit(along))) >= 0.1:  # keep V . D resolvable
                 break
-        velocity = direction * rng.uniform(0.1, 1.0)
+        opening, velocity = Vec3(*along), Vec3(*_scaled(direction, rng.uniform(0.1, 1.0)))
         motion = MotionField(translation=velocity)
         phases = []
         for arm in (0.05, 0.5, 5.0):
@@ -522,7 +533,7 @@ def verify_suite(seed: int = 0) -> VerifyReport:
         scale = max(abs(expected), 1e-300)
         violation = max(abs(p - expected) for p in phases) / scale
         return violation, {
-            "opening_m": list(opening.as_tuple()),
+            "opening_m": list(along),
             "velocity_mps": list(velocity.as_tuple()),
         }
 

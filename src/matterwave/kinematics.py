@@ -12,9 +12,18 @@ from .model import BeamPath, GeometryError, MotionField, Vec3, exact_sum
 DEFAULT_FD_STEP = 1e-6  # m; balances truncation vs cancellation at float64
 
 
+def _velocity(field: MotionField, r) -> tuple[float, float, float]:
+    """``velocity_at`` of an (x, y, z) float triple, as a triple."""
+    (tx, ty, tz), (wx, wy, wz), (px, py, pz) = (
+        field.translation.as_tuple(), field.omega.as_tuple(), field.pivot.as_tuple()
+    )
+    rx, ry, rz = r[0] - px, r[1] - py, r[2] - pz
+    return (tx + (wy * rz - wz * ry), ty + (wz * rx - wx * rz), tz + (wx * ry - wy * rx))
+
+
 def velocity_at(field: MotionField, r: Vec3) -> Vec3:
     """Velocity of the apparatus point at position r, in m/s."""
-    return field.translation + field.omega.cross(r - field.pivot)
+    return Vec3(*_velocity(field, r.as_tuple()))
 
 
 def curl_fd(field: MotionField, r: Vec3) -> Vec3:
@@ -25,19 +34,15 @@ def curl_fd(field: MotionField, r: Vec3) -> Vec3:
     in position.
     """
     h = DEFAULT_FD_STEP
-    axes = (Vec3(h, 0.0, 0.0), Vec3(0.0, h, 0.0), Vec3(0.0, 0.0, h))
-    # partial[j] = dV/dx_j as a Vec3
+    x, y, z = r.as_tuple()
+    # partials[j] = dV/dx_j
     partials = []
-    for step in axes:
-        vp = velocity_at(field, r + step)
-        vm = velocity_at(field, r - step)
-        partials.append((vp - vm) * (0.5 / h))
-    d_dx, d_dy, d_dz = partials
-    return Vec3(
-        d_dy.z - d_dz.y,
-        d_dz.x - d_dx.z,
-        d_dx.y - d_dy.x,
-    )
+    for dx, dy, dz in ((h, 0.0, 0.0), (0.0, h, 0.0), (0.0, 0.0, h)):
+        vp = _velocity(field, (x + dx, y + dy, z + dz))
+        vm = _velocity(field, (x - dx, y - dy, z - dz))
+        partials.append([(p - m) * (0.5 / h) for p, m in zip(vp, vm)])
+    (_, dx_y, dx_z), (dy_x, _, dy_z), (dz_x, dz_y, _) = partials
+    return Vec3(dy_z - dz_y, dz_x - dx_z, dx_y - dy_x)
 
 
 def circulation(field: MotionField, loop: BeamPath) -> float:

@@ -389,7 +389,7 @@ class BeamPath(_Value):
         return Vec3(*self.vertices[-1])
 
     def closed(self) -> bool:
-        return (self.end - self.start).norm() <= ENDPOINT_TOL
+        return math.dist(self.vertices[0], self.vertices[-1]) <= ENDPOINT_TOL
 
     def reversed(self) -> "BeamPath":
         # Reversal keeps every check true: gaps change sign, neighbours stay neighbours.
@@ -480,12 +480,13 @@ class InterferometerConfig(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        end_gap = (self.path_I.end - self.path_II.end).norm()
+        verts_i, verts_ii = self.path_I.vertices, self.path_II.vertices
+        end_gap = math.dist(verts_i[-1], verts_ii[-1])
         if end_gap > ENDPOINT_TOL:
             raise GeometryError(
                 f"beam paths must share their endpoint, gap is {end_gap:.3e} m"
             )
-        start_gap = (self.path_II.start - self.path_I.start).norm()
+        start_gap = math.dist(verts_ii[0], verts_i[0])
         if self.kind is ConfigKind.CLOSED_LOOP:
             if start_gap > ENDPOINT_TOL:
                 raise GeometryError(
