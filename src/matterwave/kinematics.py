@@ -45,49 +45,57 @@ def curl_fd(field: MotionField, r: Vec3) -> Vec3:
     return Vec3(dy_z - dz_y, dz_x - dx_z, dx_y - dy_x)
 
 
+def _loop_point(loop: BeamPath) -> tuple[float, float, float]:
+    """The midpoint of the loop's first segment, which the oracles take offsets from: on
+    the loop, so offsets are as small as the loop, and not the vertex the kernel takes."""
+    (ax, ay, az), (bx, by, bz) = loop.vertices[:2]
+    return (ax + (bx - ax) * 0.5, ay + (by - ay) * 0.5, az + (bz - az) * 0.5)
+
+
 def circulation(field: MotionField, loop: BeamPath) -> float:
     """Closed-loop line integral of V along the path, in m^2/s.
 
-    Uses the trapezoid rule on each straight segment, which is exact for
-    velocity fields affine in position, as every rigid field is. On plain
-    floats in the operation order of ``velocity_at`` and ``Vec3``: the
-    velocity at a and at a + dl, averaged, dotted with dl.
+    About the point o of ``_loop_point``, V(r) = V(o) + omega x (r - o). The
+    constant part integrates to V(o) . (end - start), zero on a closed loop.
+    The rotational part is integrated with the trapezoid rule on each straight
+    segment a -> b, exact for fields affine in position: omega x (a - o) and
+    omega x (b - o), averaged, dotted with b - a.
     """
     if not loop.closed():
         raise GeometryError("circulation requires a closed path")
-    (tx, ty, tz), (wx, wy, wz), (px, py, pz) = (
-        field.translation.as_tuple(), field.omega.as_tuple(), field.pivot.as_tuple()
-    )
+    wx, wy, wz = field.omega.as_tuple()
+    ox, oy, oz = _loop_point(loop)
     terms = []
-    for (ax, ay, az), (bx, by, bz) in zip(loop.vertices, islice(loop.vertices, 1, None)):
-        dx, dy, dz = bx - ax, by - ay, bz - az
-        rx, ry, rz = ax - px, ay - py, az - pz
-        vax = tx + (wy * rz - wz * ry)
-        vay = ty + (wz * rx - wx * rz)
-        vaz = tz + (wx * ry - wy * rx)
-        rx, ry, rz = (ax + dx) - px, (ay + dy) - py, (az + dz) - pz
-        vbx = tx + (wy * rz - wz * ry)
-        vby = ty + (wz * rx - wx * rz)
-        vbz = tz + (wx * ry - wy * rx)
-        terms.append(
-            (vax + vbx) * 0.5 * dx + (vay + vby) * 0.5 * dy + (vaz + vbz) * 0.5 * dz
-        )
+    ax, ay, az = loop.vertices[0]
+    rx, ry, rz = ax - ox, ay - oy, az - oz
+    vax, vay, vaz = wy * rz - wz * ry, wz * rx - wx * rz, wx * ry - wy * rx
+    for bx, by, bz in islice(loop.vertices, 1, None):
+        rx, ry, rz = bx - ox, by - oy, bz - oz
+        vbx, vby, vbz = wy * rz - wz * ry, wz * rx - wx * rz, wx * ry - wy * rx
+        terms.append((vax + vbx) * 0.5 * (bx - ax) + (vay + vby) * 0.5 * (by - ay)
+                     + (vaz + vbz) * 0.5 * (bz - az))
+        ax, ay, az, vax, vay, vaz = bx, by, bz, vbx, vby, vbz
     return exact_sum(terms, "circulation")
 
 
 def enclosed_area_vector(loop: BeamPath) -> Vec3:
-    """Signed vector area of a closed polyline: half the sum of r_i x r_{i+1}.
+    """Signed vector area of a closed polyline: half the sum of a'_i x a'_(i+1).
 
-    Orientation follows the right-hand rule. For non-planar loops this is
-    the standard projected-area generalization; for self-intersecting loops
-    it is the algebraic, winding-weighted area. Each axis is summed exactly.
+    The offsets a' are taken from the point of ``_loop_point``; on a closed
+    loop the sum is the same about any point. Orientation follows the
+    right-hand rule. For non-planar loops this is the standard projected-area
+    generalization; for self-intersecting loops it is the algebraic,
+    winding-weighted area. Each axis is summed exactly.
     """
     if not loop.closed():
         raise GeometryError("enclosed area requires a closed path")
+    ox, oy, oz = _loop_point(loop)
     terms = tx, ty, tz = [], [], []
     append_x, append_y, append_z = tx.append, ty.append, tz.append
     ax, ay, az = loop.vertices[0]
-    for bx, by, bz in loop.vertices[1:]:
+    ax, ay, az = ax - ox, ay - oy, az - oz
+    for bx, by, bz in islice(loop.vertices, 1, None):
+        bx, by, bz = bx - ox, by - oy, bz - oz
         append_x(ay * bz - az * by)
         append_y(az * bx - ax * bz)
         append_z(ax * by - ay * bx)

@@ -147,16 +147,25 @@ def breakdown_bound(wave, field, *paths) -> float:
     return _bound(wave, scale)
 
 
+def _loop_offsets(loop) -> list[float]:
+    """|v - o| for each vertex v, o the midpoint of the loop's first segment, the point
+    the oracles take offsets from."""
+    a, b = loop.vertices[:2]
+    o = [p + (q - p) * 0.5 for p, q in zip(a, b)]
+    return [_norm([c - m for c, m in zip(v, o)]) for v in loop.vertices]
+
+
 def circulation_bound(loop, field) -> float:
-    """16 eps * sum_i (|T| + |omega| * max(|a_i - p|, |b_i - p|)) * |b_i - a_i| (m^2/s)."""
-    verts = loop.vertices
-    return 16.0 * EPS * math.fsum(
-        max(_speed(field, a), _speed(field, b)) * _norm([y - x for x, y in zip(a, b)])
-        for a, b in zip(verts, verts[1:])
+    """16 eps * |omega| * sum_i max(|a_i - o|, |b_i - o|) * |b_i - a_i| (m^2/s), on a loop
+    that closes bit for bit."""
+    verts, offsets = loop.vertices, _loop_offsets(loop)
+    return 16.0 * EPS * _norm(field.omega.as_tuple()) * math.fsum(
+        max(p, q) * _norm([y - x for x, y in zip(a, b)])
+        for p, q, a, b in zip(offsets, offsets[1:], verts, verts[1:])
     )
 
 
 def area_bound(loop) -> float:
-    """4 eps * sum_i |a_i| |a_(i+1)|, per component (m^2)."""
-    norms = [_norm(v) for v in loop.vertices]
-    return 4.0 * EPS * math.fsum(p * q for p, q in zip(norms, norms[1:]))
+    """4 eps * sum_i |a_i - o| |a_(i+1) - o|, per component (m^2)."""
+    offsets = _loop_offsets(loop)
+    return 4.0 * EPS * math.fsum(p * q for p, q in zip(offsets, offsets[1:]))

@@ -31,13 +31,21 @@ OPEN_ONLY = {
     "translate": ["translate"],
     "sweep": ["sweep", "--vmax", "2e-4", "--steps", "11"],
 }
+# A square of side 1e-3 m in the local horizontal plane 6.4e6 m from the
+# Earth's axis, as perfbench/inputs.py's earth_scene builds it: the setting of
+# Werner, Staudenmann and Colella, PRL 42, 1103 (1979).
+EARTH_FRAME_SCENES = ("earth_frame_square",)
+EARTH_FRAME_ONLY = {"phase": ["phase"], "sagnac": ["sagnac"]}
 
 
 def golden_cases() -> list[tuple[str, list[str]]]:
     """(golden file name, CLI argv) for every case."""
     cases = []
-    for stem in OPEN_SCENES + CLOSED_SCENES:
-        commands = dict(COMMON, **(OPEN_ONLY if stem in OPEN_SCENES else CLOSED_ONLY))
+    for stem in OPEN_SCENES + CLOSED_SCENES + EARTH_FRAME_SCENES:
+        if stem in EARTH_FRAME_SCENES:
+            commands = EARTH_FRAME_ONLY
+        else:
+            commands = dict(COMMON, **(OPEN_ONLY if stem in OPEN_SCENES else CLOSED_ONLY))
         for label, argv in commands.items():
             for fmt in ("json", "csv"):
                 scene = ["--scene", str(DATA_DIR / f"{stem}.json")]

@@ -193,20 +193,23 @@ class TestStokesAgreement:
 
 
 def vec3_route_circulation(field, loop):
-    """The trapezoid on Vec3, as circulation computed it before it ran on floats."""
+    """The trapezoid on Vec3 about the midpoint o of the loop's first segment:
+    omega x (r - o) at a and at b, averaged, dotted with b - a."""
     corners = [Vec3(*v) for v in loop.vertices]
+    o = corners[0] + (corners[1] - corners[0]) * 0.5
     terms = []
     for a, b in zip(corners, corners[1:]):
-        dl = b - a
-        v_avg = (velocity_at(field, a) + velocity_at(field, a + dl)) * 0.5
-        terms.append(v_avg.dot(dl))
+        v_avg = (field.omega.cross(a - o) + field.omega.cross(b - o)) * 0.5
+        terms.append(v_avg.dot(b - a))
     return exact_sum(terms, "circulation")
 
 
 def vec3_route_area(loop):
-    """The shoelace on Vec3, as enclosed_area_vector computed it before it ran on floats."""
+    """The shoelace on Vec3 over the offsets from the midpoint of the loop's first segment."""
     corners = [Vec3(*v) for v in loop.vertices]
-    crosses = [a.cross(b).as_tuple() for a, b in zip(corners, corners[1:])]
+    o = corners[0] + (corners[1] - corners[0]) * 0.5
+    offsets = [c - o for c in corners]
+    crosses = [a.cross(b).as_tuple() for a, b in zip(offsets, offsets[1:])]
     return Vec3(*(0.5 * exact_sum(axis, "vector area") for axis in zip(*crosses)))
 
 

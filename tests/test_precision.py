@@ -2,9 +2,9 @@
 
 The kernel (``two_path_difference``, ``path_phase``) is held to its bound at
 offsets up to 1e7 m from the origin and sides down to 1e-6 m. The oracles
-(``circulation``, ``enclosed_area_vector``) are held to theirs near the
-origin only: their scale grows with the distance from the origin and the
-pivot, and their precision far from it is an open item.
+(``circulation``, ``enclosed_area_vector``) are held to theirs, scaled by
+the loop's own size, near the origin and at offsets up to 1e7 m with sides
+down to 1e-4 m.
 """
 
 import pytest
@@ -125,6 +125,18 @@ class TestKernelBound:
         assert bounds[-1] <= 1e-12 * abs(exacts[0])
 
 
+def assert_oracles_within_their_bounds(layout, field):
+    path_i, path_ii, _ = layout
+    config = config_of(path_i, [path_i[0]] + path_ii[1:], True, field)
+    loop = interference_loop(config)
+    assert abs(circulation(field, loop) - exact.circulation(loop, field)) <= (
+        exact.circulation_bound(loop, field)
+    )
+    bound = exact.area_bound(loop)
+    for got, want in zip(enclosed_area_vector(loop).as_tuple(), exact.vector_area(loop)):
+        assert abs(got - want) <= bound
+
+
 class TestOracleBoundsNearTheOrigin:
     @settings(max_examples=200)
     @given(
@@ -132,12 +144,26 @@ class TestOracleBoundsNearTheOrigin:
         fields(st.tuples(unit, unit, unit)),
     )
     def test_circulation_and_vector_area_within_their_bounds(self, layout, field):
-        path_i, path_ii, _ = layout
-        config = config_of(path_i, [path_i[0]] + path_ii[1:], True, field)
+        assert_oracles_within_their_bounds(layout, field)
+
+
+class TestOracleBoundsFarFromTheOrigin:
+    @settings(max_examples=200)
+    @example(EARTH_SQUARE, MotionField(omega=Vec3(*EARTH_RATE)))
+    @given(
+        layouts(st.tuples(far, far, far), st.floats(1e-4, 1e2)),
+        fields(st.tuples(far, far, far)),
+    )
+    def test_circulation_and_vector_area_within_their_bounds(self, layout, field):
+        assert_oracles_within_their_bounds(layout, field)
+
+    def test_earth_square_bounds_are_tight(self):
+        # The bounds scale with the loop, not with its 6.4e6 m distance from the
+        # origin: the Earth rate along the loop's normal, +x.
+        config = config_of(*EARTH_SQUARE, MotionField(omega=Vec3(*EARTH_RATE[::-1])))
         loop = interference_loop(config)
-        assert abs(circulation(field, loop) - exact.circulation(loop, field)) <= (
-            exact.circulation_bound(loop, field)
+        area = exact.vector_area(loop)
+        assert exact.area_bound(loop) <= 1e-14 * max(map(abs, area))
+        assert exact.circulation_bound(loop, config.motion) <= 1e-14 * abs(
+            exact.circulation(loop, config.motion)
         )
-        bound = exact.area_bound(loop)
-        for got, want in zip(enclosed_area_vector(loop).as_tuple(), exact.vector_area(loop)):
-            assert abs(got - want) <= bound
