@@ -64,6 +64,12 @@ def _require_finite(name: str, value: float) -> float:
     return float(value)
 
 
+def _endpoint_tol(p, q) -> float:
+    """The distance within which the float triples p and q coincide: ENDPOINT_TOL, or
+    4 ulps of their largest coordinate where that is more (beyond about 2e3 m)."""
+    return max(ENDPOINT_TOL, 4.0 * math.ulp(max(map(abs, p + q))))
+
+
 def _require_positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0.0):
         raise WaveError(f"{name} must be positive and finite, got {value!r}")
@@ -389,7 +395,8 @@ class BeamPath(_Value):
         return Vec3(*self.vertices[-1])
 
     def closed(self) -> bool:
-        return math.dist(self.vertices[0], self.vertices[-1]) <= ENDPOINT_TOL
+        start, end = self.vertices[0], self.vertices[-1]
+        return math.dist(start, end) <= _endpoint_tol(start, end)
 
     def reversed(self) -> "BeamPath":
         # Reversal keeps every check true: gaps change sign, neighbours stay neighbours.
@@ -482,17 +489,18 @@ class InterferometerConfig(_Value):
     def __post_init__(self) -> None:
         verts_i, verts_ii = self.path_I.vertices, self.path_II.vertices
         end_gap = math.dist(verts_i[-1], verts_ii[-1])
-        if end_gap > ENDPOINT_TOL:
+        if end_gap > _endpoint_tol(verts_i[-1], verts_ii[-1]):
             raise GeometryError(
                 f"beam paths must share their endpoint, gap is {end_gap:.3e} m"
             )
         start_gap = math.dist(verts_ii[0], verts_i[0])
+        start_tol = _endpoint_tol(verts_ii[0], verts_i[0])
         if self.kind is ConfigKind.CLOSED_LOOP:
-            if start_gap > ENDPOINT_TOL:
+            if start_gap > start_tol:
                 raise GeometryError(
                     f"closed-loop beams must share their start, gap is {start_gap:.3e} m"
                 )
-        elif start_gap <= ENDPOINT_TOL:
+        elif start_gap <= start_tol:
             raise GeometryError(
                 f"{self.kind.value} requires a nonzero opening between beam starts"
             )

@@ -34,7 +34,6 @@ from typing import NamedTuple
 
 from .experiment import LAYOUT_KINDS, build_config
 from .model import (
-    ENDPOINT_TOL,
     BeamPath,
     ConfigKind,
     InterferometerConfig,
@@ -43,6 +42,7 @@ from .model import (
     Vec3,
     make_particle_wave,
     _Bounded,
+    _endpoint_tol,
     _HALF_MAX,
 )
 
@@ -228,6 +228,7 @@ def config_from_scene(doc: SceneDocument) -> InterferometerConfig:
         # _points has read at least two float triples: only the checks between vertices are left.
         path_i, path_ii = (BeamPath._from_float_triples(doc.geometry[key]) for key in _EXPLICIT)
         start_gap = (path_ii.start - path_i.start).norm()
-        kind = ConfigKind.CLOSED_LOOP if start_gap <= ENDPOINT_TOL else ConfigKind.OPEN_LOOP
+        closed = start_gap <= _endpoint_tol(path_ii.vertices[0], path_i.vertices[0])
+        kind = ConfigKind.CLOSED_LOOP if closed else ConfigKind.OPEN_LOOP
         return InterferometerConfig(path_i, path_ii, wave, doc.motion, kind)
     return build_config(wave=wave, motion=doc.motion, **doc.geometry)

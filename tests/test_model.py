@@ -304,6 +304,23 @@ class TestInterferometerConfig:
         with pytest.raises(GeometryError):
             InterferometerConfig(path_i, path_ii, unit_wave, MotionField(), ConfigKind.CLOSED_LOOP)
 
+    @pytest.mark.parametrize("ulps, refused", [(1, False), (3, False), (5, True)])
+    def test_endpoint_tolerance_scales_with_the_coordinates(self, unit_wave, ulps, refused):
+        # A 1 mm loop 6.4e6 m out whose beams end some ulps of 6.4e6 (9.3e-10 m)
+        # apart: the tolerance is 4 ulps there, where 1e-12 m is below one.
+        x = 6.4e6
+        far_x = x + ulps * math.ulp(x)
+        path_i = BeamPath(((x, 0.0, 0.0), (x, 1e-3, 0.0), (x, 1e-3, 1e-3)))
+        path_ii = BeamPath(((x, 0.0, 0.0), (x, 0.0, 1e-3), (far_x, 1e-3, 1e-3)))
+        loop = BeamPath(path_i.vertices + ((far_x, 0.0, 0.0),))
+        assert loop.closed() is not refused
+        if refused:
+            gap = f"gap is {ulps * math.ulp(x):.3e} m"
+            with pytest.raises(GeometryError, match=f"^beam paths must share their endpoint, {gap}$"):
+                InterferometerConfig(path_i, path_ii, unit_wave, MotionField(), ConfigKind.CLOSED_LOOP)
+        else:
+            InterferometerConfig(path_i, path_ii, unit_wave, MotionField(), ConfigKind.CLOSED_LOOP)
+
     def test_endpoint_check_symmetric_in_path_order(self, unit_wave):
         path_i, path_ii = _square_paths()
         first = InterferometerConfig(path_i, path_ii, unit_wave, MotionField(), ConfigKind.CLOSED_LOOP)

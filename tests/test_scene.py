@@ -1,6 +1,7 @@
 """Scene parsing, validation errors, serialization round-trips."""
 
 import json
+import math
 
 import pytest
 from hypothesis import example, given
@@ -247,6 +248,19 @@ class TestConfigFromScene:
         )
         config = config_from_scene(parse_scene(text))
         assert config.kind is ConfigKind.OPEN_LOOP
+
+    def test_explicit_starts_one_ulp_apart_far_out_inferred_closed(self):
+        # 6.4e6 m out one ulp is 9.3e-10 m, far above ENDPOINT_TOL (1e-12 m).
+        x, far_x = 6.4e6, 6.4e6 + math.ulp(6.4e6)
+        scene = {
+            "particle": {"speed_mps": 1.0, "wavelength_m": 1e-8},
+            "geometry": {
+                "path_I_m": [[x, 0.0, 0.0], [x, 1e-3, 0.0], [x, 1e-3, 1e-3]],
+                "path_II_m": [[far_x, 0.0, 0.0], [x, 0.0, 1e-3], [x, 1e-3, 1e-3]],
+            },
+        }
+        config = config_from_scene(parse_scene(json.dumps(scene)))
+        assert config.kind is ConfigKind.CLOSED_LOOP
 
     def test_mass_scene_gets_de_broglie_wavelength(self, data_dir):
         doc = parse_scene((data_dir / "earth_rotation_square.json").read_text())
