@@ -236,8 +236,6 @@ class VerifyReport(NamedTuple):
 # The generators and checks below work on (x, y, z) float triples; a Vec3 is
 # built only where a public function takes one. A seed's report depends on the
 # order of the draws and of the float operations, so both are kept as they are.
-
-
 def _dot(a, b) -> float:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
@@ -267,7 +265,6 @@ def _random_vec(rng: random.Random, scale: float = 1.0) -> tuple[float, float, f
 
 
 def _field(translation, omega, pivot) -> MotionField:
-    """The rigid field of three float triples."""
     return MotionField(Vec3(*translation), Vec3(*omega), Vec3(*pivot))
 
 
@@ -304,25 +301,20 @@ def _random_planar_polygon(rng: random.Random, n_vertices: int) -> tuple[BeamPat
     return BeamPath(tuple(verts)), normal
 
 
-def _random_closed_polygon(rng: random.Random, n_vertices: int) -> BeamPath:
-    """Closed polyline with vertices anywhere in the unit box (may self-intersect)."""
-    while True:
-        verts = [_random_vec(rng) for _ in range(n_vertices)]
-        verts.append(verts[0])
-        if min(math.dist(verts[i + 1], verts[i]) for i in range(n_vertices)) > 0.05:
-            return BeamPath(tuple(verts))
-
-
 def _random_closed_config(
     rng: random.Random, wave: ParticleWave, motion: MotionField
 ) -> InterferometerConfig:
-    """Random closed two-path configuration: a polygon split at a random vertex."""
+    """Random closed two-path configuration: a polygon with vertices anywhere in the
+    unit box (it may self-intersect), split at a random vertex."""
     n = rng.randrange(4, 10)
-    verts = _random_closed_polygon(rng, n).vertices[:-1]
+    while True:
+        verts = [_random_vec(rng) for _ in range(n)]
+        if min(math.dist(verts[i - 1], verts[i]) for i in range(n)) > 0.05:
+            break
     split = rng.randrange(1, n - 1)
-    # Both beams are runs of the checked loop, so they pass BeamPath's checks.
-    path_i = BeamPath._checked(verts[: split + 1])
-    path_ii = BeamPath._checked((verts[0],) + verts[split:][::-1])
+    # Finite vertices more than 0.05 apart around the loop pass BeamPath's checks.
+    path_i = BeamPath._checked(tuple(verts[: split + 1]))
+    path_ii = BeamPath._checked((verts[0],) + tuple(verts[split:][::-1]))
     return InterferometerConfig(path_i, path_ii, wave, motion, ConfigKind.CLOSED_LOOP)
 
 

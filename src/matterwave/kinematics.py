@@ -55,11 +55,10 @@ def _loop_point(loop: BeamPath) -> tuple[float, float, float]:
 def circulation(field: MotionField, loop: BeamPath) -> float:
     """Closed-loop line integral of V along the path, in m^2/s.
 
-    About the point o of ``_loop_point``, V(r) = V(o) + omega x (r - o). The
-    constant part integrates to V(o) . (end - start), zero on a closed loop.
-    The rotational part is integrated with the trapezoid rule on each straight
-    segment a -> b, exact for fields affine in position: omega x (a - o) and
-    omega x (b - o), averaged, dotted with b - a.
+    About the point o of ``_loop_point``, V(r) = V(o) + omega x (r - o), whose
+    constant part integrates to zero on a closed loop. The trapezoid rule, exact
+    for fields affine in position, integrates the rest on each segment a -> b:
+    omega x (a - o) and omega x (b - o), averaged, dotted with b - a.
     """
     if not loop.closed():
         raise GeometryError("circulation requires a closed path")
