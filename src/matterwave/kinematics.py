@@ -48,8 +48,7 @@ def curl_fd(field: MotionField, r: Vec3) -> Vec3:
 def _loop_point(loop: BeamPath) -> tuple[float, float, float]:
     """The midpoint of the loop's first segment, which the oracles take offsets from: on
     the loop, so offsets are as small as the loop, and not the vertex the kernel takes."""
-    (ax, ay, az), (bx, by, bz) = loop.vertices[:2]
-    return (ax + (bx - ax) * 0.5, ay + (by - ay) * 0.5, az + (bz - az) * 0.5)
+    return tuple(a + (b - a) * 0.5 for a, b in zip(*loop.vertices[:2]))
 
 
 def circulation(field: MotionField, loop: BeamPath) -> float:
