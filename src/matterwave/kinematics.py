@@ -92,7 +92,7 @@ def enclosed_area_vector(loop: BeamPath) -> Vec3:
     append_x, append_y, append_z = tx.append, ty.append, tz.append
     ax, ay, az = loop.vertices[0]
     ax, ay, az = ax - ox, ay - oy, az - oz
-    for bx, by, bz in islice(loop.vertices, 1, None):
+    for bx, by, bz in loop.vertices[1:]:
         bx, by, bz = bx - ox, by - oy, bz - oz
         append_x(ay * bz - az * by)
         append_y(az * bx - ax * bz)
