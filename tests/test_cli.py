@@ -472,14 +472,15 @@ class TestCliContract:
         assert len(out1) > 0
 
 
-def test_startup_imports_no_code_introspection_modules():
-    # Every CLI run pays for what ``import matterwave.cli`` loads. Each module
-    # below costs milliseconds at start-up and is not needed: the dataclass
-    # machinery alone pulls in all of them. Measured against the bare
-    # interpreter (no site), so that what site loads does not count.
+def modules_loaded_by(code):
+    """Modules a fresh ``python -S`` process adds to ``sys.modules`` while running ``code``.
+
+    Measured against the bare interpreter (no site), so that what site loads
+    does not count.
+    """
     src = Path(__file__).resolve().parents[1] / "src"
     probe = (
-        "import sys; before = set(sys.modules); import matterwave.cli; "
+        f"import sys; before = set(sys.modules); {code}; "
         "print(' '.join(sorted(set(sys.modules) - before)))"
     )
     done = subprocess.run(
@@ -489,9 +490,26 @@ def test_startup_imports_no_code_introspection_modules():
         text=True,
         check=True,
     )
-    added = set(done.stdout.split())
+    return set(done.stdout.split())
+
+
+def test_startup_imports_no_code_introspection_modules():
+    # Every CLI run pays for what ``import matterwave.cli`` loads. Each module
+    # below costs milliseconds at start-up and is not needed: the dataclass
+    # machinery alone pulls in all of them.
+    added = modules_loaded_by("import matterwave.cli")
     assert "matterwave.cli" in added
     assert added.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize"})
+    # Only verify needs the randomized checks and the random module they draw from.
+    assert added.isdisjoint({"matterwave._selfcheck", "random"})
+
+
+def test_verify_loads_the_self_check():
+    added = modules_loaded_by(
+        "import os; from matterwave.cli import run_command; "
+        "assert run_command(['verify', '--seed', '0', '--out', os.devnull]) == 0"
+    )
+    assert "matterwave._selfcheck" in added
 
 
 class TestCollectorStateKept:
@@ -596,6 +614,25 @@ class TestErrorContract:
         code, out, err = run(capsys, argv)
         assert_refused(code, out, err)
         assert "need 0 <= v_min < v_max" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "bounds,message",
+        [
+            (["--vmax", "inf"], "need 0 <= v_min < v_max < inf, got 0.0, inf"),
+            (["--vmin", "inf", "--vmax", "1e-4"], "need 0 <= v_min < v_max < inf, got inf, 0.0001"),
+            (["--vmax", "1e308", "--steps", "3"], "sweep from 0.0 to 1e+308 overflows the float"),
+        ],
+        ids=["vmax-inf", "vmin-inf", "overflowing-grid"],
+    )
+    def test_infinite_or_overflowing_sweep_bounds_refused(
+        self, capsys, data_dir, bounds, message, fmt
+    ):
+        # Unchecked, inf * 0 or an overflowed grid speed would reach Vec3 as a NaN.
+        argv = ["sweep", "--scene", scene(data_dir, "slow_atom_open.json"), "--format", fmt]
+        code, out, err = run(capsys, argv + bounds)
+        assert_refused(code, out, err)
+        assert message in err
 
     @pytest.mark.parametrize(
         "content",
