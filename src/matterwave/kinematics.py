@@ -83,8 +83,12 @@ def enclosed_area_vector(loop: BeamPath) -> Vec3:
     loop the sum is the same about any point. Orientation follows the
     right-hand rule. For non-planar loops this is the standard projected-area
     generalization; for self-intersecting loops it is the algebraic,
-    winding-weighted area. Each axis is summed exactly.
+    winding-weighted area. Each axis is summed exactly. The area is kept on the
+    loop, so a scan over motions walks it once; a refusal is not kept.
     """
+    area = vars(loop).get("_area")
+    if area is not None:
+        return area
     if not loop.closed():
         raise GeometryError("enclosed area requires a closed path")
     ox, oy, oz = _loop_point(loop)
@@ -98,4 +102,5 @@ def enclosed_area_vector(loop: BeamPath) -> Vec3:
         append_y(az * bx - ax * bz)
         append_z(ax * by - ay * bx)
         ax, ay, az = bx, by, bz
-    return Vec3(*(0.5 * exact_sum(axis, "vector area") for axis in terms))
+    area = vars(loop)["_area"] = Vec3(*(0.5 * exact_sum(axis, "vector area") for axis in terms))
+    return area

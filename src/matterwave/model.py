@@ -502,7 +502,8 @@ class InterferometerConfig(_Value):
                 )
         elif start_gap <= start_tol:
             raise GeometryError(
-                f"{self.kind.value} requires a nonzero opening between beam starts"
+                f"{self.kind.value} requires a nonzero opening between beam starts, gap is "
+                f"{start_gap:.3e} m, within the tolerance {start_tol:.3e} m"
             )
 
 

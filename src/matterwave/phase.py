@@ -260,11 +260,19 @@ def interference_loop(config: InterferometerConfig) -> BeamPath:
     """The closed contour beam II forward then beam I backward.
 
     The circulation around this contour carries the same sign as
-    ``two_path_difference``, which subtracts beam I from beam II.
+    ``two_path_difference``, which subtracts beam I from beam II. The loop is
+    kept on beam II and returned again while beam I's vertex tuple is the one
+    it was built from (an identity test); beam I itself is not kept, which
+    would make a reference cycle when both beams are one path.
     """
     if config.kind is not ConfigKind.CLOSED_LOOP:
         raise GeometryError("only closed-loop configurations define an interference loop")
-    return config.path_II.joined(config.path_I.reversed())
+    path_i, kept = config.path_I, vars(config.path_II)
+    built_from, loop = kept.get("_loop", (None, None))
+    if built_from is not path_i.vertices:
+        loop = config.path_II.joined(path_i.reversed())
+        kept["_loop"] = (path_i.vertices, loop)
+    return loop
 
 
 def sagnac_area_phase(wave: ParticleWave, loop: BeamPath, field: MotionField) -> float:

@@ -603,6 +603,27 @@ class TestErrorContract:
         assert_refused(code, out, err)
         assert "not finite" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_opening_within_the_endpoint_tolerance_refused_with_its_gap(
+        self, capsys, tmp_path, fmt
+    ):
+        # The opening is nonzero, but the beam starts coincide within the tolerance.
+        scene_file = tmp_path / "tiny_opening.json"
+        scene_file.write_text(
+            json.dumps(
+                {
+                    "particle": {"speed_mps": 1.0, "wavelength_m": 1e-8},
+                    "geometry": {"kind": "Fig3bOpen", "opening_m": [0.0, 1e-300, 0.0]},
+                }
+            )
+        )
+        code, out, err = run(capsys, ["phase", "--scene", str(scene_file), "--format", fmt])
+        assert_refused(code, out, err)
+        assert err == (
+            "matterwave: error: OpenLoop requires a nonzero opening between beam starts, "
+            "gap is 1.000e-300 m, within the tolerance 1.000e-12 m\n"
+        )
+
     @pytest.mark.parametrize(
         "bounds", [["--vmin", "-1e-05", "--vmax", "1e-4"], ["--vmax", "-1e-05"]]
     )

@@ -157,8 +157,26 @@ class TestEnclosedAreaVector:
         assert (enclosed_area_vector(shifted) - enclosed_area_vector(loop)).norm() < 1e-12
 
     def test_open_path_rejected(self):
-        with pytest.raises(GeometryError):
-            enclosed_area_vector(BeamPath((Vec3(0, 0, 0), Vec3(1, 0, 0))))
+        open_path = BeamPath((Vec3(0, 0, 0), Vec3(1, 0, 0)))
+        for _ in range(2):  # a refusal is not kept
+            with pytest.raises(GeometryError, match="enclosed area requires a closed path"):
+                enclosed_area_vector(open_path)
+
+    def test_kept_area_equals_a_fresh_walk(self, rng):
+        points = [(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(40)]
+        loop = BeamPath(tuple(points + points[:1]))
+        area = enclosed_area_vector(loop)
+        assert enclosed_area_vector(loop) is area
+        # An equal loop built separately is walked afresh, to the same bits.
+        assert enclosed_area_vector(BeamPath(tuple(map(tuple, loop.vertices)))) == area
+        assert area == vec3_route_area(loop)
+
+    def test_overflowing_area_refused_on_every_call(self):
+        r = 1e200
+        loop = BeamPath(((0, 0, 0), (r, 0, 0), (r, r, 0), (-r, r, 0), (0, 0, 0)))
+        for _ in range(2):
+            with pytest.raises(GeometryError, match="vector area overflows the float range"):
+                enclosed_area_vector(loop)
 
 
 class TestStokesAgreement:

@@ -1,8 +1,10 @@
 """Phase laws: per-segment increment, path sums, Sagnac and open-loop cases."""
 
+import gc
 import math
 import operator
 import random
+import weakref
 from itertools import chain, repeat
 
 import pytest
@@ -21,6 +23,7 @@ from matterwave import (
     Vec3,
     boosted_wavelength,
     build_config,
+    circulation,
     gse_light_phase,
     interference_loop,
     make_particle_wave,
@@ -34,7 +37,8 @@ from matterwave import (
     two_path_difference,
     velocity_at,
 )
-from matterwave.model import PathMoments
+from matterwave import kinematics
+from matterwave.model import PathMoments, exact_sum
 from matterwave.phase import boost_factor
 
 import exact
@@ -308,6 +312,97 @@ class TestInterferenceLoop:
         except GeometryError as exc:
             loop = str(exc)
         assert loop == expected
+
+
+def same_paths(config, motion):
+    return InterferometerConfig(config.path_I, config.path_II, config.wave, motion, config.kind)
+
+
+class TestKeptLoop:
+    """The loop is kept on beam II and reused while beam I's vertex tuple is the same."""
+
+    def test_configs_sharing_both_beams_share_the_loop(self, unit_wave, rotation_z):
+        config = closed_square_config(unit_wave, MotionField())
+        loop = interference_loop(config)
+        assert interference_loop(same_paths(config, rotation_z)) is loop
+        assert loop == concatenated_loop(config)
+
+    def test_a_different_beam_i_gets_a_new_correct_loop(self, unit_wave):
+        config = closed_square_config(unit_wave, MotionField())
+        first = interference_loop(config)
+        # A bent beam I, then an equal beam I that is another object.
+        for path_i in (
+            BeamPath(((0.0, 0.0, 0.0), (0.0, 2.0, 0.0), (1.0, 1.0, 0.0))),
+            BeamPath(tuple(map(tuple, config.path_I.vertices))),
+        ):
+            other = InterferometerConfig(
+                path_i, config.path_II, unit_wave, MotionField(), ConfigKind.CLOSED_LOOP
+            )
+            loop = interference_loop(other)
+            assert loop is not first
+            assert loop.vertices == concatenated_loop(other).vertices
+        again = interference_loop(config)
+        assert again.vertices == first.vertices
+
+    def test_refusals_are_not_kept(self, unit_wave, rotation_z):
+        config = closed_config(COINCIDENT_JOIN_I, COINCIDENT_JOIN_II, unit_wave, rotation_z)
+        open_config = build_config("Fig3bOpen", unit_wave, MotionField(), opening_m=1e-4)
+        for _ in range(2):
+            with pytest.raises(GeometryError, match="^consecutive vertices 2 and 3 coincide$"):
+                interference_loop(config)
+            with pytest.raises(GeometryError, match="only closed-loop configurations"):
+                interference_loop(open_config)
+        assert "_loop" not in vars(config.path_II)
+        assert "_loop" not in vars(open_config.path_II)
+
+    def test_equality_hash_and_repr_unchanged(self, unit_wave):
+        config = closed_square_config(unit_wave, MotionField())
+        loop = interference_loop(config)
+        sagnac_area_phase(unit_wave, loop, MotionField())
+        for kept in (config.path_II, loop):
+            path = BeamPath(tuple(map(tuple, kept.vertices)))  # equal, nothing kept on it
+            assert kept == path and not kept != path
+            assert (hash(kept), repr(kept)) == (hash(path), repr(path))
+
+    @pytest.mark.parametrize("one_path", [False, True], ids=["two-beams", "one-path-twice"])
+    def test_a_dropped_geometry_is_freed_without_the_collector(self, unit_wave, one_path):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            path_ii = BeamPath(COINCIDENT_JOIN_II)
+            path_i = path_ii if one_path else BeamPath(COINCIDENT_JOIN_I[:3])
+            config = InterferometerConfig(
+                path_i, path_ii, unit_wave, MotionField(), ConfigKind.CLOSED_LOOP
+            )
+            loop = interference_loop(config)
+            sagnac_area_phase(unit_wave, loop, MotionField())
+            refs = [weakref.ref(obj) for obj in (path_i, path_ii, loop, config)]
+            del path_i, path_ii, config, loop
+            assert [ref() for ref in refs] == [None] * 4
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_a_scan_walks_the_shoelace_once(self, fast_wave, monkeypatch):
+        sums = []
+
+        def counted_sum(values, quantity):
+            sums.append(quantity)
+            return exact_sum(values, quantity)
+
+        monkeypatch.setattr(kinematics, "exact_sum", counted_sum)
+        geometry = closed_square_config(fast_wave, MotionField(), side=0.1)
+        for k in range(50):
+            motion = MotionField(omega=Vec3(0.0, 0.0, 0.01 * (k + 1)))
+            config = same_paths(geometry, motion)
+            loop = interference_loop(config)
+            by_area = sagnac_area_phase(fast_wave, loop, motion)
+            by_loop = (TWO_PI / fast_wave.v_lambda) * circulation(motion, loop)
+            assert by_area == pytest.approx(by_loop, rel=1e-12)
+            assert by_area == pytest.approx(two_path_difference(config).total_phase_rad, rel=1e-12)
+        # One walk sums three axes; the circulation is summed once per motion.
+        assert sums.count("vector area") == 3
+        assert sums.count("circulation") == 50
 
 
 class TestSagnacAreaPhase:
