@@ -43,10 +43,8 @@ from .model import (
     make_particle_wave,
 )
 from .phase import (
-    boosted_wavelength,
     gse_light_phase,
     interference_loop,
-    moving_phase,
     open_loop_phase,
     path_phase,
     rest_phase,

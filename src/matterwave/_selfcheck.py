@@ -9,7 +9,7 @@ import math
 import random
 
 from .experiment import PropertyCheck, VerifyReport, build_config
-from .kinematics import _velocity, circulation, curl_fd
+from .kinematics import circulation, curl_fd
 from .model import (
     BeamPath,
     ConfigKind,
@@ -17,6 +17,11 @@ from .model import (
     MotionField,
     ParticleWave,
     Vec3,
+    _cross,
+    _dot,
+    _scaled,
+    _unit,
+    _velocity,
     make_particle_wave,
 )
 from .phase import (
@@ -35,23 +40,6 @@ from .phase import (
 # The generators and checks below work on (x, y, z) float triples; a Vec3 is
 # built only where a public function takes one. A seed's report depends on the
 # order of the draws and of the float operations, so both are kept as they are.
-def _dot(a, b) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _cross(a, b) -> tuple[float, float, float]:
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
-
-
-def _scaled(v, factor: float) -> tuple[float, float, float]:
-    return (v[0] * factor, v[1] * factor, v[2] * factor)
-
-
-def _unit(v) -> tuple[float, float, float]:
-    n = math.hypot(*v)
-    return (v[0] / n, v[1] / n, v[2] / n)
-
-
 def _unit_vec(rng: random.Random) -> tuple[float, float, float]:
     while True:
         v = (rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1))

@@ -28,9 +28,9 @@ from .kinematics import circulation, enclosed_area_vector
 from .model import MatterWaveError
 from .phase import (
     TWO_PI,
-    area_phase,
     interference_loop,
     open_loop_phase,
+    sagnac_area_phase,
     translation_opening,
     two_path_difference,
 )
@@ -287,8 +287,8 @@ def run_command(argv: list[str]) -> int:
         elif args.command == "sagnac":
             loop = interference_loop(config)
             loop_integral = (TWO_PI / config.wave.v_lambda) * circulation(config.motion, loop)
-            area = enclosed_area_vector(loop)
-            area_form = area_phase(config.wave, area, config.motion)
+            area_form = sagnac_area_phase(config.wave, loop, config.motion)
+            area = enclosed_area_vector(loop)  # kept on the loop: no second walk
             denom = max(abs(loop_integral), abs(area_form))
             doc = {
                 "loop_integral_phase_rad": loop_integral,

@@ -21,6 +21,9 @@ from .model import (
     MotionField,
     ParticleWave,
     Vec3,
+    _dot,
+    _scaled,
+    _unit,
 )
 from .phase import TWO_PI, open_loop_phase, translation_opening
 
@@ -39,27 +42,26 @@ LAYOUT_KINDS = {
 
 
 def _rectangle_paths(width: float, height: float) -> tuple[BeamPath, BeamPath]:
-    a = Vec3(0.0, 0.0, 0.0)
-    b = Vec3(width, 0.0, 0.0)
-    c = Vec3(width, height, 0.0)
-    d = Vec3(0.0, height, 0.0)
+    a, b, c, d = (0.0, 0.0, 0.0), (width, 0.0, 0.0), (width, height, 0.0), (0.0, height, 0.0)
     # Beam I runs up then across, beam II across then up. With this labeling,
     # the interference loop (II forward, I backward) is counterclockwise and
     # a rotation about +z yields a positive two-path difference.
     return BeamPath((a, d, c)), BeamPath((a, b, c))
 
 
-def _open_paths(opening: Vec3, arm_length: float) -> tuple[BeamPath, BeamPath]:
+def _open_paths(kind: str, opening, arm_length: float) -> tuple[BeamPath, BeamPath]:
     # Beam II starts at the origin; beam I starts displaced by the opening.
     # Both run parallel arms along +x and merge at a common endpoint through
     # short closing stubs. Putting the displaced start on beam I makes
     # two_path_difference (II minus I) equal +(2*pi/v*lambda) V . opening.
-    stub = opening.norm()
-    arm = Vec3(arm_length, 0.0, 0.0)
-    merge = arm + Vec3(stub, 0.0, 0.0) + opening * 0.5
-    path_ii = BeamPath((Vec3(0.0, 0.0, 0.0), arm, merge))
-    path_i = BeamPath((opening, opening + arm, merge))
-    return path_i, path_ii
+    ox, oy, oz = opening
+    arm = (arm_length, 0.0, 0.0)
+    # The additions of 0.0 are part of the layout: they turn a -0.0 into 0.0.
+    opening_arm = (ox + arm_length, oy + 0.0, oz + 0.0)
+    merge = (arm_length + math.hypot(*opening) + ox * 0.5, 0.0 + oy * 0.5, 0.0 + oz * 0.5)
+    if not all(map(math.isfinite, arm + opening_arm + merge)):
+        raise GeometryError(f"a {kind} layout of this opening and arm length leaves the float range")
+    return BeamPath((opening, opening_arm, merge)), BeamPath(((0.0, 0.0, 0.0), arm, merge))
 
 
 def build_config(
@@ -100,12 +102,12 @@ def build_config(
         raise GeometryError(f"{kind} needs opening_m")
     if not isinstance(opening_m, Vec3) and not opening_m > 0.0:
         raise GeometryError(f"a scalar opening_m must be positive, got {opening_m!r}")
-    opening = Vec3(0.0, float(opening_m), 0.0) if not isinstance(opening_m, Vec3) else opening_m
-    if opening.norm() == 0.0:
+    opening = opening_m.as_tuple() if isinstance(opening_m, Vec3) else (0.0, float(opening_m), 0.0)
+    if math.hypot(*opening) == 0.0:
         raise GeometryError("opening must be nonzero")
     if not (arm_length_m > 0.0):
         raise GeometryError(f"arm_length_m must be positive, got {arm_length_m!r}")
-    path_i, path_ii = _open_paths(opening, arm_length_m)
+    path_i, path_ii = _open_paths(kind, opening, arm_length_m)
     return InterferometerConfig(path_i, path_ii, wave, motion, ConfigKind.OPEN_LOOP)
 
 
@@ -166,8 +168,8 @@ def sensitivity_sweep(
         raise GeometryError(f"need at least 2 steps, got {steps}")
     opening = translation_opening(config)
     translation = config.motion.translation
-    direction = translation.unit() if translation.norm() > 0.0 else opening.unit()
-    cos_theta = direction.dot(opening.unit())
+    direction = _unit(translation.as_tuple() if translation.norm() > 0.0 else opening.as_tuple())
+    cos_theta = _dot(direction, _unit(opening.as_tuple()))
 
     wave = config.wave
     rows = []
@@ -175,7 +177,7 @@ def sensitivity_sweep(
         v = v_min + (v_max - v_min) * i / (steps - 1)
         if not math.isfinite(v):
             raise GeometryError(f"a sweep from {v_min!r} to {v_max!r} overflows the float range")
-        phase = open_loop_phase(wave, opening, direction * v)
+        phase = open_loop_phase(wave, opening, Vec3(*_scaled(direction, v)))
         rows.append(SweepRow(V_mps=v, phase_rad=phase, fringe_count=phase / TWO_PI))
 
     v_full_fringe = None

@@ -7,18 +7,9 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .model import BeamPath, GeometryError, MotionField, Vec3, exact_sum
+from .model import BeamPath, GeometryError, MotionField, Vec3, _velocity, exact_sum
 
 DEFAULT_FD_STEP = 1e-6  # m; balances truncation vs cancellation at float64
-
-
-def _velocity(field: MotionField, r) -> tuple[float, float, float]:
-    """``velocity_at`` of an (x, y, z) float triple, as a triple."""
-    (tx, ty, tz), (wx, wy, wz), (px, py, pz) = (
-        field.translation.as_tuple(), field.omega.as_tuple(), field.pivot.as_tuple()
-    )
-    rx, ry, rz = r[0] - px, r[1] - py, r[2] - pz
-    return (tx + (wy * rz - wz * ry), ty + (wz * rx - wx * rz), tz + (wx * ry - wy * rx))
 
 
 def velocity_at(field: MotionField, r: Vec3) -> Vec3:

@@ -141,38 +141,45 @@ class Vec3(_Value):
         _set(self, "y", _require_finite("y", self.y))
         _set(self, "z", _require_finite("z", self.z))
 
-    def __add__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def __mul__(self, scalar: float) -> "Vec3":
-        return Vec3(self.x * scalar, self.y * scalar, self.z * scalar)
-
-    __rmul__ = __mul__
-
     def dot(self, other: "Vec3") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
-
-    def cross(self, other: "Vec3") -> "Vec3":
-        return Vec3(
-            self.y * other.z - self.z * other.y,
-            self.z * other.x - self.x * other.z,
-            self.x * other.y - self.y * other.x,
-        )
 
     def norm(self) -> float:
         return math.hypot(self.x, self.y, self.z)  # no overflow or underflow of squares
 
     def unit(self) -> "Vec3":
-        n = self.norm()
-        if n == 0.0:
-            raise GeometryError("cannot normalize a zero vector")
-        return Vec3(self.x / n, self.y / n, self.z / n)
+        return Vec3(*_unit(self.as_tuple()))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
+
+
+# The package's vector arithmetic, on (x, y, z) float triples; a Vec3 is only
+# what a user hands in or gets out. Results depend on the order of the float
+# operations, which each function fixes.
+def _dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a, b) -> tuple[float, float, float]:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _scaled(v, factor: float) -> tuple[float, float, float]:
+    return (v[0] * factor, v[1] * factor, v[2] * factor)
+
+
+def _unit(v) -> tuple[float, float, float]:
+    """v / |v|. Where |v| overflows or is subnormal, v is first divided by its largest
+    component magnitude, so that the direction keeps its digits."""
+    n = math.hypot(*v)
+    if not sys.float_info.min <= n < math.inf:
+        m = max(map(abs, v))
+        if m == 0.0:
+            raise GeometryError("cannot normalize a zero vector")
+        v = (v[0] / m, v[1] / m, v[2] / m)
+        n = math.hypot(*v)
+    return (v[0] / n, v[1] / n, v[2] / n)
 
 
 class ParticleWave(_Value):
@@ -253,15 +260,6 @@ def _triple(point) -> tuple[float, float, float]:
     return xyz
 
 
-def _float_triples(points: tuple) -> bool:
-    """Whether every point is already a tuple of three floats."""
-    return (
-        set(map(type, points)) == {tuple}
-        and set(map(len, points)) == {3}
-        and set(map(type, chain.from_iterable(points))) == {float}
-    )
-
-
 _HALF_MAX = sys.float_info.max / 2.0
 
 
@@ -325,9 +323,7 @@ class BeamPath(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        verts = tuple(self.vertices)
-        if not _float_triples(verts):  # float triples are kept as given: one copy of each
-            verts = tuple(map(_triple, verts))
+        verts = tuple(map(_triple, self.vertices))
         if len(verts) < 2:
             raise GeometryError("a beam path needs at least 2 vertices")
         _check_vertices(verts)
@@ -386,14 +382,6 @@ class BeamPath(_Value):
     def from_points(cls, points) -> "BeamPath":
         return cls(tuple(points))
 
-    @property
-    def start(self) -> Vec3:
-        return Vec3(*self.vertices[0])
-
-    @property
-    def end(self) -> Vec3:
-        return Vec3(*self.vertices[-1])
-
     def closed(self) -> bool:
         start, end = self.vertices[0], self.vertices[-1]
         return math.dist(start, end) <= _endpoint_tol(start, end)
@@ -441,20 +429,30 @@ class MotionField(_Value):
     def __add__(self, other: "MotionField") -> "MotionField":
         # Sum of two rigid fields is rigid: fold each pivot into the
         # uniform part (V - omega x pivot) and add angular rates.
-        base_self = self.translation - self.omega.cross(self.pivot)
-        base_other = other.translation - other.omega.cross(other.pivot)
+        base_self, base_other = (
+            map(operator.sub, f.translation.as_tuple(), _cross(f.omega.as_tuple(), f.pivot.as_tuple()))
+            for f in (self, other)
+        )
         return MotionField(
-            translation=base_self + base_other,
-            omega=self.omega + other.omega,
-            pivot=Vec3(0.0, 0.0, 0.0),
+            translation=Vec3(*map(operator.add, base_self, base_other)),
+            omega=Vec3(*map(operator.add, self.omega.as_tuple(), other.omega.as_tuple())),
         )
 
     def scaled(self, factor: float) -> "MotionField":
         return MotionField(
-            translation=self.translation * factor,
-            omega=self.omega * factor,
+            translation=Vec3(*_scaled(self.translation.as_tuple(), factor)),
+            omega=Vec3(*_scaled(self.omega.as_tuple(), factor)),
             pivot=self.pivot,
         )
+
+
+def _velocity(field: MotionField, r) -> tuple[float, float, float]:
+    """The field's velocity T + omega x (r - pivot) at the float triple r, as a triple."""
+    (tx, ty, tz), (wx, wy, wz), (px, py, pz) = (
+        field.translation.as_tuple(), field.omega.as_tuple(), field.pivot.as_tuple()
+    )
+    rx, ry, rz = r[0] - px, r[1] - py, r[2] - pz
+    return (tx + (wy * rz - wz * ry), ty + (wz * rx - wx * rz), tz + (wx * ry - wy * rx))
 
 
 class ConfigKind(Enum):

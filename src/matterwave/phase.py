@@ -45,6 +45,8 @@ from .model import (
     ParticleWave,
     PhaseResult,
     Vec3,
+    _cross,
+    _velocity,
     exact_sum,
 )
 
@@ -73,40 +75,8 @@ def boost_factor(wave: ParticleWave, speed_parallel: float) -> float:
     return factor
 
 
-def _require_cos_theta(cos_theta: float) -> None:
-    if abs(cos_theta) > 1.0 or not math.isfinite(cos_theta):
-        raise GeometryError(f"cos_theta must lie in [-1, 1], got {cos_theta!r}")
-
-
-def boosted_wavelength(wave: ParticleWave, speed_V: float, cos_theta: float) -> float:
-    """Wavelength seen in a segment moving with speed V at angle theta.
-
-    lambda' = lambda / (1 + V*cos(theta)/v): the particles entering the
-    moving segment are faster or slower by the segment's velocity component
-    along the beam, and the frequency is unchanged.
-    """
-    _require_cos_theta(cos_theta)
-    return wave.wavelength_lambda / boost_factor(wave, speed_V * cos_theta)
-
-
-def moving_phase(wave: ParticleWave, length: float, speed_V: float, cos_theta: float) -> float:
-    """Phase accumulated along a moving segment: 2*pi*(length/lambda) * boost."""
-    _require_cos_theta(cos_theta)
-    return rest_phase(wave, length) * boost_factor(wave, speed_V * cos_theta)
-
-
 # Relative slack on the boost-domain bound, far above its rounding error.
 _BOUND_MARGIN = 1e-9
-
-
-def _u0(field: MotionField, origin) -> tuple[float, float, float]:
-    """U0 = T + omega x (origin - pivot), the field's velocity at ``origin``."""
-    (tx, ty, tz), (wx, wy, wz), (px, py, pz) = (
-        field.translation.as_tuple(), field.omega.as_tuple(), field.pivot.as_tuple()
-    )
-    ox, oy, oz = origin
-    rx, ry, rz = ox - px, oy - py, oz - pz
-    return (tx + (wy * rz - wz * ry), ty + (wz * rx - wx * rz), tz + (wx * ry - wy * rx))
 
 
 def _within_bound(wave: ParticleWave, form, u0, omega) -> bool:
@@ -132,7 +102,7 @@ def _increments(wave: ParticleWave, path: BeamPath, field: MotionField) -> list[
     form = path.moments
     ox, oy, oz = form.origin
     omega = field.omega.as_tuple()
-    ux, uy, uz = u0 = _u0(field, form.origin)
+    ux, uy, uz = u0 = _velocity(field, form.origin)
     wx, wy, wz = omega
     check = not _within_bound(wave, form, u0, omega)
     scale = TWO_PI / wave.v_lambda
@@ -166,7 +136,7 @@ def _checked_moments(wave: ParticleWave, path: BeamPath, field: MotionField) -> 
     are walked, and the first one outside raises.
     """
     form = path.moments
-    u0 = _u0(field, form.origin)
+    u0 = _velocity(field, form.origin)
     if not _within_bound(wave, form, u0, field.omega.as_tuple()):
         _increments(wave, path, field)
     return form, u0
@@ -234,13 +204,13 @@ def two_path_difference(config: InterferometerConfig) -> PhaseResult:
     wave, motion, path_ii, path_i = config.wave, config.motion, config.path_II, config.path_I
     form_ii, _ = _checked_moments(wave, path_ii, motion)
     form_i, _ = _checked_moments(wave, path_i, motion)
-    wx, wy, wz = omega = motion.omega.as_tuple()
-    gx, gy, gz = gap = tuple(map(operator.sub, path_i.vertices[-1], path_ii.vertices[-1]))
+    omega = motion.omega.as_tuple()
+    gap = tuple(map(operator.sub, path_i.vertices[-1], path_ii.vertices[-1]))
     opening = map(operator.sub, map(operator.sub, path_i.vertices[0], path_ii.vertices[0]), gap)
-    end_motion = (wy * gz - wz * gy, wz * gx - wx * gz, wx * gy - wy * gx)  # omega x gap
+    end_motion = _cross(omega, gap)
     scale = TWO_PI / wave.v_lambda
     terms = (
-        [scale * (u * d) for u, d in zip(_u0(motion, path_ii.vertices[-1]), opening)]
+        [scale * (u * d) for u, d in zip(_velocity(motion, path_ii.vertices[-1]), opening)]
         + [-scale * (c * d) for c, d in zip(end_motion, form_i.delta)]
         + _rotation_terms(scale, omega, form_ii.moment)
         + _rotation_terms(-scale, omega, form_i.moment)
@@ -276,18 +246,14 @@ def interference_loop(config: InterferometerConfig) -> BeamPath:
 
 
 def sagnac_area_phase(wave: ParticleWave, loop: BeamPath, field: MotionField) -> float:
-    """Rotation phase of a closed loop from its signed vector area (see ``area_phase``)."""
-    return area_phase(wave, enclosed_area_vector(loop), field)  # rejects an open loop
+    """Rotation phase of a closed loop from the area form: (4*pi / v*lambda) * (Omega . A).
 
-
-def area_phase(wave: ParticleWave, area: Vec3, field: MotionField) -> float:
-    """Rotation phase from the area form: (4*pi / v*lambda) * (Omega . A).
-
-    A is the signed vector area of the closed loop. Any uniform translation
-    part of the field contributes nothing around a closed loop and is
-    ignored here by construction.
+    A is the loop's signed vector area, ``enclosed_area_vector(loop)``, which
+    refuses an open loop and is kept on the loop. Any uniform translation part
+    of the field contributes nothing around a closed loop and is ignored here
+    by construction.
     """
-    return (4.0 * math.pi / wave.v_lambda) * field.omega.dot(area)
+    return (4.0 * math.pi / wave.v_lambda) * field.omega.dot(enclosed_area_vector(loop))
 
 
 def open_loop_phase(wave: ParticleWave, opening_D: Vec3, velocity_V: Vec3) -> float:
@@ -313,7 +279,7 @@ def translation_opening(config: InterferometerConfig) -> Vec3:
     """
     if config.kind is ConfigKind.CLOSED_LOOP:
         raise GeometryError("a closed-loop configuration has no opening")
-    return config.path_I.start - config.path_II.start
+    return Vec3(*map(operator.sub, config.path_I.vertices[0], config.path_II.vertices[0]))
 
 
 def gse_light_phase(wavelength: float, segment_V: Vec3, delta_L: Vec3) -> float:

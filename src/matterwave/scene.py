@@ -27,6 +27,7 @@ starts make a closed loop, separated starts an open one.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from functools import partial
 from itertools import chain
@@ -227,8 +228,8 @@ def config_from_scene(doc: SceneDocument) -> InterferometerConfig:
     if doc.geometry.keys() == _EXPLICIT.keys():
         # _points has read at least two float triples: only the checks between vertices are left.
         path_i, path_ii = (BeamPath._from_float_triples(doc.geometry[key]) for key in _EXPLICIT)
-        start_gap = (path_ii.start - path_i.start).norm()
-        closed = start_gap <= _endpoint_tol(path_ii.vertices[0], path_i.vertices[0])
+        start_ii, start_i = path_ii.vertices[0], path_i.vertices[0]
+        closed = math.dist(start_ii, start_i) <= _endpoint_tol(start_ii, start_i)
         kind = ConfigKind.CLOSED_LOOP if closed else ConfigKind.OPEN_LOOP
         return InterferometerConfig(path_i, path_ii, wave, doc.motion, kind)
     return build_config(wave=wave, motion=doc.motion, **doc.geometry)

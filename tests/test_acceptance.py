@@ -38,6 +38,8 @@ from matterwave import (
 from matterwave.cli import run_command
 from matterwave.phase import path_phase
 
+from triples import add, cross, dot, scaled, sub, unit
+
 TWO_PI = 2.0 * math.pi
 
 NEUTRON_KG = PARTICLE_MASSES_KG["neutron"]
@@ -45,13 +47,17 @@ NEUTRON_KG = PARTICLE_MASSES_KG["neutron"]
 
 def _unit(rng):
     while True:
-        v = Vec3(rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1))
-        if v.norm() > 1e-3:
-            return v.unit()
+        v = (rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1))
+        if math.hypot(*v) > 1e-3:
+            return unit(v)
 
 
 def _box(rng, scale=1.0):
-    return Vec3(rng.uniform(-scale, scale), rng.uniform(-scale, scale), rng.uniform(-scale, scale))
+    return (rng.uniform(-scale, scale), rng.uniform(-scale, scale), rng.uniform(-scale, scale))
+
+
+def _field(translation, omega, pivot):
+    return MotionField(Vec3(*translation), Vec3(*omega), Vec3(*pivot))
 
 
 def test_ac1_full_fringe_sensitivity(data_dir):
@@ -84,26 +90,24 @@ def test_ac2_sagnac_cross_check():
     wave = make_particle_wave(50.0, wavelength=0.1)
     for _ in range(200):
         normal = _unit(rng)
-        helper = Vec3(1, 0, 0) if abs(normal.x) < 0.9 else Vec3(0, 1, 0)
-        u = normal.cross(helper).unit()
-        w = normal.cross(u)
+        helper = (1.0, 0.0, 0.0) if abs(normal[0]) < 0.9 else (0.0, 1.0, 0.0)
+        u = unit(cross(normal, helper))
+        w = cross(normal, u)
         center = _box(rng, 0.5)
         n = rng.randrange(3, 13)
         verts = []
         for i in range(n):
             theta = TWO_PI * (i + 0.2 * rng.random()) / n
             radius = rng.uniform(0.3, 1.2)
-            verts.append(center + u * (radius * math.cos(theta)) + w * (radius * math.sin(theta)))
+            verts.append(
+                add(add(center, scaled(u, radius * math.cos(theta))), scaled(w, radius * math.sin(theta)))
+            )
         loop = BeamPath(tuple(verts) + (verts[0],))
         while True:
             axis = _unit(rng)
-            if abs(axis.dot(normal)) >= 0.1:  # keep Omega . A resolvable in float64
+            if abs(dot(axis, normal)) >= 0.1:  # keep Omega . A resolvable in float64
                 break
-        field = MotionField(
-            translation=_box(rng, 0.5),
-            omega=axis * rng.uniform(0.3, 2.0),
-            pivot=_box(rng),
-        )
+        field = _field(_box(rng, 0.5), scaled(axis, rng.uniform(0.3, 2.0)), _box(rng))
         loop_integral_phase = (TWO_PI / wave.v_lambda) * circulation(field, loop)
         area_phase = sagnac_area_phase(wave, loop, field)
         denom = max(abs(loop_integral_phase), abs(area_phase))
@@ -123,7 +127,7 @@ def test_ac3_translational_null():
         while True:
             verts = [_box(rng) for _ in range(n)]
             verts.append(verts[0])
-            if min((verts[i + 1] - verts[i]).norm() for i in range(n)) > 0.05:
+            if min(math.dist(verts[i + 1], verts[i]) for i in range(n)) > 0.05:
                 break
         split = rng.randrange(1, n - 1)
         path_i = BeamPath(tuple(verts[: split + 1]))
@@ -132,7 +136,7 @@ def test_ac3_translational_null():
             path_i,
             path_ii,
             wave,
-            MotionField(translation=_unit(rng) * rng.uniform(0.0, 1.0)),
+            MotionField(translation=Vec3(*scaled(_unit(rng), rng.uniform(0.0, 1.0)))),
             ConfigKind.CLOSED_LOOP,
         )
         result = two_path_difference(config)
@@ -169,14 +173,10 @@ def test_ac4_factor_identities():
 def test_ac5_curl_oracle_and_zero_area_loop():
     rng = random.Random(2205)
     for _ in range(50):
-        field = MotionField(
-            translation=_box(rng),
-            omega=_unit(rng) * rng.uniform(0.05, 2.0),
-            pivot=_box(rng),
-        )
-        expected = field.omega * 2.0
-        got = curl_fd(field, _box(rng))
-        assert (got - expected).norm() <= 1e-6 * expected.norm()
+        field = _field(_box(rng), scaled(_unit(rng), rng.uniform(0.05, 2.0)), _box(rng))
+        expected = scaled(field.omega.as_tuple(), 2.0)
+        got = curl_fd(field, Vec3(*_box(rng))).as_tuple()
+        assert math.dist(got, expected) <= 1e-6 * math.hypot(*expected)
 
     wave = make_particle_wave(1.0, wavelength=1e-8)
     back_and_forth = BeamPath((Vec3(0, 0, 0), Vec3(0.01, 0, 0), Vec3(0, 0, 0)))
@@ -213,9 +213,9 @@ def test_ac6_property_suites_and_determinism():
     # Segment-split additivity at 1e-12 relative to the gross scale.
     for _ in range(50):
         a, b = _box(rng), _box(rng)
-        if (b - a).norm() < 0.05:
+        if math.dist(b, a) < 0.05:
             continue
-        mid = a + (b - a) * rng.uniform(0.1, 0.9)
+        a, mid, b = (Vec3(*v) for v in (a, add(a, scaled(sub(b, a), rng.uniform(0.1, 0.9))), b))
         whole = segment_phase_increment(wave, a, b, field)
         parts = (
             segment_phase_increment(wave, a, mid, field)
@@ -236,7 +236,7 @@ def test_ac6_property_suites_and_determinism():
                     square_i,
                     square_ii,
                     wave,
-                    MotionField(translation, omega, _box(rng)),
+                    _field(translation, omega, _box(rng)),
                     ConfigKind.CLOSED_LOOP,
                 )
             ).total_phase_rad
@@ -247,19 +247,19 @@ def test_ac6_property_suites_and_determinism():
     # Joint linearity in (V, Omega).
     path = BeamPath((Vec3(0, 0, 0), Vec3(0.8, 0.1, 0), Vec3(0.3, 0.9, 0.2)))
     for _ in range(30):
-        f1 = MotionField(_box(rng), _box(rng), _box(rng))
-        f2 = MotionField(_box(rng), _box(rng), _box(rng))
+        f1 = _field(_box(rng), _box(rng), _box(rng))
+        f2 = _field(_box(rng), _box(rng), _box(rng))
         alpha = rng.uniform(-2, 2)
         combined = path_phase(wave, path, f1 + f2).total_phase_rad
         separate = (
             path_phase(wave, path, f1).total_phase_rad
             + path_phase(wave, path, f2).total_phase_rad
         )
-        scaled = path_phase(wave, path, f1.scaled(alpha)).total_phase_rad
+        rescaled = path_phase(wave, path, f1.scaled(alpha)).total_phase_rad
         direct = alpha * path_phase(wave, path, f1).total_phase_rad
         gross = (TWO_PI / wave.v_lambda) * 30.0
         assert abs(combined - separate) <= 1e-12 * gross
-        assert abs(scaled - direct) <= 1e-12 * gross
+        assert abs(rescaled - direct) <= 1e-12 * gross
 
     # Arm-length invariance of the open-layout phase.
     slow = make_particle_wave(1.0, wavelength=1e-8)

@@ -293,6 +293,66 @@ class TestTranslateCommand:
         assert "error" in err
 
 
+# Translations whose norm overflows or is subnormal, on a Fig3bOpen layout with
+# the opening [1e-3, 1e-3, 0] and v*lambda = 1e6 m^2/s. Each has a direction.
+OUT_OF_RANGE_NORMS = pytest.mark.parametrize(
+    "translation", [[1.5e308, 1.5e308, 0.0], [3e-321, 4e-321, 0.0]], ids=["overflowing", "subnormal"]
+)
+
+
+def out_of_range_norm_scene(tmp_path, translation):
+    scene_file = tmp_path / "out_of_range_norm.json"
+    scene_file.write_text(
+        json.dumps(
+            {
+                "particle": {"speed_mps": 1e6, "wavelength_m": 1.0},
+                "motion": {"translation_mps": translation},
+                "geometry": {"kind": "Fig3bOpen", "opening_m": [1e-3, 1e-3, 0.0]},
+            }
+        )
+    )
+    return str(scene_file)
+
+
+def cos_to_the_diagonal(translation) -> float:
+    """cos(theta) between the translation and [1, 1, 0], on the translation scaled by a
+    power of two into the normal range, which keeps its ratios."""
+    x, y = (math.ldexp(c, 1074 if abs(c) < 1e-300 else -1000) for c in translation[:2])
+    return (x + y) / (math.hypot(x, y) * math.sqrt(2.0))
+
+
+class TestOutOfRangeTranslationNorms:
+    @OUT_OF_RANGE_NORMS
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_translate(self, capsys, tmp_path, translation, fmt):
+        argv = ["translate", "--scene", out_of_range_norm_scene(tmp_path, translation)]
+        code, out, err = run(capsys, argv + ["--format", fmt])
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            cos_theta = json.loads(out)["cos_theta"]
+        else:
+            cos_theta = float(dict(line.split(",") for line in out.splitlines())["cos_theta"])
+        assert cos_theta == pytest.approx(cos_to_the_diagonal(translation), rel=1e-12)
+
+    @OUT_OF_RANGE_NORMS
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_sweep(self, capsys, tmp_path, translation, fmt):
+        # Along the translation's direction at V = 2 m/s: V . D = 2 * |D| * cos(theta).
+        argv = ["sweep", "--scene", out_of_range_norm_scene(tmp_path, translation)]
+        code, out, err = run(capsys, argv + ["--vmax", "2", "--steps", "3", "--format", fmt])
+        assert (code, err) == (0, "")
+        cos_theta, opening = cos_to_the_diagonal(translation), math.hypot(1e-3, 1e-3)
+        fringes = 2.0 * opening * cos_theta / 1e6
+        if fmt == "json":
+            payload = json.loads(out)
+            assert payload["cos_theta"] == pytest.approx(cos_theta, rel=1e-12)
+            assert payload["v_full_fringe_mps"] == pytest.approx(1e6 / (opening * cos_theta), rel=1e-12)
+            last = payload["rows"][-1]["fringe_count"]
+        else:
+            last = float(out.splitlines()[-1].split(",")[2])
+        assert last == pytest.approx(fringes, rel=1e-12, abs=0.0)
+
+
 class TestSweepCommand:
     def test_csv_structure(self, capsys, data_dir):
         code, out, _ = run(
@@ -622,6 +682,26 @@ class TestErrorContract:
         assert err == (
             "matterwave: error: OpenLoop requires a nonzero opening between beam starts, "
             "gap is 1.000e-300 m, within the tolerance 1.000e-12 m\n"
+        )
+
+    @pytest.mark.parametrize(
+        "geometry",
+        [
+            {"kind": "Fig3bOpen", "opening_m": [1.5e308, 1.5e308, 0.0]},
+            {"kind": "Fig3cIndependent", "opening_m": [1e308, 0.0, 0.0], "arm_length_m": 1.7e308},
+        ],
+        ids=["opening", "arm"],
+    )
+    def test_open_layout_beyond_the_float_range_refused(self, capsys, tmp_path, geometry):
+        scene_file = tmp_path / "huge_open.json"
+        scene_file.write_text(
+            json.dumps({"particle": {"speed_mps": 1.0, "wavelength_m": 1e-8}, "geometry": geometry})
+        )
+        code, out, err = run(capsys, ["phase", "--scene", str(scene_file)])
+        assert_refused(code, out, err)
+        assert err == (
+            f"matterwave: error: a {geometry['kind']} layout of this opening and arm length "
+            "leaves the float range\n"
         )
 
     @pytest.mark.parametrize(

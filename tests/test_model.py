@@ -1,6 +1,7 @@
 """Domain types: construction, invariants, and rejection of bad inputs."""
 
 import math
+import operator
 import sys
 
 import pytest
@@ -22,6 +23,7 @@ from matterwave import (
     make_particle_wave,
     translation_opening,
 )
+from matterwave.model import _cross, _dot, _scaled, _unit
 
 NEUTRON = PARTICLE_MASSES_KG["neutron"]
 
@@ -38,15 +40,18 @@ class TestConstants:
 
 class TestVec3:
     def test_arithmetic(self):
+        # A Vec3 is a record at the public boundary: it offers dot, norm and
+        # unit, and the package's vector arithmetic runs on float triples.
         a = Vec3(1.0, 2.0, 3.0)
         b = Vec3(-1.0, 0.5, 2.0)
-        assert a + b == Vec3(0.0, 2.5, 5.0)
-        assert a - b == Vec3(2.0, 1.5, 1.0)
-        assert 2.0 * a == Vec3(2.0, 4.0, 6.0)
         assert a.dot(b) == 1.0 * -1.0 + 2.0 * 0.5 + 3.0 * 2.0
-
-    def test_cross_right_handed(self):
-        assert Vec3(1, 0, 0).cross(Vec3(0, 1, 0)) == Vec3(0, 0, 1)
+        assert a.unit() == Vec3(*_unit(a.as_tuple()))
+        for name in ("__add__", "__sub__", "__mul__", "__rmul__", "cross"):
+            assert not hasattr(Vec3, name), name
+        with pytest.raises(TypeError):
+            a + b
+        with pytest.raises(TypeError):
+            2.0 * a
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite(self, bad):
@@ -62,6 +67,38 @@ class TestVec3:
     def test_unit_of_zero_vector_fails(self):
         with pytest.raises(GeometryError):
             Vec3(0.0, 0.0, 0.0).unit()
+
+
+class TestTripleArithmetic:
+    def test_dot_and_scaled(self):
+        a, b = (1.0, 2.0, 3.0), (-1.0, 0.5, 2.0)
+        assert _dot(a, b) == 1.0 * -1.0 + 2.0 * 0.5 + 3.0 * 2.0
+        assert _scaled(a, 2.0) == (2.0, 4.0, 6.0)
+
+    def test_cross_right_handed(self):
+        assert _cross((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)) == (0.0, 0.0, 1.0)
+
+    # |v| overflows, or is subnormal. Subnormal components keep only a few
+    # digits (3e-321 is stored as 607 * 2**-1074), so 0.6 and 0.8 hold to 2e-3.
+    @pytest.mark.parametrize(
+        "v, expected, rel",
+        [
+            ((1.5e308, 1.5e308, 0.0), (math.sqrt(0.5), math.sqrt(0.5), 0.0), 1e-15),
+            ((-1.7e308, 0.0, 1.7e308), (-math.sqrt(0.5), 0.0, math.sqrt(0.5)), 1e-15),
+            ((3e-321, 4e-321, 0.0), (0.6, 0.8, 0.0), 2e-3),
+            ((0.0, -5e-324, 0.0), (0.0, -1.0, 0.0), 1e-15),
+        ],
+    )
+    def test_unit_of_extreme_vectors(self, v, expected, rel):
+        u = _unit(v)
+        assert math.hypot(*u) == pytest.approx(1.0, rel=1e-15)
+        assert u == pytest.approx(expected, rel=rel, abs=0.0)
+
+    def test_unit_keeps_normal_range_floats_as_a_plain_division(self, rng):
+        for _ in range(200):
+            v = tuple(rng.uniform(-1e3, 1e3) for _ in range(3))
+            n = math.hypot(*v)
+            assert _unit(v) == (v[0] / n, v[1] / n, v[2] / n)
 
 
 class TestParticleWave:
@@ -154,9 +191,10 @@ class TestBeamPath:
     def test_segments_and_endpoints(self):
         path = BeamPath((Vec3(0, 0, 0), Vec3(1, 0, 0), Vec3(1, 1, 0)))
         assert len(path.vertices) == 3
-        assert path.start == Vec3(0, 0, 0)
-        assert path.end == Vec3(1, 1, 0)
+        assert path.vertices[0] == (0.0, 0.0, 0.0)
+        assert path.vertices[-1] == (1.0, 1.0, 0.0)
         assert not path.closed()
+        assert not hasattr(path, "start") and not hasattr(path, "end")
 
     def test_closed_within_tolerance(self):
         path = BeamPath((Vec3(0, 0, 0), Vec3(1, 0, 0), Vec3(0, 1e-13, 0)))
@@ -202,12 +240,8 @@ class TestBeamPath:
         assert from_lists == from_vec3
         assert from_lists.vertices == ((0.0, 0.0, 0.0), (1.0, 2.0, 3.0), (0.5, -1.0, 2.0))
         assert all(type(c) is float for v in from_lists.vertices for c in v)
-        assert from_lists.start == Vec3(0, 0, 0) and from_lists.end == Vec3(0.5, -1, 2)
-
-    def test_float_triples_are_kept_without_a_copy(self):
-        triples = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0))
-        path = BeamPath(triples)
-        assert all(kept is given for kept, given in zip(path.vertices, triples))
+        from_triples = BeamPath(tuple(map(tuple, from_lists.vertices)))
+        assert from_triples == from_lists
 
 
 def per_axis_refusal(points) -> str | None:
@@ -271,9 +305,9 @@ class TestMotionField:
         total = f1 + f2
         for _ in range(20):
             r = Vec3(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
-            direct = velocity_at(f1, r) + velocity_at(f2, r)
-            combined = velocity_at(total, r)
-            assert (combined - direct).norm() < 1e-14
+            direct = map(operator.add, velocity_at(f1, r).as_tuple(), velocity_at(f2, r).as_tuple())
+            combined = velocity_at(total, r).as_tuple()
+            assert math.dist(combined, tuple(direct)) < 1e-14
 
 
 def _square_paths():

@@ -259,6 +259,7 @@ BUILDER_SCENE = (
 )
 EXPLICIT_SCENE = (
     '{"particle": {"speed_mps": 1.0, "wavelength_m": 1e-8},'
+    ' "motion": {"translation_mps": [0.1, 0.0, 0.0], "omega_radps": [0.0, 0.0, 0.5]},'
     ' "geometry": {"path_I_m": [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]],'
     ' "path_II_m": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]}}'
 )
@@ -299,9 +300,11 @@ class TestPostInitHook:
         assert seen_as(constructed, "ParticleWave", config.wave)
         # Explicit paths are checked once by the scene reader and BeamPath's
         # bulk check, and built without their __post_init__; the kind is
-        # inferred from the beams' starts, as Vec3 objects.
+        # inferred from the beams' starts as float triples. The only Vec3 are
+        # the motion's, as read from the scene.
         assert "BeamPath" not in constructed
-        assert len(constructed["Vec3"]) >= 2
+        (translation, omega), motion = constructed["Vec3"], config.motion
+        assert translation is motion.translation and omega is motion.omega
 
     def test_build_config(self, constructed):
         wave = make_particle_wave(1000.0, mass=PARTICLE_MASSES_KG["neutron"])
@@ -310,7 +313,8 @@ class TestPostInitHook:
         assert seen_as(constructed, "ParticleWave", wave)
         assert seen_as(constructed, "BeamPath", config.path_I)
         assert seen_as(constructed, "BeamPath", config.path_II)
-        assert len(constructed["Vec3"]) >= 4
+        # The layout is built on float triples: no Vec3 for its vertices or opening.
+        assert "Vec3" not in constructed
 
     def test_verify_builds_vec3_only_at_the_public_boundary(self, constructed):
         # The generators and checks work on float triples; a Vec3 is built
