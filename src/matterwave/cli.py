@@ -325,7 +325,7 @@ def run_command(argv: list[str]) -> int:
                 "cos_theta": sweep.cos_theta,
                 "v_lambda_m2ps": sweep.v_lambda,
             }
-        elif args.command == "fringes":
+        else:  # fringes
             if args.steps < 2:
                 raise MatterWaveError(f"--steps must be at least 2, got {args.steps}")
             base = two_path_difference(config).total_phase_rad
@@ -334,8 +334,6 @@ def run_command(argv: list[str]) -> int:
                 offset = TWO_PI * i / (args.steps - 1)
                 rows.append({"offset_rad": offset, **fringe_reading(base + offset)._asdict()})
             doc = {"base_phase_rad": base, "rows": rows}
-        else:
-            raise MatterWaveError(f"unknown subcommand {args.command!r}")
         _write(emit_results(doc, fmt, per_segment), args.out)
         return 0
     except MatterWaveError as exc:

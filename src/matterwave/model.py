@@ -260,13 +260,15 @@ def _triple(point) -> tuple[float, float, float]:
     return xyz
 
 
-_HALF_MAX = sys.float_info.max / 2.0
+def _bounded(verts) -> bool:
+    """Whether the coordinate magnitudes sum to at most half the float range: such
+    coordinates are finite, and so is every gap between two of them."""
+    return sum(map(abs, chain.from_iterable(verts))) <= sys.float_info.max / 2.0
 
 
 class _Bounded(tuple):
-    """Float triples whose coordinate magnitudes are known to sum to at most
-    ``_HALF_MAX``, as the scene reader's bulk check proves: every coordinate and
-    every gap between two is finite, and ``_check_vertices`` need not sum them."""
+    """Float triples known to be ``_bounded``, as the scene reader proves: ``BeamPath``
+    keeps them as they are, and ``_check_vertices`` need not sum them."""
 
     __slots__ = ()
 
@@ -274,10 +276,9 @@ class _Bounded(tuple):
 def _check_vertices(verts: tuple, first: int = 0) -> None:
     """Refuse non-finite coordinates, overflowing gaps and repeated consecutive
     vertices of float triples; messages number the vertices from ``first``."""
-    # Coordinates within half the float range in magnitude are finite, and so
-    # is every gap between them. Only a sum beyond that (or an inf or nan
-    # coordinate) walks the axes, to find what to refuse, if anything.
-    if type(verts) is not _Bounded and not sum(map(abs, chain.from_iterable(verts))) <= _HALF_MAX:
+    # Only a sum beyond the bound (or an inf or nan coordinate) walks the axes,
+    # to find what to refuse, if anything.
+    if type(verts) is not _Bounded and not _bounded(verts):
         for name, axis in zip("xyz", zip(*verts)):
             gaps = list(map(operator.sub, axis[1:], axis))
             # A finite first coordinate and finite gaps make every coordinate finite.
@@ -323,11 +324,13 @@ class BeamPath(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        verts = tuple(map(_triple, self.vertices))
+        verts = self.vertices
+        if type(verts) is not _Bounded:  # the scene reader's float triples are kept as read
+            verts = tuple(map(_triple, verts))
         if len(verts) < 2:
             raise GeometryError("a beam path needs at least 2 vertices")
         _check_vertices(verts)
-        _set(self, "vertices", verts)
+        _set(self, "vertices", tuple(verts))
 
     @cached_property
     def moments(self) -> PathMoments:
@@ -398,12 +401,6 @@ class BeamPath(_Value):
         """
         _check_vertices((self.vertices[-1], tail.vertices[1]), first=len(self.vertices) - 1)
         return BeamPath._checked(self.vertices + tail.vertices[1:])
-
-    @classmethod
-    def _from_float_triples(cls, verts: tuple) -> "BeamPath":
-        """A path of at least two float triples, built with the checks between vertices only."""
-        _check_vertices(verts)
-        return cls._checked(tuple(verts))  # a plain tuple, also when given _Bounded
 
     @classmethod
     def _checked(cls, verts: tuple) -> "BeamPath":

@@ -79,14 +79,7 @@ def boost_factor(wave: ParticleWave, speed_parallel: float) -> float:
 _BOUND_MARGIN = 1e-9
 
 
-def _within_bound(wave: ParticleWave, form, u0, omega) -> bool:
-    """Whether |U0| + |omega| * reach stays below v, so that no segment can leave the
-    boost domain: every point of the path moves slower than that."""
-    bound = math.hypot(*u0) + math.hypot(*omega) * form.reach
-    return bound * (1.0 + _BOUND_MARGIN) < wave.speed_v
-
-
-def _increments(wave: ParticleWave, path: BeamPath, field: MotionField) -> list[float]:
+def _increments(wave: ParticleWave, path: BeamPath, field: MotionField, check=False) -> list[float]:
     """Phase increment of each segment of the path, walked in the path's local frame.
 
     The per-segment law, stated once: the segment a -> b moves with
@@ -94,20 +87,15 @@ def _increments(wave: ParticleWave, path: BeamPath, field: MotionField) -> list[
     reference vertex, and its increment is (2*pi / v*lambda) * (V . dL),
     with dL = b - a taken between the stored vertices. For a rigid field
     V . dL is the same with V at a, as computed here, since
-    (omega x dL) . dL = 0. Unless the bound rules it out, each segment's
-    speed along the beam, V . dL / |dL|, is checked against the domain of
-    the boost model wherever it could reach -v. A non-finite increment is
-    left to the caller.
+    (omega x dL) . dL = 0. With ``check``, each segment's speed along the
+    beam, V . dL / |dL|, is checked against the domain of the boost model.
+    A non-finite increment is left to the caller.
     """
     form = path.moments
     ox, oy, oz = form.origin
-    omega = field.omega.as_tuple()
-    ux, uy, uz = u0 = _velocity(field, form.origin)
-    wx, wy, wz = omega
-    check = not _within_bound(wave, form, u0, omega)
+    ux, uy, uz = _velocity(field, form.origin)
+    wx, wy, wz = field.omega.as_tuple()
     scale = TWO_PI / wave.v_lambda
-    limit = -0.5 * wave.speed_v  # boost_factor refuses only speeds below -v
-    hypot = math.hypot
     increments = []
     append = increments.append
     ax, ay, az = path.vertices[0]
@@ -120,9 +108,7 @@ def _increments(wave: ParticleWave, path: BeamPath, field: MotionField) -> list[
             + (uz + (wx * ry - wy * rx)) * dz
         )
         if check:
-            length = hypot(dx, dy, dz)
-            if v_dot_dl <= limit * length:
-                boost_factor(wave, v_dot_dl / length)
+            boost_factor(wave, v_dot_dl / math.hypot(dx, dy, dz))
         append(scale * v_dot_dl)
         ax, ay, az = bx, by, bz
     return increments
@@ -130,31 +116,30 @@ def _increments(wave: ParticleWave, path: BeamPath, field: MotionField) -> list[
 
 def _checked_moments(wave: ParticleWave, path: BeamPath, field: MotionField) -> tuple:
     """The path's compiled form and U0 at its reference vertex, once no segment is found
-    outside the boost domain.
-
-    Where the bound does not keep every segment in the domain, the segments
-    are walked, and the first one outside raises.
-    """
+    outside the boost domain. |U0| + |omega| * reach bounds the speed of every point of
+    the path; unless it is below v, the segments are walked and the first one outside
+    raises."""
     form = path.moments
     u0 = _velocity(field, form.origin)
-    if not _within_bound(wave, form, u0, field.omega.as_tuple()):
-        _increments(wave, path, field)
+    bound = math.hypot(*u0) + math.hypot(*field.omega.as_tuple()) * form.reach
+    if not bound * (1.0 + _BOUND_MARGIN) < wave.speed_v:
+        _increments(wave, path, field, check=True)
     return form, u0
 
 
-def _rotation_terms(scale: float, omega, moment) -> list[float]:
-    """scale * omega_j * moment_j per axis; a zero rate component drops its term, whose
-    moment may have overflowed."""
-    return [scale * (w * m) for w, m in zip(omega, moment) if w]
+def _terms(scale: float, u, d, omega, moment) -> list[float]:
+    """The rigid identity's terms, scaled: scale * u_j * d_j and scale * omega_j * moment_j
+    per axis. A zero rate component drops its term, whose moment may have overflowed."""
+    rotation = [scale * (w * m) for w, m in zip(omega, moment) if w]
+    return [scale * (a * b) for a, b in zip(u, d)] + rotation
 
 
 def _path_total(wave: ParticleWave, path: BeamPath, field: MotionField) -> float:
     """(2*pi / v*lambda) * [U0 . delta + omega . moment], U0 the velocity at the path's
     reference vertex."""
     form, u0 = _checked_moments(wave, path, field)
-    scale = TWO_PI / wave.v_lambda
-    terms = [scale * (u * d) for u, d in zip(u0, form.delta)]
-    return exact_sum(terms + _rotation_terms(scale, field.omega.as_tuple(), form.moment), "phase")
+    terms = _terms(TWO_PI / wave.v_lambda, u0, form.delta, field.omega.as_tuple(), form.moment)
+    return exact_sum(terms, "phase")
 
 
 def segment_phase_increment(
@@ -167,7 +152,7 @@ def segment_phase_increment(
     segment's speed along the beam is checked against the domain of that
     boost model. Swapping start and end flips the increment's sign.
     """
-    return _path_total(wave, BeamPath._from_float_triples((start.as_tuple(), end.as_tuple())), field)
+    return _path_total(wave, BeamPath((start, end)), field)
 
 
 def path_phase(
@@ -209,13 +194,8 @@ def two_path_difference(config: InterferometerConfig) -> PhaseResult:
     opening = map(operator.sub, map(operator.sub, path_i.vertices[0], path_ii.vertices[0]), gap)
     end_motion = _cross(omega, gap)
     scale = TWO_PI / wave.v_lambda
-    terms = (
-        [scale * (u * d) for u, d in zip(_velocity(motion, path_ii.vertices[-1]), opening)]
-        + [-scale * (c * d) for c, d in zip(end_motion, form_i.delta)]
-        + _rotation_terms(scale, omega, form_ii.moment)
-        + _rotation_terms(-scale, omega, form_i.moment)
-    )
-    total = exact_sum(terms, "phase")
+    terms = _terms(scale, _velocity(motion, path_ii.vertices[-1]), opening, omega, form_ii.moment)
+    total = exact_sum(terms + _terms(-scale, end_motion, form_i.delta, omega, form_i.moment), "phase")
 
     def walk():
         return (

@@ -43,8 +43,8 @@ from .model import (
     Vec3,
     make_particle_wave,
     _Bounded,
+    _bounded,
     _endpoint_tol,
-    _HALF_MAX,
 )
 
 OUTPUT_FORMATS = ("csv", "json")
@@ -80,19 +80,19 @@ def _vec3(value, path: str) -> Vec3:
 def _points(value, path: str) -> tuple[tuple[float, float, float], ...]:
     if not isinstance(value, list) or len(value) < 2:
         raise SceneError(f"{path}: expected a list of at least 2 [x, y, z] points")
-    # Lists of three floats whose magnitudes sum to at most half the float
-    # range, checked in bulk: such floats are finite, and so is every gap
-    # between two of them, which BeamPath then need not sum again. Anything
-    # else (an int, a literal beyond the float range, a sum beyond the bound)
-    # takes the walk, which names what it refuses.
+    # Lists of three bounded floats are checked in bulk. Anything else (an int,
+    # a literal beyond the float range, a sum beyond the bound) takes the walk,
+    # which names what it refuses. Bounded triples either way are _Bounded, which
+    # BeamPath keeps without converting or summing them again.
     if (
         set(map(type, value)) == {list}
         and set(map(len, value)) == {3}
         and set(map(type, chain.from_iterable(value))) == {float}
-        and sum(map(abs, chain.from_iterable(value))) <= _HALF_MAX
+        and _bounded(value)
     ):
         return _Bounded(map(tuple, value))
-    return tuple(_triple(p, f"{path}[{i}]") for i, p in enumerate(value))
+    points = tuple(_triple(p, f"{path}[{i}]") for i, p in enumerate(value))
+    return _Bounded(points) if _bounded(points) else points
 
 
 def _opening(value, path: str) -> Vec3 | float:
@@ -226,8 +226,7 @@ def config_from_scene(doc: SceneDocument) -> InterferometerConfig:
     """Realize the scene as a validated interferometer configuration."""
     wave = make_particle_wave(**_renamed(doc.particle, _PARTICLE))
     if doc.geometry.keys() == _EXPLICIT.keys():
-        # _points has read at least two float triples: only the checks between vertices are left.
-        path_i, path_ii = (BeamPath._from_float_triples(doc.geometry[key]) for key in _EXPLICIT)
+        path_i, path_ii = (BeamPath(doc.geometry[key]) for key in _EXPLICIT)
         start_ii, start_i = path_ii.vertices[0], path_i.vertices[0]
         closed = math.dist(start_ii, start_i) <= _endpoint_tol(start_ii, start_i)
         kind = ConfigKind.CLOSED_LOOP if closed else ConfigKind.OPEN_LOOP

@@ -298,11 +298,12 @@ class TestPostInitHook:
         config = config_from_scene(doc)
         assert seen_as(constructed, "InterferometerConfig", config)
         assert seen_as(constructed, "ParticleWave", config.wave)
-        # Explicit paths are checked once by the scene reader and BeamPath's
-        # bulk check, and built without their __post_init__; the kind is
+        # Explicit paths go through BeamPath's one validating constructor,
+        # which keeps the scene reader's proven float triples; the kind is
         # inferred from the beams' starts as float triples. The only Vec3 are
         # the motion's, as read from the scene.
-        assert "BeamPath" not in constructed
+        assert seen_as(constructed, "BeamPath", config.path_I)
+        assert seen_as(constructed, "BeamPath", config.path_II)
         (translation, omega), motion = constructed["Vec3"], config.motion
         assert translation is motion.translation and omega is motion.omega
 
