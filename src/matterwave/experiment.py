@@ -85,7 +85,7 @@ def build_config(
     arm length.
     """
     if kind not in LAYOUT_KINDS:
-        raise ValueError(f"unknown layout {kind!r} (known: {', '.join(LAYOUT_KINDS)})")
+        raise GeometryError(f"unknown layout {kind!r} (known: {', '.join(LAYOUT_KINDS)})")
     if LAYOUT_KINDS[kind] is ConfigKind.CLOSED_LOOP:
         if side_m is not None:
             if width_m is not None or height_m is not None:

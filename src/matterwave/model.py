@@ -12,7 +12,7 @@ import sys
 from collections.abc import Callable
 from enum import Enum
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
 from typing import NamedTuple
 
 # Physical constants (exact SI values where defined exact).
@@ -250,14 +250,31 @@ def make_particle_wave(
     return ParticleWave(speed_v=speed_v, wavelength_lambda=wavelength, mass=mass)
 
 
-def _triple(point) -> tuple[float, float, float]:
-    """A vertex as an (x, y, z) float triple, from a Vec3 or any 3 numbers."""
+def _triple(point, index: int) -> tuple[float, float, float]:
+    """Vertex ``index`` as an (x, y, z) float triple, from a Vec3 or any 3 numbers.
+
+    Three floats are kept as given. Anything else that is not a number (a
+    string, a bool, None), or an int beyond the float range, is refused.
+    """
     if isinstance(point, Vec3):
         return (point.x, point.y, point.z)
-    xyz = tuple(map(float, point))
+    xyz = tuple(point)
     if len(xyz) != 3:
-        raise GeometryError(f"expected 3 components, got {len(xyz)}")
-    return xyz
+        raise GeometryError(f"vertex {index}: expected 3 components, got {len(xyz)}")
+    if type(xyz[0]) is type(xyz[1]) is type(xyz[2]) is float:
+        return xyz
+    return tuple(_coordinate(c, name, index) for c, name in zip(xyz, "xyz"))
+
+
+def _coordinate(value, name: str, index: int) -> float:
+    # A number is anything float() converts by its own __float__ (numpy scalars
+    # too), except a bool; a str converts only by parsing, and None not at all.
+    if type(value) is bool or not hasattr(type(value), "__float__"):
+        raise GeometryError(f"vertex {index}: {name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the float range
+        raise GeometryError(f"vertex {index}: {name} is beyond the float range") from None
 
 
 def _bounded(verts) -> bool:
@@ -314,7 +331,7 @@ class BeamPath(_Value):
     """Oriented polyline traversed start to end; segment i is vertices[i] -> vertices[i + 1].
 
     Vertices are (x, y, z) float triples; the constructor also takes Vec3
-    objects or any 3-sequences, and checks every vertex once.
+    objects or any 3-sequences of numbers, and checks every vertex once.
     """
 
     _fields = ("vertices",)
@@ -326,7 +343,7 @@ class BeamPath(_Value):
     def __post_init__(self) -> None:
         verts = self.vertices
         if type(verts) is not _Bounded:  # the scene reader's float triples are kept as read
-            verts = tuple(map(_triple, verts))
+            verts = tuple(map(_triple, verts, count()))
         if len(verts) < 2:
             raise GeometryError("a beam path needs at least 2 vertices")
         _check_vertices(verts)
@@ -430,17 +447,24 @@ class MotionField(_Value):
             map(operator.sub, f.translation.as_tuple(), _cross(f.omega.as_tuple(), f.pivot.as_tuple()))
             for f in (self, other)
         )
-        return MotionField(
-            translation=Vec3(*map(operator.add, base_self, base_other)),
-            omega=Vec3(*map(operator.add, self.omega.as_tuple(), other.omega.as_tuple())),
-        )
+        try:
+            return MotionField(
+                translation=Vec3(*map(operator.add, base_self, base_other)),
+                omega=Vec3(*map(operator.add, self.omega.as_tuple(), other.omega.as_tuple())),
+            )
+        except GeometryError as exc:  # a component beyond the float range
+            raise GeometryError(f"the sum of two motion fields leaves the float range: {exc}") from None
 
     def scaled(self, factor: float) -> "MotionField":
-        return MotionField(
-            translation=Vec3(*_scaled(self.translation.as_tuple(), factor)),
-            omega=Vec3(*_scaled(self.omega.as_tuple(), factor)),
-            pivot=self.pivot,
-        )
+        try:
+            return MotionField(
+                translation=Vec3(*_scaled(self.translation.as_tuple(), factor)),
+                omega=Vec3(*_scaled(self.omega.as_tuple(), factor)),
+                pivot=self.pivot,
+            )
+        except GeometryError as exc:  # a component beyond the float range
+            how = f"a motion field scaled by {factor!r}"
+            raise GeometryError(f"{how} leaves the float range: {exc}") from None
 
 
 def _velocity(field: MotionField, r) -> tuple[float, float, float]:
@@ -500,6 +524,12 @@ class InterferometerConfig(_Value):
                 f"{self.kind.value} requires a nonzero opening between beam starts, gap is "
                 f"{start_gap:.3e} m, within the tolerance {start_tol:.3e} m"
             )
+        # An opening whose length alone overflows still has a phase; one whose
+        # components do not has none.
+        elif start_gap == math.inf and not all(
+            map(math.isfinite, map(operator.sub, verts_i[0], verts_ii[0]))
+        ):
+            raise GeometryError("the opening between the beam starts overflows the float range")
 
 
 class SegmentContribution(NamedTuple):

@@ -442,6 +442,13 @@ class TestFringesCommand:
         for row in rows:
             assert 0.0 - 1e-12 <= row["normalized_intensity"] <= 1.0 + 1e-12
 
+    def test_single_step_refused(self, capsys, data_dir):
+        code, out, err = run(
+            capsys,
+            ["fringes", "--scene", scene(data_dir, "closed_translation.json"), "--steps", "1"],
+        )
+        assert (code, out, err) == (1, "", "matterwave: error: --steps must be at least 2, got 1\n")
+
 
 class TestVerifyCommand:
     def test_passes_with_default_seed(self, capsys):
@@ -703,6 +710,46 @@ class TestErrorContract:
             f"matterwave: error: a {geometry['kind']} layout of this opening and arm length "
             "leaves the float range\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv", [["phase"], ["translate"], ["sweep", "--vmax", "2"], ["sagnac"]],
+        ids=["phase", "translate", "sweep", "sagnac"],
+    )
+    def test_beam_starts_farther_apart_than_the_float_range_refused(self, capsys, tmp_path, argv):
+        scene_file = tmp_path / "far_starts.json"
+        geometry = {
+            "path_I_m": [[1.7e308, 0.0, 0.0], [0.0, 0.0, 0.0]],
+            "path_II_m": [[-1.7e308, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        }
+        scene_file.write_text(
+            json.dumps({"particle": {"speed_mps": 1.0, "wavelength_m": 1e-8}, "geometry": geometry})
+        )
+        code, out, err = run(capsys, argv[:1] + ["--scene", str(scene_file)] + argv[1:])
+        assert_refused(code, out, err)
+        assert err == (
+            "matterwave: error: the opening between the beam starts overflows the float range\n"
+        )
+
+    def test_opening_whose_length_alone_overflows_answered(self, capsys, tmp_path):
+        scene_file = tmp_path / "long_opening.json"
+        geometry = {
+            "path_I_m": [[1.5e308, 1.5e308, 0.0], [0.0, 0.0, 0.0]],
+            "path_II_m": [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
+        }
+        motion = {"translation_mps": [1e-300, 0.0, 0.0]}
+        scene_file.write_text(
+            json.dumps(
+                {
+                    "particle": {"speed_mps": 1.0, "wavelength_m": 1e-8},
+                    "motion": motion,
+                    "geometry": geometry,
+                }
+            )
+        )
+        code, out, err = run(capsys, ["phase", "--scene", str(scene_file)])
+        assert (code, err) == (0, "")
+        expected = (TWO_PI / 1e-8) * (1e-300 * 1.5e308)
+        assert json.loads(out)["total_phase_rad"] == pytest.approx(expected, rel=1e-15)
 
     @pytest.mark.parametrize(
         "bounds", [["--vmin", "-1e-05", "--vmax", "1e-4"], ["--vmax", "-1e-05"]]

@@ -126,8 +126,12 @@ class TestBuildConfig:
         with pytest.raises(GeometryError):
             build_config(kind, unit_wave, MotionField(), **kwargs)
 
+    def test_zero_opening_vector_rejected(self, unit_wave):
+        with pytest.raises(GeometryError, match="^opening must be nonzero$"):
+            build_config("Fig3bOpen", unit_wave, MotionField(), opening_m=Vec3(0.0, -0.0, 0.0))
+
     def test_unknown_kind_rejected(self, unit_wave):
-        with pytest.raises(ValueError):
+        with pytest.raises(GeometryError, match=r"^unknown layout 'Fig9' \(known: Fig2Rotation, "):
             build_config("Fig9", unit_wave, MotionField(), side_m=0.1)
 
 

@@ -6,6 +6,7 @@ output regenerates them with ``PYTHONPATH=src python tests/test_golden.py``
 and says so in the change log.
 """
 
+import io
 import sys
 from pathlib import Path
 
@@ -68,6 +69,15 @@ def test_stdout_matches_golden(capsys, name, argv):
     assert out == (GOLDEN_DIR / name).read_bytes()
 
 
+@pytest.mark.parametrize("name,argv", golden_cases(), ids=[name for name, _ in golden_cases()])
+def test_text_stdout_gets_the_golden_text(monkeypatch, name, argv):
+    # A stdout with no bytes layer below it, such as io.StringIO, is written as text.
+    stdout = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert run_command(argv) == 0
+    assert stdout.getvalue().encode() == (GOLDEN_DIR / name).read_bytes()
+
+
 def test_every_golden_file_has_a_case():
     names = {name for name, _ in golden_cases()}
     assert {p.name for p in GOLDEN_DIR.iterdir()} == names
@@ -75,7 +85,6 @@ def test_every_golden_file_has_a_case():
 
 if __name__ == "__main__":
     import contextlib
-    import io
 
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, argv in golden_cases():

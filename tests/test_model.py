@@ -243,6 +243,27 @@ class TestBeamPath:
         from_triples = BeamPath(tuple(map(tuple, from_lists.vertices)))
         assert from_triples == from_lists
 
+    @pytest.mark.parametrize(
+        "points,message",
+        [
+            ([["1", "2", "3"], [1, 2, 4]], "vertex 0: x must be a number, got '1'"),
+            ([[0, 0, 0], [1, True, 0]], "vertex 1: y must be a number, got True"),
+            ([[0, 0, 0], [1, 2, None]], "vertex 1: z must be a number, got None"),
+            ([[0, 0, 0], [1, 2, 3], [10**400, 0, 0]], "vertex 2: x is beyond the float range"),
+            ([[0, 0, 0], [1, 0]], "vertex 1: expected 3 components, got 2"),
+        ],
+        ids=["strings", "bool", "none", "huge-int", "two-components"],
+    )
+    def test_non_numbers_refused_naming_the_vertex(self, points, message):
+        with pytest.raises(GeometryError, match=f"^{message}$"):
+            BeamPath.from_points(points)
+
+    def test_numpy_scalars_accepted(self):
+        np = pytest.importorskip("numpy")
+        path = BeamPath.from_points([[np.float32(0.5), np.int64(2), np.float64(3)], [0, 0, 0]])
+        assert path.vertices == ((0.5, 2.0, 3.0), (0.0, 0.0, 0.0))
+        assert all(type(c) is float for v in path.vertices for c in v)
+
 
 def per_axis_refusal(points) -> str | None:
     """The vertex checks as a walk over every axis: the message of the first
@@ -309,6 +330,18 @@ class TestMotionField:
             combined = velocity_at(total, r).as_tuple()
             assert math.dist(combined, tuple(direct)) < 1e-14
 
+    def test_sum_beyond_the_float_range_refused_as_a_sum(self):
+        fast = MotionField(translation=Vec3(1e308, 0.0, 0.0))
+        message = "^the sum of two motion fields leaves the float range: x must be finite, got inf$"
+        with pytest.raises(GeometryError, match=message):
+            fast + fast
+
+    def test_scaling_beyond_the_float_range_refused_as_a_scaling(self):
+        spin = MotionField(omega=Vec3(0.0, 0.0, 1e300))
+        message = r"^a motion field scaled by 1e\+300 leaves the float range: z must be finite"
+        with pytest.raises(GeometryError, match=message + ", got inf$"):
+            spin.scaled(1e300)
+
 
 def _square_paths():
     a, b, c, d = Vec3(0, 0, 0), Vec3(1, 0, 0), Vec3(1, 1, 0), Vec3(0, 1, 0)
@@ -360,6 +393,19 @@ class TestInterferometerConfig:
         first = InterferometerConfig(path_i, path_ii, unit_wave, MotionField(), ConfigKind.CLOSED_LOOP)
         swapped = InterferometerConfig(path_ii, path_i, unit_wave, MotionField(), ConfigKind.CLOSED_LOOP)
         assert first.kind is swapped.kind
+
+    def test_opening_beyond_the_float_range_refused(self, unit_wave):
+        path_i = BeamPath(((1.7e308, 0.0, 0.0), (0.0, 0.0, 0.0)))
+        path_ii = BeamPath(((-1.7e308, 0.0, 0.0), (0.0, 0.0, 0.0)))
+        message = "^the opening between the beam starts overflows the float range$"
+        with pytest.raises(GeometryError, match=message):
+            InterferometerConfig(path_i, path_ii, unit_wave, MotionField(), ConfigKind.OPEN_LOOP)
+
+    def test_opening_whose_length_alone_overflows_accepted(self, unit_wave):
+        path_i = BeamPath(((1.5e308, 1.5e308, 0.0), (0.0, 0.0, 0.0)))
+        path_ii = BeamPath(((0.0, 0.0, 1.0), (0.0, 0.0, 0.0)))
+        config = InterferometerConfig(path_i, path_ii, unit_wave, MotionField(), ConfigKind.OPEN_LOOP)
+        assert translation_opening(config) == Vec3(1.5e308, 1.5e308, -1.0)
 
 
 class TestOpeningVector:
