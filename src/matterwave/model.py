@@ -258,7 +258,10 @@ def _triple(point, index: int) -> tuple[float, float, float]:
     """
     if isinstance(point, Vec3):
         return (point.x, point.y, point.z)
-    xyz = tuple(point)
+    try:
+        xyz = tuple(point)
+    except TypeError:  # not a sequence
+        raise GeometryError(f"vertex {index}: expected 3 components, got {point!r}") from None
     if len(xyz) != 3:
         raise GeometryError(f"vertex {index}: expected 3 components, got {len(xyz)}")
     if type(xyz[0]) is type(xyz[1]) is type(xyz[2]) is float:

@@ -251,8 +251,9 @@ class TestBeamPath:
             ([[0, 0, 0], [1, 2, None]], "vertex 1: z must be a number, got None"),
             ([[0, 0, 0], [1, 2, 3], [10**400, 0, 0]], "vertex 2: x is beyond the float range"),
             ([[0, 0, 0], [1, 0]], "vertex 1: expected 3 components, got 2"),
+            ([[0, 0, 0], 1.5], "vertex 1: expected 3 components, got 1.5"),
         ],
-        ids=["strings", "bool", "none", "huge-int", "two-components"],
+        ids=["strings", "bool", "none", "huge-int", "two-components", "not-a-sequence"],
     )
     def test_non_numbers_refused_naming_the_vertex(self, points, message):
         with pytest.raises(GeometryError, match=f"^{message}$"):

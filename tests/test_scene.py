@@ -17,6 +17,7 @@ from matterwave import (
     parse_scene,
     serialize_scene,
 )
+from matterwave.model import _Bounded
 
 MINIMAL = """
 {
@@ -169,6 +170,21 @@ class TestPointParse:
             [c.hex() for c in p] for p in walked_points(points)
         ]
         assert all(type(p) is tuple for p in parsed)
+
+    @pytest.mark.parametrize(
+        "path_i,bounded",
+        [
+            ("[[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]", True),
+            ("[[0, 1, 0], [1, 0.5, 0]]", True),
+            ("[[0, 1e308, 0], [1, 0.5, 0]]", False),
+        ],
+        ids=["bulk", "walked", "walked-beyond-the-bound"],
+    )
+    def test_points_within_the_bound_are_marked_proven(self, path_i, bounded):
+        # Walked or not, points within half the float range reach BeamPath as
+        # _Bounded, which it keeps without converting or summing them again.
+        doc = parse_scene(explicit_scene(path_i))
+        assert (type(doc.geometry["path_I_m"]) is _Bounded) is bounded
 
     def test_mixed_int_and_float_coordinates_accepted(self):
         doc = parse_scene(explicit_scene("[[0, 0, 0], [1.5, 2, 0], [3, 0.25, 1]]"))
