@@ -6,6 +6,7 @@ verify never compiles it.
 from __future__ import annotations
 
 import math
+import operator
 import random
 
 from .experiment import PropertyCheck, VerifyReport, build_config
@@ -249,16 +250,22 @@ def run_suite(seed: int) -> VerifyReport:
 
     def motion_linearity(_i):
         wave = _random_wave(rng)
-        f1 = _random_field(rng)
-        f2 = _random_field(rng)
+        t1, w1, p1 = _random_vec(rng), _random_vec(rng), _random_vec(rng)
+        t2, w2, p2 = _random_vec(rng), _random_vec(rng), _random_vec(rng)
+        f1, f2 = _field(t1, w1, p1), _field(t2, w2, p2)
         path = BeamPath(tuple(_random_vec(rng) for _ in range(4)))
-        combined = path_phase(wave, path, f1 + f2)
+        # The sum of two rigid fields is rigid: each pivot folds into the
+        # uniform part, T - omega x pivot, and the rates add.
+        u1, u2 = map(operator.sub, t1, _cross(w1, p1)), map(operator.sub, t2, _cross(w2, p2))
+        summed = _field(map(operator.add, u1, u2), map(operator.add, w1, w2), (0.0, 0.0, 0.0))
+        combined = path_phase(wave, path, summed)
         separate = (
             path_phase(wave, path, f1).total_phase_rad
             + path_phase(wave, path, f2).total_phase_rad
         )
         alpha = rng.uniform(-2.0, 2.0)
-        scaled = path_phase(wave, path, f1.scaled(alpha)).total_phase_rad
+        rescaled = _field(_scaled(t1, alpha), _scaled(w1, alpha), p1)
+        scaled = path_phase(wave, path, rescaled).total_phase_rad
         direct = alpha * path_phase(wave, path, f1).total_phase_rad
         # Totals may cancel across segments; measure against the gross scale.
         gross = math.fsum(abs(p) for _, incs in combined.increments for p in incs)

@@ -22,6 +22,7 @@ from .model import (
     ParticleWave,
     Vec3,
     _dot,
+    _number,
     _scaled,
     _unit,
 )
@@ -82,17 +83,18 @@ def build_config(
     ``opening_m``, either a vector or a positive scalar meaning an opening
     along +y, perpendicular to the arms, plus an optional
     ``arm_length_m``; the reported phase provably does not depend on the
-    arm length.
+    arm length. Every length goes through the model's number rule.
     """
-    if kind not in LAYOUT_KINDS:
+    if not isinstance(kind, str) or kind not in LAYOUT_KINDS:
         raise GeometryError(f"unknown layout {kind!r} (known: {', '.join(LAYOUT_KINDS)})")
     if LAYOUT_KINDS[kind] is ConfigKind.CLOSED_LOOP:
         if side_m is not None:
             if width_m is not None or height_m is not None:
                 raise GeometryError("give either side_m or width_m/height_m, not both")
-            width_m = height_m = side_m
+            width_m = height_m = _number(side_m, "side_m")
         if width_m is None or height_m is None:
             raise GeometryError(f"{kind} needs side_m or width_m and height_m")
+        width_m, height_m = _number(width_m, "width_m"), _number(height_m, "height_m")
         if not (width_m > 0.0 and height_m > 0.0):
             raise GeometryError("rectangle dimensions must be positive")
         path_i, path_ii = _rectangle_paths(width_m, height_m)
@@ -100,11 +102,14 @@ def build_config(
 
     if opening_m is None:
         raise GeometryError(f"{kind} needs opening_m")
-    if not isinstance(opening_m, Vec3) and not opening_m > 0.0:
-        raise GeometryError(f"a scalar opening_m must be positive, got {opening_m!r}")
-    opening = opening_m.as_tuple() if isinstance(opening_m, Vec3) else (0.0, float(opening_m), 0.0)
+    if not isinstance(opening_m, Vec3):
+        opening_m = _number(opening_m, "opening_m")
+        if not opening_m > 0.0:
+            raise GeometryError(f"a scalar opening_m must be positive, got {opening_m!r}")
+    opening = opening_m.as_tuple() if isinstance(opening_m, Vec3) else (0.0, opening_m, 0.0)
     if math.hypot(*opening) == 0.0:
         raise GeometryError("opening must be nonzero")
+    arm_length_m = _number(arm_length_m, "arm_length_m")
     if not (arm_length_m > 0.0):
         raise GeometryError(f"arm_length_m must be positive, got {arm_length_m!r}")
     path_i, path_ii = _open_paths(kind, opening, arm_length_m)
@@ -121,8 +126,7 @@ class FringeReading(NamedTuple):
 
 def fringe_reading(phase: float) -> FringeReading:
     """Intensity (1 + cos(phase))/2 and fringe count phase/(2*pi)."""
-    if not math.isfinite(phase):
-        raise GeometryError(f"phase must be finite, got {phase!r}")
+    phase = _number(phase, "phase")
     return FringeReading(
         phase_rad=phase,
         normalized_intensity=0.5 * (1.0 + math.cos(phase)),

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Mapping
 from enum import Enum
 from functools import cached_property
 from itertools import chain, count
@@ -58,10 +58,21 @@ class BoostDomainError(MatterWaveError):
     """
 
 
-def _require_finite(name: str, value: float) -> float:
-    if not math.isfinite(value):
-        raise GeometryError(f"{name} must be finite, got {value!r}")
-    return float(value)
+def _number(value, name: str, error: type = GeometryError) -> float:
+    """``value`` as a finite float, or an ``error`` (GeometryError unless given) naming ``name``.
+
+    A number is anything float() converts by its own __float__ (numpy scalars
+    too), except a bool; a str converts only by parsing, and None not at all.
+    """
+    if type(value) is bool or not hasattr(type(value), "__float__"):
+        raise error(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        raise error(f"{name} is beyond the float range") from None
+    if not math.isfinite(number):
+        raise error(f"{name} must be finite, got {value!r}")
+    return number
 
 
 def _endpoint_tol(p, q) -> float:
@@ -70,16 +81,31 @@ def _endpoint_tol(p, q) -> float:
     return max(ENDPOINT_TOL, 4.0 * math.ulp(max(map(abs, p + q))))
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
+def _coincide(p, q) -> bool:
+    """Whether the float triples p and q are one point, within ``_endpoint_tol``."""
+    return math.dist(p, q) <= _endpoint_tol(p, q)
+
+
+def _require_positive(name: str, value) -> float:
+    """``value`` as a positive finite float, or a WaveError that names ``name``."""
+    number = _number(value, name, WaveError)
+    if not number > 0.0:
         raise WaveError(f"{name} must be positive and finite, got {value!r}")
+    return number
 
 
-def exact_sum(values, quantity: str) -> float:
-    """math.fsum of the values; a sum beyond the float range is a GeometryError."""
+def exact_sum(values: list, quantity: str) -> float:
+    """math.fsum of the values; a sum beyond the float range is a GeometryError.
+
+    Where a partial sum overflows, the values are summed again divided by a power
+    of two (exact for normal values) and the sum scaled back, whatever their order.
+    """
     try:
         total = math.fsum(values)
-    except (OverflowError, ValueError):  # overflowed partial sum, or inf - inf
+    except OverflowError:  # a partial sum beyond the float range, though each value is finite
+        scale = 2.0 ** (len(values).bit_length() + 2)  # then no partial sum of v / scale overflows
+        total = math.fsum(v / scale for v in values) * scale  # inf where the total overflows
+    except ValueError:  # inf - inf
         total = math.nan
     if not math.isfinite(total):  # also an inf or nan term
         raise GeometryError(f"{quantity} overflows the float range")
@@ -137,9 +163,8 @@ class Vec3(_Value):
             self.x + self.y + self.z
         ):
             return
-        _set(self, "x", _require_finite("x", self.x))
-        _set(self, "y", _require_finite("y", self.y))
-        _set(self, "z", _require_finite("z", self.z))
+        for name in self._fields:
+            _set(self, name, _number(getattr(self, name), name))
 
     def dot(self, other: "Vec3") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
@@ -200,10 +225,11 @@ class ParticleWave(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        _require_positive("speed_v", self.speed_v)
+        _set(self, "speed_v", _require_positive("speed_v", self.speed_v))
         if self.mass is not None:
-            _require_positive("mass", self.mass)
-        _require_positive("wavelength_lambda", self.wavelength_lambda)
+            _set(self, "mass", _require_positive("mass", self.mass))
+        wavelength = _require_positive("wavelength_lambda", self.wavelength_lambda)
+        _set(self, "wavelength_lambda", wavelength)
         v_lambda = self.speed_v * self.wavelength_lambda
         # Every phase divides by v_lambda: a product that underflows to zero
         # or a subnormal, or overflows, has no usable reciprocal.
@@ -243,9 +269,10 @@ def make_particle_wave(
     if mass is not None:
         if wavelength is not None:
             ParticleWave(speed_v, wavelength, mass)  # raises unless the pair agrees
-        momentum = mass * speed_v
-        # A momentum that is not positive (bad input, or underflow) leaves an
-        # infinite wavelength for ParticleWave to reject.
+        speed_v = _require_positive("speed_v", speed_v)
+        momentum = _require_positive("mass", mass) * speed_v
+        # A momentum that underflows to zero leaves an infinite wavelength for
+        # ParticleWave to reject.
         wavelength = H_PLANCK / momentum if momentum > 0.0 else math.inf
     return ParticleWave(speed_v=speed_v, wavelength_lambda=wavelength, mass=mass)
 
@@ -253,52 +280,28 @@ def make_particle_wave(
 def _triple(point, index: int) -> tuple[float, float, float]:
     """Vertex ``index`` as an (x, y, z) float triple, from a Vec3 or any 3 numbers.
 
-    Three floats are kept as given. Anything else that is not a number (a
-    string, a bool, None), or an int beyond the float range, is refused.
+    Three floats are kept as given; other coordinates go through ``_number``.
+    A str or a mapping, though iterable, is not a vertex.
     """
     if isinstance(point, Vec3):
         return (point.x, point.y, point.z)
-    try:
-        xyz = tuple(point)
-    except TypeError:  # not a sequence
-        raise GeometryError(f"vertex {index}: expected 3 components, got {point!r}") from None
+    if isinstance(point, (str, bytes, Mapping)) or not isinstance(point, Iterable):
+        raise GeometryError(f"vertex {index}: expected 3 components, got {point!r}")
+    xyz = tuple(point)
     if len(xyz) != 3:
         raise GeometryError(f"vertex {index}: expected 3 components, got {len(xyz)}")
     if type(xyz[0]) is type(xyz[1]) is type(xyz[2]) is float:
         return xyz
-    return tuple(_coordinate(c, name, index) for c, name in zip(xyz, "xyz"))
-
-
-def _coordinate(value, name: str, index: int) -> float:
-    # A number is anything float() converts by its own __float__ (numpy scalars
-    # too), except a bool; a str converts only by parsing, and None not at all.
-    if type(value) is bool or not hasattr(type(value), "__float__"):
-        raise GeometryError(f"vertex {index}: {name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an int beyond the float range
-        raise GeometryError(f"vertex {index}: {name} is beyond the float range") from None
-
-
-def _bounded(verts) -> bool:
-    """Whether the coordinate magnitudes sum to at most half the float range: such
-    coordinates are finite, and so is every gap between two of them."""
-    return sum(map(abs, chain.from_iterable(verts))) <= sys.float_info.max / 2.0
-
-
-class _Bounded(tuple):
-    """Float triples known to be ``_bounded``, as the scene reader proves: ``BeamPath``
-    keeps them as they are, and ``_check_vertices`` need not sum them."""
-
-    __slots__ = ()
+    return tuple(_number(c, f"vertex {index}: {name}") for c, name in zip(xyz, "xyz"))
 
 
 def _check_vertices(verts: tuple, first: int = 0) -> None:
     """Refuse non-finite coordinates, overflowing gaps and repeated consecutive
     vertices of float triples; messages number the vertices from ``first``."""
-    # Only a sum beyond the bound (or an inf or nan coordinate) walks the axes,
-    # to find what to refuse, if anything.
-    if type(verts) is not _Bounded and not _bounded(verts):
+    # Coordinate magnitudes that sum to at most half the float range are finite,
+    # and so is every gap between two of them. Only a larger sum (or an inf or
+    # nan coordinate) walks the axes, to find what to refuse, if anything.
+    if not sum(map(abs, chain.from_iterable(verts))) <= sys.float_info.max / 2.0:
         for name, axis in zip("xyz", zip(*verts)):
             gaps = list(map(operator.sub, axis[1:], axis))
             # A finite first coordinate and finite gaps make every coordinate finite.
@@ -344,13 +347,23 @@ class BeamPath(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        verts = self.vertices
-        if type(verts) is not _Bounded:  # the scene reader's float triples are kept as read
+        if not isinstance(self.vertices, Iterable):
+            raise GeometryError(f"expected a sequence of vertices, got {self.vertices!r}")
+        verts = tuple(self.vertices)
+        # Lists or tuples of three floats are checked by type in bulk; anything
+        # else is read one vertex at a time, naming what it refuses.
+        if (
+            set(map(type, verts)) <= {list, tuple}
+            and set(map(len, verts)) == {3}
+            and set(map(type, chain.from_iterable(verts))) == {float}
+        ):
+            verts = tuple(map(tuple, verts))
+        else:
             verts = tuple(map(_triple, verts, count()))
         if len(verts) < 2:
             raise GeometryError("a beam path needs at least 2 vertices")
         _check_vertices(verts)
-        _set(self, "vertices", tuple(verts))
+        _set(self, "vertices", verts)
 
     @cached_property
     def moments(self) -> PathMoments:
@@ -406,8 +419,7 @@ class BeamPath(_Value):
         return cls(tuple(points))
 
     def closed(self) -> bool:
-        start, end = self.vertices[0], self.vertices[-1]
-        return math.dist(start, end) <= _endpoint_tol(start, end)
+        return _coincide(self.vertices[0], self.vertices[-1])
 
     def reversed(self) -> "BeamPath":
         # Reversal keeps every check true: gaps change sign, neighbours stay neighbours.
@@ -433,6 +445,13 @@ class BeamPath(_Value):
 _ZERO = Vec3(0.0, 0.0, 0.0)
 
 
+def _require_types(value: _Value, classes: tuple) -> None:
+    """Refuse a field of ``value`` that is not an instance of its class in ``classes``."""
+    for name, field, cls in zip(value._fields, value._key, classes):
+        if not isinstance(field, cls):
+            raise GeometryError(f"{name} must be a {cls.__name__}, got {field!r}")
+
+
 class MotionField(_Value):
     """Rigid-motion velocity field V(r) = translation + omega x (r - pivot)."""
 
@@ -442,32 +461,8 @@ class MotionField(_Value):
         _set(self, "translation", translation)
         _set(self, "omega", omega)
         _set(self, "pivot", pivot)
-
-    def __add__(self, other: "MotionField") -> "MotionField":
-        # Sum of two rigid fields is rigid: fold each pivot into the
-        # uniform part (V - omega x pivot) and add angular rates.
-        base_self, base_other = (
-            map(operator.sub, f.translation.as_tuple(), _cross(f.omega.as_tuple(), f.pivot.as_tuple()))
-            for f in (self, other)
-        )
-        try:
-            return MotionField(
-                translation=Vec3(*map(operator.add, base_self, base_other)),
-                omega=Vec3(*map(operator.add, self.omega.as_tuple(), other.omega.as_tuple())),
-            )
-        except GeometryError as exc:  # a component beyond the float range
-            raise GeometryError(f"the sum of two motion fields leaves the float range: {exc}") from None
-
-    def scaled(self, factor: float) -> "MotionField":
-        try:
-            return MotionField(
-                translation=Vec3(*_scaled(self.translation.as_tuple(), factor)),
-                omega=Vec3(*_scaled(self.omega.as_tuple(), factor)),
-                pivot=self.pivot,
-            )
-        except GeometryError as exc:  # a component beyond the float range
-            how = f"a motion field scaled by {factor!r}"
-            raise GeometryError(f"{how} leaves the float range: {exc}") from None
+        if not type(translation) is type(omega) is type(pivot) is Vec3:
+            _require_types(self, (Vec3, Vec3, Vec3))
 
 
 def _velocity(field: MotionField, r) -> tuple[float, float, float]:
@@ -493,13 +488,14 @@ class ConfigKind(Enum):
 
 
 class InterferometerConfig(_Value):
-    """Two beam paths, the wave they carry, and the motion of the apparatus."""
+    """Two beam paths, the wave they carry, and the motion of the apparatus. Left out,
+    ``kind`` is decided by the beam starts: closed where they coincide, else open."""
 
     _fields = ("path_I", "path_II", "wave", "motion", "kind")
 
     def __init__(
         self, path_I: BeamPath, path_II: BeamPath, wave: ParticleWave, motion: MotionField,
-        kind: ConfigKind,
+        kind: ConfigKind | None = None,
     ) -> None:
         _set(self, "path_I", path_I)
         _set(self, "path_II", path_II)
@@ -509,28 +505,36 @@ class InterferometerConfig(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
+        if not (
+            type(self.path_I) is type(self.path_II) is BeamPath
+            and type(self.wave) is ParticleWave
+            and type(self.motion) is MotionField
+        ):
+            _require_types(self, (BeamPath, BeamPath, ParticleWave, MotionField))
         verts_i, verts_ii = self.path_I.vertices, self.path_II.vertices
-        end_gap = math.dist(verts_i[-1], verts_ii[-1])
-        if end_gap > _endpoint_tol(verts_i[-1], verts_ii[-1]):
-            raise GeometryError(
-                f"beam paths must share their endpoint, gap is {end_gap:.3e} m"
-            )
-        start_gap = math.dist(verts_ii[0], verts_i[0])
-        start_tol = _endpoint_tol(verts_ii[0], verts_i[0])
+        if not _coincide(verts_i[-1], verts_ii[-1]):
+            end_gap = math.dist(verts_i[-1], verts_ii[-1])
+            raise GeometryError(f"beam paths must share their endpoint, gap is {end_gap:.3e} m")
+        start_ii, start_i = verts_ii[0], verts_i[0]
+        start_gap, closed = math.dist(start_ii, start_i), _coincide(start_ii, start_i)
+        if self.kind is None:
+            _set(self, "kind", ConfigKind.CLOSED_LOOP if closed else ConfigKind.OPEN_LOOP)
         if self.kind is ConfigKind.CLOSED_LOOP:
-            if start_gap > start_tol:
+            if not closed:
                 raise GeometryError(
                     f"closed-loop beams must share their start, gap is {start_gap:.3e} m"
                 )
-        elif start_gap <= start_tol:
+        elif self.kind is not ConfigKind.OPEN_LOOP:
+            raise GeometryError(f"kind must be a ConfigKind or None, got {self.kind!r}")
+        elif closed:
             raise GeometryError(
                 f"{self.kind.value} requires a nonzero opening between beam starts, gap is "
-                f"{start_gap:.3e} m, within the tolerance {start_tol:.3e} m"
+                f"{start_gap:.3e} m, within the tolerance {_endpoint_tol(start_ii, start_i):.3e} m"
             )
         # An opening whose length alone overflows still has a phase; one whose
         # components do not has none.
         elif start_gap == math.inf and not all(
-            map(math.isfinite, map(operator.sub, verts_i[0], verts_ii[0]))
+            map(math.isfinite, map(operator.sub, start_i, start_ii))
         ):
             raise GeometryError("the opening between the beam starts overflows the float range")
 

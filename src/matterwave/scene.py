@@ -27,25 +27,20 @@ starts make a closed loop, separated starts an open one.
 from __future__ import annotations
 
 import json
-import math
-import sys
 from functools import partial
-from itertools import chain
 from typing import NamedTuple
 
 from .experiment import LAYOUT_KINDS, build_config
 from .model import (
     BeamPath,
-    ConfigKind,
+    GeometryError,
     InterferometerConfig,
     MatterWaveError,
     MotionField,
     Vec3,
     make_particle_wave,
-    _Bounded,
-    _bounded,
-    _endpoint_tol,
 )
+from .model import _number as _model_number
 
 OUTPUT_FORMATS = ("csv", "json")
 
@@ -54,45 +49,31 @@ class SceneError(MatterWaveError):
     """Malformed scene text or schema violation; message names the field path."""
 
 
-def _number(value, path: str, index: int | None = None) -> float:
-    """A finite number as a float; errors name ``path``, plus ``[index]`` if given."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        problem = f"expected a number, got {value!r}"
-    # A comparison, unlike float(), also bounds integers beyond the float range.
-    elif not abs(value) <= sys.float_info.max:
-        problem = f"must be finite, got {value!r}"
-    else:
-        return float(value)
-    raise SceneError(f"{path if index is None else f'{path}[{index}]'}: {problem}")
-
-
-def _triple(value, path: str) -> tuple[float, float, float]:
-    if not isinstance(value, list) or len(value) != 3:
-        raise SceneError(f"{path}: expected [x, y, z]")
-    x, y, z = value
-    return (_number(x, path, 0), _number(y, path, 1), _number(z, path, 2))
+# The model states what a number, a vector and a beam path are; these readers
+# add the shape a scene writes them in, and the field path to what they refuse.
+def _number(value, path: str) -> float:
+    try:
+        return _model_number(value, path)
+    except GeometryError as exc:
+        raise SceneError(str(exc)) from None
 
 
 def _vec3(value, path: str) -> Vec3:
-    return Vec3(*_triple(value, path))
+    if not isinstance(value, list) or len(value) != 3:
+        raise SceneError(f"{path}: expected [x, y, z]")
+    try:
+        return Vec3(*value)
+    except GeometryError as exc:
+        raise SceneError(f"{path}: {exc}") from None
 
 
-def _points(value, path: str) -> tuple[tuple[float, float, float], ...]:
+def _points(value, path: str) -> BeamPath:
     if not isinstance(value, list) or len(value) < 2:
         raise SceneError(f"{path}: expected a list of at least 2 [x, y, z] points")
-    # Lists of three bounded floats are checked in bulk. Anything else (an int,
-    # a literal beyond the float range, a sum beyond the bound) takes the walk,
-    # which names what it refuses. Bounded triples either way are _Bounded, which
-    # BeamPath keeps without converting or summing them again.
-    if (
-        set(map(type, value)) == {list}
-        and set(map(len, value)) == {3}
-        and set(map(type, chain.from_iterable(value))) == {float}
-        and _bounded(value)
-    ):
-        return _Bounded(map(tuple, value))
-    points = tuple(_triple(p, f"{path}[{i}]") for i, p in enumerate(value))
-    return _Bounded(points) if _bounded(points) else points
+    try:
+        return BeamPath(value)
+    except GeometryError as exc:
+        raise SceneError(f"{path}: {exc}") from None
 
 
 def _opening(value, path: str) -> Vec3 | float:
@@ -190,7 +171,8 @@ _SCENE = {
 
 
 class SceneDocument(NamedTuple):
-    """A validated scene, sections in file order; all but motion map key -> value."""
+    """A validated scene, sections in file order; all but motion map key -> value.
+    An explicit geometry holds its two checked ``BeamPath`` objects."""
 
     particle: dict
     motion: MotionField
@@ -211,9 +193,11 @@ def parse_scene(text: str) -> SceneDocument:
 
 
 def _plain(value) -> dict | list:
-    """JSON form of the scene values json cannot write itself: motion and Vec3."""
+    """JSON form of the scene values json cannot write itself: motion, paths and Vec3."""
     if isinstance(value, MotionField):
         return {key: getattr(value, name) for key, (*_, name) in _MOTION.items()}
+    if isinstance(value, BeamPath):
+        return list(map(list, value.vertices))
     return list(value.as_tuple())
 
 
@@ -225,10 +209,7 @@ def serialize_scene(doc: SceneDocument) -> str:
 def config_from_scene(doc: SceneDocument) -> InterferometerConfig:
     """Realize the scene as a validated interferometer configuration."""
     wave = make_particle_wave(**_renamed(doc.particle, _PARTICLE))
-    if doc.geometry.keys() == _EXPLICIT.keys():
-        path_i, path_ii = (BeamPath(doc.geometry[key]) for key in _EXPLICIT)
-        start_ii, start_i = path_ii.vertices[0], path_i.vertices[0]
-        closed = math.dist(start_ii, start_i) <= _endpoint_tol(start_ii, start_i)
-        kind = ConfigKind.CLOSED_LOOP if closed else ConfigKind.OPEN_LOOP
-        return InterferometerConfig(path_i, path_ii, wave, doc.motion, kind)
+    if doc.geometry.keys() == _EXPLICIT.keys():  # the beam starts decide the kind
+        path_i, path_ii = (doc.geometry[key] for key in _EXPLICIT)
+        return InterferometerConfig(path_i, path_ii, wave, doc.motion)
     return build_config(wave=wave, motion=doc.motion, **doc.geometry)

@@ -38,7 +38,7 @@ from matterwave import (
 from matterwave.cli import run_command
 from matterwave.phase import path_phase
 
-from triples import add, cross, dot, scaled, sub, unit
+from triples import add, cross, dot, field_scaled, field_sum, scaled, sub, unit
 
 TWO_PI = 2.0 * math.pi
 
@@ -250,12 +250,12 @@ def test_ac6_property_suites_and_determinism():
         f1 = _field(_box(rng), _box(rng), _box(rng))
         f2 = _field(_box(rng), _box(rng), _box(rng))
         alpha = rng.uniform(-2, 2)
-        combined = path_phase(wave, path, f1 + f2).total_phase_rad
+        combined = path_phase(wave, path, field_sum(f1, f2)).total_phase_rad
         separate = (
             path_phase(wave, path, f1).total_phase_rad
             + path_phase(wave, path, f2).total_phase_rad
         )
-        rescaled = path_phase(wave, path, f1.scaled(alpha)).total_phase_rad
+        rescaled = path_phase(wave, path, field_scaled(f1, alpha)).total_phase_rad
         direct = alpha * path_phase(wave, path, f1).total_phase_rad
         gross = (TWO_PI / wave.v_lambda) * 30.0
         assert abs(combined - separate) <= 1e-12 * gross

@@ -126,6 +126,23 @@ class TestBuildConfig:
         with pytest.raises(GeometryError):
             build_config(kind, unit_wave, MotionField(), **kwargs)
 
+    @pytest.mark.parametrize(
+        "kind,kwargs,message",
+        [
+            ("Fig2Rotation", dict(side_m="0.1"), "side_m must be a number, got '0.1'"),
+            ("Fig3aClosed", dict(width_m=True, height_m=1.0), "width_m must be a number, got True"),
+            ("Fig3aClosed", dict(width_m=1.0, height_m=10**400), "height_m is beyond the float"),
+            ("Fig3bOpen", dict(opening_m="0.1"), "opening_m must be a number, got '0.1'"),
+            ("Fig3bOpen", dict(opening_m=1e-4, arm_length_m=None), "arm_length_m must be a number"),
+            ("Fig3bOpen", dict(opening_m=math.inf), "opening_m must be finite, got inf"),
+            (["Fig2Rotation"], dict(side_m=0.1), r"unknown layout \['Fig2Rotation'\]"),
+        ],
+        ids=["side", "width", "height", "opening", "arm-length", "infinite-opening", "list-kind"],
+    )
+    def test_lengths_go_through_the_number_rule(self, unit_wave, kind, kwargs, message):
+        with pytest.raises(GeometryError, match=f"^{message}"):
+            build_config(kind, unit_wave, MotionField(), **kwargs)
+
     def test_zero_opening_vector_rejected(self, unit_wave):
         with pytest.raises(GeometryError, match="^opening must be nonzero$"):
             build_config("Fig3bOpen", unit_wave, MotionField(), opening_m=Vec3(0.0, -0.0, 0.0))
@@ -157,6 +174,14 @@ class TestFringeReading:
     def test_non_finite_rejected(self):
         with pytest.raises(GeometryError):
             fringe_reading(float("nan"))
+
+    @pytest.mark.parametrize(
+        "phase,message",
+        [("a", "phase must be a number, got 'a'"), (None, "phase must be a number, got None")],
+    )
+    def test_non_numbers_rejected(self, phase, message):
+        with pytest.raises(GeometryError, match=f"^{message}$"):
+            fringe_reading(phase)
 
 
 def open_template(unit_wave, speed=1e-4):

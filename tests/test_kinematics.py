@@ -19,7 +19,7 @@ from matterwave import (
 )
 from matterwave.model import exact_sum
 
-from triples import add, cross, dot, scaled, sub, unit
+from triples import add, cross, dot, field_scaled, field_sum, scaled, sub, unit
 
 EARTH_RATE = 7.2921159e-5  # rad/s
 
@@ -118,10 +118,10 @@ class TestCirculation:
         loop = unit_square()
         f1 = MotionField(Vec3(0.1, 0.2, 0.0), Vec3(0.0, 0.3, 0.9), Vec3(0.5, 0.0, 0.0))
         f2 = MotionField(Vec3(-0.2, 0.1, 0.3), Vec3(0.4, 0.0, -0.2), Vec3(0.0, 0.2, 0.1))
-        assert circulation(f1 + f2, loop) == pytest.approx(
+        assert circulation(field_sum(f1, f2), loop) == pytest.approx(
             circulation(f1, loop) + circulation(f2, loop), rel=1e-10, abs=1e-15
         )
-        assert circulation(f1.scaled(2.5), loop) == pytest.approx(
+        assert circulation(field_scaled(f1, 2.5), loop) == pytest.approx(
             2.5 * circulation(f1, loop), rel=1e-12
         )
 

@@ -23,7 +23,9 @@ from matterwave import (
     make_particle_wave,
     translation_opening,
 )
-from matterwave.model import _cross, _dot, _scaled, _unit
+from matterwave.model import _cross, _dot, _scaled, _unit, exact_sum
+
+from triples import field_sum
 
 NEUTRON = PARTICLE_MASSES_KG["neutron"]
 
@@ -57,6 +59,24 @@ class TestVec3:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(GeometryError):
             Vec3(0.0, bad, 0.0)
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ("a", "y must be a number, got 'a'"),
+            (None, "y must be a number, got None"),
+            (True, "y must be a number, got True"),
+            (10**400, "y is beyond the float range"),
+        ],
+        ids=["string", "none", "bool", "huge-int"],
+    )
+    def test_non_numbers_refused_by_the_number_rule(self, bad, message):
+        with pytest.raises(GeometryError, match=f"^{message}$"):
+            Vec3(0.0, bad, 0.0)
+
+    def test_ints_become_floats(self):
+        v = Vec3(1, -2, 3)
+        assert v.as_tuple() == (1.0, -2.0, 3.0) and {type(c) for c in v.as_tuple()} == {float}
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_norm_of_extreme_components(self, scale):
@@ -163,6 +183,26 @@ class TestParticleWave:
         wave = make_particle_wave(speed, mass=mass)
         assert abs(wave.v_lambda * mass - H_PLANCK) / H_PLANCK <= 1e-12
 
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: ParticleWave("1", 1.0), "speed_v must be a number, got '1'"),
+            (lambda: ParticleWave(1.0, None), "wavelength_lambda must be a number, got None"),
+            (lambda: ParticleWave(1.0, 1.0, True), "mass must be a number, got True"),
+            (lambda: make_particle_wave("1", wavelength=1.0), "speed_v must be a number, got '1'"),
+            (lambda: make_particle_wave("1", mass=2), "speed_v must be a number, got '1'"),
+            (lambda: make_particle_wave(1.0, mass="2"), "mass must be a number, got '2'"),
+            (lambda: make_particle_wave(10**400, mass=1.0), "speed_v is beyond the float range"),
+        ],
+        ids=["speed", "wavelength", "bool-mass", "make-speed", "make-speed-with-mass", "make-mass",
+             "huge-int-speed"],
+    )
+    def test_non_numbers_refused_as_wave_errors(self, build, message):
+        # make_particle_wave checks speed and mass before it multiplies them:
+        # "1" * 2 would be the string "11".
+        with pytest.raises(WaveError, match=f"^{message}$"):
+            build()
+
     def test_direct_construction_enforces_de_broglie(self):
         with pytest.raises(WaveError):
             ParticleWave(speed_v=2200.0, wavelength_lambda=1e-10, mass=NEUTRON)
@@ -259,6 +299,37 @@ class TestBeamPath:
         with pytest.raises(GeometryError, match=f"^{message}$"):
             BeamPath.from_points(points)
 
+    @pytest.mark.parametrize(
+        "vertices,message",
+        [
+            (None, "expected a sequence of vertices, got None"),
+            (1.5, "expected a sequence of vertices, got 1.5"),
+            ([(0, 0, 0), "abc"], "vertex 1: expected 3 components, got 'abc'"),
+            ([(0, 0, 0), {"x": 1, "y": 2, "z": 3}], r"vertex 1: expected 3 components, got \{.*\}"),
+            ("abc", "vertex 0: expected 3 components, got 'a'"),
+        ],
+        ids=["none", "number", "string-vertex", "mapping-vertex", "string-path"],
+    )
+    def test_what_is_not_a_path_of_vertices_refused(self, vertices, message):
+        with pytest.raises(GeometryError, match=f"^{message}$"):
+            BeamPath(vertices)
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]],
+            ((0.0, 0.0, 0.0), [1.0, 2.0, 3.0]),
+            [(0.0, 0.0, 0.0), Vec3(1.0, 2.0, 3.0)],
+            iter([(0, 0, 0), (1, 2, 3)]),
+        ],
+        ids=["lists", "tuple-and-list", "with-a-vec3", "iterator-of-ints"],
+    )
+    def test_every_route_stores_a_tuple_of_float_triples(self, vertices):
+        path = BeamPath(vertices)
+        assert path.vertices == ((0.0, 0.0, 0.0), (1.0, 2.0, 3.0))
+        assert type(path.vertices) is tuple and {type(v) for v in path.vertices} == {tuple}
+        assert {type(c) for v in path.vertices for c in v} == {float}
+
     def test_numpy_scalars_accepted(self):
         np = pytest.importorskip("numpy")
         path = BeamPath.from_points([[np.float32(0.5), np.int64(2), np.float64(3)], [0, 0, 0]])
@@ -320,28 +391,34 @@ class TestVertexChecks:
 
 class TestMotionField:
     def test_sum_preserves_velocity_field(self, rng):
+        # Pins the linearity checks' summed field to the sum of the velocities.
         f1 = MotionField(Vec3(0.1, -0.2, 0.3), Vec3(0.5, 0.0, 1.0), Vec3(1.0, 2.0, -1.0))
         f2 = MotionField(Vec3(-0.4, 0.0, 0.1), Vec3(0.0, -0.3, 0.2), Vec3(0.0, 1.0, 0.5))
         from matterwave import velocity_at
 
-        total = f1 + f2
+        total = field_sum(f1, f2)
         for _ in range(20):
             r = Vec3(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
             direct = map(operator.add, velocity_at(f1, r).as_tuple(), velocity_at(f2, r).as_tuple())
             combined = velocity_at(total, r).as_tuple()
             assert math.dist(combined, tuple(direct)) < 1e-14
 
-    def test_sum_beyond_the_float_range_refused_as_a_sum(self):
-        fast = MotionField(translation=Vec3(1e308, 0.0, 0.0))
-        message = "^the sum of two motion fields leaves the float range: x must be finite, got inf$"
-        with pytest.raises(GeometryError, match=message):
-            fast + fast
+    def test_no_field_arithmetic(self):
+        # Rigid fields are summed and scaled from their triples where a check needs it.
+        assert not hasattr(MotionField, "__add__") and not hasattr(MotionField, "scaled")
 
-    def test_scaling_beyond_the_float_range_refused_as_a_scaling(self):
-        spin = MotionField(omega=Vec3(0.0, 0.0, 1e300))
-        message = r"^a motion field scaled by 1e\+300 leaves the float range: z must be finite"
-        with pytest.raises(GeometryError, match=message + ", got inf$"):
-            spin.scaled(1e300)
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"translation": (1e-4, 0, 0)}, r"translation must be a Vec3, got \(0.0001, 0, 0\)"),
+            ({"omega": None}, "omega must be a Vec3, got None"),
+            ({"pivot": [0.0, 0.0, 0.0]}, r"pivot must be a Vec3, got \[0.0, 0.0, 0.0\]"),
+        ],
+        ids=["tuple", "none", "list"],
+    )
+    def test_a_field_that_is_not_a_vec3_refused_at_construction(self, fields, message):
+        with pytest.raises(GeometryError, match=f"^{message}$"):
+            MotionField(**fields)
 
 
 def _square_paths():
@@ -407,6 +484,50 @@ class TestInterferometerConfig:
         path_ii = BeamPath(((0.0, 0.0, 1.0), (0.0, 0.0, 0.0)))
         config = InterferometerConfig(path_i, path_ii, unit_wave, MotionField(), ConfigKind.OPEN_LOOP)
         assert translation_opening(config) == Vec3(1.5e308, 1.5e308, -1.0)
+
+    @pytest.mark.parametrize(
+        "replaced,message",
+        [
+            ({0: None, 1: None}, "path_I must be a BeamPath, got None"),
+            ({2: None}, "wave must be a ParticleWave, got None"),
+            ({3: (0, 0, 0)}, r"motion must be a MotionField, got \(0, 0, 0\)"),
+            ({4: "ClosedLoop"}, "kind must be a ConfigKind or None, got 'ClosedLoop'"),
+        ],
+        ids=["paths", "wave", "motion", "kind"],
+    )
+    def test_fields_of_the_wrong_class_refused(self, unit_wave, replaced, message):
+        args = [*_square_paths(), unit_wave, MotionField(), ConfigKind.CLOSED_LOOP]
+        for index, value in replaced.items():
+            args[index] = value
+        with pytest.raises(GeometryError, match=f"^{message}$"):
+            InterferometerConfig(*args)
+
+    def test_kind_left_out_is_decided_by_the_starts(self, unit_wave):
+        path_i, path_ii = _square_paths()
+        closed = InterferometerConfig(path_i, path_ii, unit_wave, MotionField())
+        shifted = BeamPath(((0.0, 1e-4, 0.0),) + path_i.vertices[1:])
+        opened = InterferometerConfig(shifted, path_ii, unit_wave, MotionField())
+        assert (closed.kind, opened.kind) == (ConfigKind.CLOSED_LOOP, ConfigKind.OPEN_LOOP)
+
+
+class TestExactSum:
+    @pytest.mark.parametrize(
+        "terms", [[1e308, 1e308, -1e308], [1e308, -1e308, 1e308], [-1e308, 1e308, 1e308]]
+    )
+    def test_a_finite_total_is_answered_whatever_the_order(self, terms):
+        assert exact_sum(terms, "phase") == 1e308
+
+    def test_cancelling_near_the_float_range_stays_exact(self):
+        max_ = sys.float_info.max
+        assert exact_sum([max_, max_, 1.0, -max_, -max_], "phase") == 1.0
+        assert exact_sum([max_, max_, -max_, 0.5 * max_, -max_], "phase") == 0.5 * max_
+
+    @pytest.mark.parametrize(
+        "terms", [[1e308, 1e308], [1e308, 1e308, 1e308, -1e308], [math.inf, 1.0], [math.nan]]
+    )
+    def test_a_total_beyond_the_float_range_refused(self, terms):
+        with pytest.raises(GeometryError, match="^phase overflows the float range$"):
+            exact_sum(terms, "phase")
 
 
 class TestOpeningVector:

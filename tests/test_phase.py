@@ -40,7 +40,7 @@ from matterwave.model import PathMoments, exact_sum
 from matterwave.phase import boost_factor
 
 import exact
-from triples import add, cross, dot, scaled, sub, unit
+from triples import add, cross, dot, field_scaled, scaled, sub, unit
 
 TWO_PI = 2.0 * math.pi
 
@@ -591,7 +591,7 @@ class TestPhaseProperties:
         path = BeamPath((Vec3(0, 0, 0), Vec3(0.7, 0.1, 0), Vec3(0.4, 0.8, 0.2)))
         field = MotionField(translation=Vec3(vx, vy, 0.1), omega=Vec3(ox, 0.2, oz))
         base = path_phase(wave, path, field).total_phase_rad
-        scaled = path_phase(wave, path, field.scaled(alpha)).total_phase_rad
+        scaled = path_phase(wave, path, field_scaled(field, alpha)).total_phase_rad
         gross = sum(abs(c.phase_rad) for c in path_phase(wave, path, field).per_segment)
         assert abs(scaled - alpha * base) <= 1e-12 * max(abs(base), gross, 1.0)
 

@@ -17,7 +17,6 @@ from matterwave import (
     parse_scene,
     serialize_scene,
 )
-from matterwave.model import _Bounded
 
 MINIMAL = """
 {
@@ -75,8 +74,8 @@ class TestParseScene:
 
     def test_explicit_paths_parsed(self, data_dir):
         doc = parse_scene((data_dir / "explicit_triangle.json").read_text())
-        assert doc.geometry["path_I_m"] is not None
-        assert len(doc.geometry["path_II_m"]) == 3
+        assert isinstance(doc.geometry["path_I_m"], BeamPath)
+        assert len(doc.geometry["path_II_m"].vertices) == 3
 
     def test_explicit_paths_require_both(self):
         bad = '{"particle": {"speed_mps": 1.0, "wavelength_m": 1e-8}, "geometry": {"path_I_m": [[0,0,0],[1,0,0]]}}'
@@ -110,7 +109,7 @@ finite_coordinates = st.floats(allow_nan=False, allow_infinity=False)
 
 
 class TestPointParse:
-    """Lists of finite floats are checked in bulk; the walk keeps every answer."""
+    """A scene's points are read as a BeamPath; its refusals name the field path."""
 
     @pytest.mark.parametrize(
         "path_i",
@@ -122,12 +121,11 @@ class TestPointParse:
         ids=["coincident", "overflowing-gap", "ints-coincident"],
     )
     def test_explicit_paths_refused_as_beam_paths_refuse_them(self, path_i):
-        doc = parse_scene(explicit_scene(path_i))
         with pytest.raises(GeometryError) as direct:
-            BeamPath(doc.geometry["path_I_m"])
-        with pytest.raises(GeometryError) as from_scene:
-            config_from_scene(doc)
-        assert str(from_scene.value) == str(direct.value)
+            BeamPath(json.loads(path_i))
+        with pytest.raises(SceneError) as from_scene:
+            parse_scene(explicit_scene(path_i))
+        assert str(from_scene.value) == f"scene.geometry.path_I_m: {direct.value}"
 
     @pytest.mark.parametrize(
         "path_i,message",
@@ -148,10 +146,9 @@ class TestPointParse:
         ids=["x-gap", "y-gap", "coincident"],
     )
     def test_coordinates_beyond_the_bulk_bound_refused_by_the_walk(self, path_i, message):
-        doc = parse_scene(explicit_scene(path_i))
-        with pytest.raises(GeometryError) as info:
-            config_from_scene(doc)
-        assert str(info.value) == message
+        with pytest.raises(SceneError) as info:
+            parse_scene(explicit_scene(path_i))
+        assert str(info.value) == f"scene.geometry.path_I_m: {message}"
 
     def test_coordinates_beyond_the_bulk_bound_with_finite_gaps_accepted(self):
         # The magnitudes sum past half the float range, so the bulk check does
@@ -163,54 +160,63 @@ class TestPointParse:
 
     @given(st.lists(st.lists(finite_coordinates, min_size=3, max_size=3), min_size=2, max_size=20))
     @example([[1.7976931348623157e308, 0.0, 0.0], [1.7976931348623157e308, -0.0, 5e-324]])
+    @example([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     def test_float_lists_parse_to_the_walks_triples(self, points):
-        doc = parse_scene(explicit_scene(json.dumps(points)))
-        parsed = doc.geometry["path_I_m"]
-        assert [[c.hex() for c in p] for p in parsed] == [
-            [c.hex() for c in p] for p in walked_points(points)
-        ]
+        # Either both routes refuse, with one message, or they keep the same floats.
+        try:
+            walked = BeamPath(walked_points(points)).vertices
+        except GeometryError as exc:
+            with pytest.raises(SceneError) as info:
+                parse_scene(explicit_scene(json.dumps(points)))
+            assert str(info.value) == f"scene.geometry.path_I_m: {exc}"
+            return
+        parsed = parse_scene(explicit_scene(json.dumps(points))).geometry["path_I_m"].vertices
+        assert [[c.hex() for c in p] for p in parsed] == [[c.hex() for c in p] for p in walked]
         assert all(type(p) is tuple for p in parsed)
 
     @pytest.mark.parametrize(
-        "path_i,bounded",
+        "path_i",
         [
-            ("[[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]", True),
-            ("[[0, 1, 0], [1, 0.5, 0]]", True),
-            ("[[0, 1e308, 0], [1, 0.5, 0]]", False),
+            "[[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]",
+            "[[0, 1, 0], [0.5, 0.5, 0], [1, 0, 0]]",
+            "[[0, 1e308, 0], [0.5, 0.5, 0], [1, 0, 0]]",
         ],
         ids=["bulk", "walked", "walked-beyond-the-bound"],
     )
-    def test_points_within_the_bound_are_marked_proven(self, path_i, bounded):
-        # Walked or not, points within half the float range reach BeamPath as
-        # _Bounded, which it keeps without converting or summing them again.
+    def test_points_parse_to_a_beam_path(self, path_i):
+        # Checked in bulk or one vertex at a time, the scene holds a BeamPath,
+        # which config_from_scene uses as it is.
         doc = parse_scene(explicit_scene(path_i))
-        assert (type(doc.geometry["path_I_m"]) is _Bounded) is bounded
+        path = doc.geometry["path_I_m"]
+        assert type(path) is BeamPath and type(path.vertices) is tuple
+        assert {type(c) for p in path.vertices for c in p} == {float}
+        assert config_from_scene(doc).path_I is path
 
     def test_mixed_int_and_float_coordinates_accepted(self):
         doc = parse_scene(explicit_scene("[[0, 0, 0], [1.5, 2, 0], [3, 0.25, 1]]"))
-        parsed = doc.geometry["path_I_m"]
+        parsed = doc.geometry["path_I_m"].vertices
         assert parsed == ((0.0, 0.0, 0.0), (1.5, 2.0, 0.0), (3.0, 0.25, 1.0))
         assert {type(c) for p in parsed for c in p} == {float}
 
     @pytest.mark.parametrize(
         "path_i,message",
         [
-            ("[[0.0, 0.0, 0.0], [1.0, true, 0.0]]", "[1][1]: expected a number, got True"),
-            ('[[0.0, 0.0, 0.0], [1.0, "1", 0.0]]', "[1][1]: expected a number, got '1'"),
-            ("[[0.0, 0.0, 0.0], [1.0, null, 0.0]]", "[1][1]: expected a number, got None"),
-            ("[[0.0, 0.0, 0.0], [1.0, NaN, 0.0]]", "[1][1]: must be finite, got nan"),
-            ("[[0.0, 0.0, 0.0], [1.0, Infinity, 0.0]]", "[1][1]: must be finite, got inf"),
-            ("[[0.0, 0.0, 0.0], [1.0, -Infinity, 0.0]]", "[1][1]: must be finite, got -inf"),
-            ("[[0.0, 0.0, 0.0], [1.0, 1e999, 0.0]]", "[1][1]: must be finite, got inf"),
+            ("[[0.0, 0.0, 0.0], [1.0, true, 0.0]]", ": vertex 1: y must be a number, got True"),
+            ('[[0.0, 0.0, 0.0], [1.0, "1", 0.0]]', ": vertex 1: y must be a number, got '1'"),
+            ("[[0.0, 0.0, 0.0], [1.0, null, 0.0]]", ": vertex 1: y must be a number, got None"),
+            ("[[0.0, 0.0, 0.0], [1.0, NaN, 0.0]]", ": vertex 1: y must be finite, got nan"),
+            ("[[0.0, 0.0, 0.0], [1.0, Infinity, 0.0]]", ": vertex 1: y must be finite, got inf"),
+            ("[[0.0, 0.0, 0.0], [1.0, -Infinity, 0.0]]", ": vertex 1: y must be finite, got -inf"),
+            ("[[0.0, 0.0, 0.0], [1.0, 1e999, 0.0]]", ": vertex 1: y must be finite, got inf"),
             (
                 "[[0.0, 0.0, 0.0], [1.0, %d, 0.0]]" % 10**400,
-                "[1][1]: must be finite, got %d" % 10**400,
+                ": vertex 1: y is beyond the float range",
             ),
-            ("[[0.0, 0.0, 0.0], [1.0, 0.0]]", "[1]: expected [x, y, z]"),
-            ("[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]", "[1]: expected [x, y, z]"),
-            ('[[0.0, 0.0, 0.0], {"x": 1.0}]', "[1]: expected [x, y, z]"),
-            ("[[0.0, 0.0, 0.0], [[1.0, 0.0, 0.0]]]", "[1]: expected [x, y, z]"),
-            ("[[0.0, 0.0, 0.0], [1.0, [0.0], 0.0]]", "[1][1]: expected a number, got [0.0]"),
+            ("[[0.0, 0.0, 0.0], [1.0, 0.0]]", ": vertex 1: expected 3 components, got 2"),
+            ("[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]", ": vertex 1: expected 3 components, got 4"),
+            ('[[0.0, 0.0, 0.0], {"x": 1.0}]', ": vertex 1: expected 3 components, got {'x': 1.0}"),
+            ("[[0.0, 0.0, 0.0], [[1.0, 0.0, 0.0]]]", ": vertex 1: expected 3 components, got 1"),
+            ("[[0.0, 0.0, 0.0], [1.0, [0.0], 0.0]]", ": vertex 1: y must be a number, got [0.0]"),
             ("[[0.0, 0.0, 0.0]]", ": expected a list of at least 2 [x, y, z] points"),
         ],
         ids=[
