@@ -17,12 +17,7 @@ from .experiment import (
     sensitivity_sweep,
     verify_suite,
 )
-from .kinematics import (
-    circulation,
-    curl_fd,
-    enclosed_area_vector,
-    velocity_at,
-)
+from .kinematics import circulation, curl_fd, enclosed_area_vector
 from .model import (
     C_LIGHT,
     H_PLANCK,

@@ -100,9 +100,8 @@ def _random_closed_config(
         if min(math.dist(verts[i - 1], verts[i]) for i in range(n)) > 0.05:
             break
     split = rng.randrange(1, n - 1)
-    # Finite vertices more than 0.05 apart around the loop pass BeamPath's checks.
-    path_i = BeamPath._checked(tuple(verts[: split + 1]))
-    path_ii = BeamPath._checked((verts[0],) + tuple(verts[split:][::-1]))
+    path_i = BeamPath(verts[: split + 1])
+    path_ii = BeamPath([verts[0]] + verts[split:][::-1])
     return InterferometerConfig(path_i, path_ii, wave, motion, ConfigKind.CLOSED_LOOP)
 
 

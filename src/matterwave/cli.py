@@ -25,7 +25,7 @@ from itertools import chain, count, filterfalse
 
 from .experiment import fringe_reading, sensitivity_sweep, verify_suite
 from .kinematics import circulation, enclosed_area_vector
-from .model import MatterWaveError
+from .model import MatterWaveError, _dot, _unit
 from .phase import (
     TWO_PI,
     interference_loop,
@@ -304,7 +304,9 @@ def run_command(argv: list[str]) -> int:
             velocity = config.motion.translation
             phase = open_loop_phase(config.wave, opening, velocity)
             cos_theta = (
-                velocity.unit().dot(opening.unit()) if velocity.norm() > 0.0 else None
+                _dot(_unit(velocity.as_tuple()), _unit(opening.as_tuple()))
+                if velocity.norm() > 0.0
+                else None
             )
             doc = {
                 "phase_rad": phase,

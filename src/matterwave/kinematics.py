@@ -1,4 +1,4 @@
-"""Rigid-motion velocity fields: evaluation, numerical curl, circulation, area.
+"""Rigid-motion velocity fields: numerical curl, circulation, area.
 
 These operations are the independent numerical oracles the phase engine is
 cross-checked against. All of them are pure functions of immutable inputs.
@@ -10,11 +10,6 @@ from itertools import islice
 from .model import BeamPath, GeometryError, MotionField, Vec3, _velocity, exact_sum
 
 DEFAULT_FD_STEP = 1e-6  # m; balances truncation vs cancellation at float64
-
-
-def velocity_at(field: MotionField, r: Vec3) -> Vec3:
-    """Velocity of the apparatus point at position r, in m/s."""
-    return Vec3(*_velocity(field, r.as_tuple()))
 
 
 def curl_fd(field: MotionField, r: Vec3) -> Vec3:

@@ -94,19 +94,24 @@ def _require_positive(name: str, value) -> float:
     return number
 
 
-def exact_sum(values: list, quantity: str) -> float:
-    """math.fsum of the values; a sum beyond the float range is a GeometryError.
+def _fsum(values: list) -> float:
+    """math.fsum of the values, whatever their order; inf or nan where the sum is not finite.
 
     Where a partial sum overflows, the values are summed again divided by a power
-    of two (exact for normal values) and the sum scaled back, whatever their order.
+    of two (exact for normal values) and the sum scaled back.
     """
     try:
-        total = math.fsum(values)
-    except OverflowError:  # a partial sum beyond the float range, though each value is finite
+        return math.fsum(values)
+    except OverflowError:  # a partial sum of finite values beyond the float range
         scale = 2.0 ** (len(values).bit_length() + 2)  # then no partial sum of v / scale overflows
-        total = math.fsum(v / scale for v in values) * scale  # inf where the total overflows
+        return _fsum([v / scale for v in values]) * scale  # inf where the total overflows
     except ValueError:  # inf - inf
-        total = math.nan
+        return math.nan
+
+
+def exact_sum(values: list, quantity: str) -> float:
+    """``_fsum`` of the values; a sum beyond the float range is a GeometryError."""
+    total = _fsum(values)
     if not math.isfinite(total):  # also an inf or nan term
         raise GeometryError(f"{quantity} overflows the float range")
     return total
@@ -329,7 +334,7 @@ class PathMoments(NamedTuple):
 
     origin: tuple[float, float, float]  # the reference vertex r0
     delta: tuple[float, float, float]   # end - start
-    moment: tuple[float, float, float]  # sum of a'_i x a'_(i+1); nan where it overflows
+    moment: tuple[float, float, float]  # sum of a'_i x a'_(i+1); inf or nan where it overflows
     reach: float                        # half-diagonal of the offsets' bounding box
 
 
@@ -401,12 +406,7 @@ class BeamPath(_Value):
             raise GeometryError(
                 "vertex offsets from the path's reference vertex overflow the float range"
             )
-        moment = []
-        for axis in terms:  # each term rounded, the sum exact; nan beyond the float range
-            try:
-                moment.append(math.fsum(axis))
-            except (OverflowError, ValueError):  # overflowed partial sum, or inf - inf
-                moment.append(math.nan)
+        moment = list(map(_fsum, terms))  # each term rounded, the sum exact
         return PathMoments(
             origin,
             tuple(map(operator.sub, verts[-1], verts[0])),

@@ -155,22 +155,13 @@ def segment_phase_increment(
     return _path_total(wave, BeamPath((start, end)), field)
 
 
-def path_phase(
-    wave: ParticleWave,
-    path: BeamPath,
-    field: MotionField,
-    *,
-    path_id: str = "I",
-) -> PhaseResult:
-    """Phase along a beam path, with breakdown.
+def path_phase(wave: ParticleWave, path: BeamPath, field: MotionField) -> PhaseResult:
+    """Phase along a beam path, with breakdown, whose entries are labelled "I".
 
     Equals (2*pi / v*lambda) times the line integral of V along the path.
-    ``path_id`` is only a label recorded in the breakdown entries.
     """
     total = _path_total(wave, path, field)
-    return PhaseResult(
-        total, wave.v_lambda, lambda: ((path_id, tuple(_increments(wave, path, field))),)
-    )
+    return PhaseResult(total, wave.v_lambda, lambda: (("I", tuple(_increments(wave, path, field))),))
 
 
 def two_path_difference(config: InterferometerConfig) -> PhaseResult:

@@ -153,10 +153,6 @@ def _particle(value, path: str) -> dict:
     return particle
 
 
-def _motion(value, path: str) -> MotionField:
-    return MotionField(**_renamed(_read_section(_MOTION, value, path), _MOTION))
-
-
 def _geometry(value, path: str) -> dict:
     explicit = isinstance(value, dict) and any(key in value for key in _EXPLICIT)
     return _read_section(_EXPLICIT if explicit else _BUILDER, value, path)
@@ -164,18 +160,18 @@ def _geometry(value, path: str) -> dict:
 
 _SCENE = {
     "particle": (_particle, _REQUIRED),
-    "motion": (_motion, {}),
+    "motion": (partial(_read_section, _MOTION), {}),
     "geometry": (_geometry, _REQUIRED),
     "output": (partial(_read_section, _OUTPUT), {}),
 }
 
 
 class SceneDocument(NamedTuple):
-    """A validated scene, sections in file order; all but motion map key -> value.
+    """A validated scene, sections in file order, each mapping key -> value.
     An explicit geometry holds its two checked ``BeamPath`` objects."""
 
     particle: dict
-    motion: MotionField
+    motion: dict
     geometry: dict
     output: dict
 
@@ -193,9 +189,7 @@ def parse_scene(text: str) -> SceneDocument:
 
 
 def _plain(value) -> dict | list:
-    """JSON form of the scene values json cannot write itself: motion, paths and Vec3."""
-    if isinstance(value, MotionField):
-        return {key: getattr(value, name) for key, (*_, name) in _MOTION.items()}
+    """JSON form of the scene values json cannot write itself: paths and Vec3."""
     if isinstance(value, BeamPath):
         return list(map(list, value.vertices))
     return list(value.as_tuple())
@@ -209,7 +203,8 @@ def serialize_scene(doc: SceneDocument) -> str:
 def config_from_scene(doc: SceneDocument) -> InterferometerConfig:
     """Realize the scene as a validated interferometer configuration."""
     wave = make_particle_wave(**_renamed(doc.particle, _PARTICLE))
+    motion = MotionField(**_renamed(doc.motion, _MOTION))
     if doc.geometry.keys() == _EXPLICIT.keys():  # the beam starts decide the kind
         path_i, path_ii = (doc.geometry[key] for key in _EXPLICIT)
-        return InterferometerConfig(path_i, path_ii, wave, doc.motion)
-    return build_config(wave=wave, motion=doc.motion, **doc.geometry)
+        return InterferometerConfig(path_i, path_ii, wave, motion)
+    return build_config(wave=wave, motion=motion, **doc.geometry)

@@ -394,13 +394,13 @@ class TestMotionField:
         # Pins the linearity checks' summed field to the sum of the velocities.
         f1 = MotionField(Vec3(0.1, -0.2, 0.3), Vec3(0.5, 0.0, 1.0), Vec3(1.0, 2.0, -1.0))
         f2 = MotionField(Vec3(-0.4, 0.0, 0.1), Vec3(0.0, -0.3, 0.2), Vec3(0.0, 1.0, 0.5))
-        from matterwave import velocity_at
+        from matterwave.model import _velocity
 
         total = field_sum(f1, f2)
         for _ in range(20):
-            r = Vec3(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
-            direct = map(operator.add, velocity_at(f1, r).as_tuple(), velocity_at(f2, r).as_tuple())
-            combined = velocity_at(total, r).as_tuple()
+            r = (rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
+            direct = map(operator.add, _velocity(f1, r), _velocity(f2, r))
+            combined = _velocity(total, r)
             assert math.dist(combined, tuple(direct)) < 1e-14
 
     def test_no_field_arithmetic(self):
@@ -528,6 +528,11 @@ class TestExactSum:
     def test_a_total_beyond_the_float_range_refused(self, terms):
         with pytest.raises(GeometryError, match="^phase overflows the float range$"):
             exact_sum(terms, "phase")
+
+    def test_an_overflowing_partial_sum_before_inf_minus_inf_refused(self):
+        # The sum scaled down meets inf - inf: a refusal, not a ValueError.
+        with pytest.raises(GeometryError, match="^phase overflows the float range$"):
+            exact_sum([1e308, 1e308, math.inf, -math.inf], "phase")
 
 
 class TestOpeningVector:

@@ -33,10 +33,9 @@ from matterwave import (
     segment_phase_increment,
     translation_opening,
     two_path_difference,
-    velocity_at,
 )
 from matterwave import kinematics
-from matterwave.model import PathMoments, exact_sum
+from matterwave.model import PathMoments, _fsum, _velocity, exact_sum
 from matterwave.phase import boost_factor
 
 import exact
@@ -159,7 +158,7 @@ class TestSegmentPhaseIncrement:
             )
             # Rest and moving phases by the independent wavelength route.
             rest = rest_phase(fast_wave, math.dist(b, a))
-            v_parallel = dot(velocity_at(field, Vec3(*scaled(add(a, b), 0.5))).as_tuple(), unit(sub(b, a)))
+            v_parallel = dot(_velocity(field, scaled(add(a, b), 0.5)), unit(sub(b, a)))
             moving = rest * boost_factor(fast_wave, v_parallel)
             increment = segment_phase_increment(fast_wave, Vec3(*a), Vec3(*b), field)
             scale = max(abs(rest), abs(moving))
@@ -257,7 +256,7 @@ class TestBreakdown:
         assert [(c.path_id, c.segment_index) for c in entries] == (
             [("II", i) for i in range(6)] + [("I", i) for i in range(3)]
         )
-        beam_ii = path_phase(fast_wave, config.path_II, motion, path_id="II").per_segment
+        beam_ii = path_phase(fast_wave, config.path_II, motion).per_segment
         beam_i = path_phase(fast_wave, config.path_I, motion).per_segment
         assert [c.phase_rad for c in entries] == (
             [c.phase_rad for c in beam_ii] + [-c.phase_rad for c in beam_i]
@@ -664,7 +663,27 @@ class TestNonFiniteSums:
         with pytest.raises(GeometryError, match="^phase overflows the float range$"):
             path_phase(unit_wave, path, field)
 
+    def test_rotating_path_whose_partial_moment_sum_overflows_answered(self, unit_wave):
+        # Each y moment term is finite and so is their sum, but a partial sum
+        # of them in path order is not: the sum is taken again, scaled down.
+        path = BeamPath(PARTIAL_SUM_OVERFLOW)
+        field = MotionField(omega=Vec3(0.0, 1e-300, 0.0))
+        assert math.isfinite(path.moments.moment[1])
+        got = path_phase(unit_wave, path, field).total_phase_rad
+        expected = exact.path_phase(unit_wave, path, field)
+        assert abs(got - expected) <= exact.path_bound(unit_wave, field, path)
 
+
+# Offsets near 1e154 m: the y moment terms a'_i x dL_i are finite, and so is their
+# exact sum, but summed in path order a partial sum overflows.
+PARTIAL_SUM_OVERFLOW = (
+    (1.1691645567758052e154, -4.037842819066272e153, 2.2329672361760183e153),
+    (-1.0847224368907774e154, 1.5547112862397673e153, 8.14576882798351e153),
+    (-7.7582826405375e153, -6.214922990453302e153, 5.210546645712037e153),
+    (-6.399068859662356e153, -6.2596176754434705e153, 1.1323397486421837e154),
+    (1.2962118801920977e154, -8.96484080200285e153, 1.040422206870801e154),
+    (1.370888635317212e153, -1.1996370297326545e154, 2.223070596166818e153),
+)
 # Offsets near 1e155 m from the reference vertex: every moment term overflows.
 OVERFLOWING_MOMENTS = (
     (0.0, 0.0, 0.0), (1e155, 0.0, 0.0), (1e155, 2e155, 0.0), (-1e155, 2e155, 3e155),
@@ -725,11 +744,8 @@ class TestCompiledForm:
 
 
 def _cross_sum(p, q, dp, dq):
-    terms = map(operator.sub, map(operator.mul, p, dq), map(operator.mul, q, dp))
-    try:
-        return math.fsum(terms)
-    except (OverflowError, ValueError):
-        return math.nan
+    # Summed by the package's one overflow rule for sums, as the one-pass loop sums.
+    return _fsum(list(map(operator.sub, map(operator.mul, p, dq), map(operator.mul, q, dp))))
 
 
 def list_of_maps_moments(path):
@@ -778,6 +794,7 @@ class TestOnePassCompileMatchesListOfMapsBitForBit:
     @example(points=[(0.0, 1e308, 0.0), (0.0, 0.0, 0.0), (0.0, -1.5e308, 0.0)])
     @example(points=[(0.0, 0.0, 1e308), (0.0, 0.0, 0.0), (0.0, 0.0, -1e308)])
     @example(points=list(OVERFLOWING_MOMENTS))
+    @example(points=list(PARTIAL_SUM_OVERFLOW))
     def test_moments(self, points):
         try:
             path = BeamPath(tuple(points))

@@ -55,8 +55,10 @@ class TestParseScene:
 
     def test_motion_defaults_to_rest(self):
         doc = parse_scene(MINIMAL)
-        assert doc.motion.translation == Vec3(0.0, 0.0, 0.0)
-        assert doc.motion.omega == Vec3(0.0, 0.0, 0.0)
+        assert doc.motion == {}
+        motion = config_from_scene(doc).motion
+        assert motion.translation == Vec3(0.0, 0.0, 0.0)
+        assert motion.omega == Vec3(0.0, 0.0, 0.0)
 
     def test_vector_fields_validated(self):
         bad = '{"particle": {"speed_mps": 1.0, "wavelength_m": 1e-8}, "motion": {"translation_mps": [1, 2]}, "geometry": {"kind": "Fig3bOpen", "opening_m": 1e-4}}'
