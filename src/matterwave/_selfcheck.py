@@ -162,10 +162,21 @@ def run_suite(seed: int) -> VerifyReport:
         )
         loop_integral = (TWO_PI / wave.v_lambda) * circulation(field, loop)
         area_form = sagnac_area_phase(wave, loop, field)
-        denom = max(abs(loop_integral), abs(area_form))
-        if denom == 0.0:
-            return 0.0, {}
-        return abs(loop_integral - area_form) / denom, {
+        # The kernel on the same loop, split at its middle vertex into two beams
+        # whose interference loop it is (beam II forward, beam I backward), is
+        # held to the area form as the loop integral is.
+        verts = loop.vertices
+        mid = len(verts) // 2
+        split = InterferometerConfig(
+            BeamPath(verts[mid:][::-1]), BeamPath(verts[: mid + 1]), wave, field
+        )
+        kernel = two_path_difference(split).total_phase_rad
+        violation = 0.0
+        for a, b in ((loop_integral, area_form), (kernel, area_form)):
+            denom = max(abs(a), abs(b))
+            if denom > 0.0:
+                violation = max(violation, abs(a - b) / denom)
+        return violation, {
             "loop": _path_dict(loop),
             "omega_radps": list(field.omega.as_tuple()),
         }

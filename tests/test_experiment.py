@@ -5,6 +5,7 @@ import math
 import pytest
 
 from matterwave import (
+    BeamPath,
     ConfigKind,
     GeometryError,
     MotionField,
@@ -301,3 +302,19 @@ class TestVerifySuite:
             assert check.samples >= 20
             assert check.passed
             assert check.worst_case is None
+
+    def test_a_kernel_with_a_wrong_rotation_term_fails(self, monkeypatch):
+        # Every moment 1% too large moves the Earth-frame square's phase by 1%;
+        # the kernel, held to the area form on each Sagnac loop, shows it.
+        compile_ = BeamPath.moments.func
+
+        def skewed(path):
+            form = compile_(path)
+            return form._replace(moment=tuple(m * 1.01 for m in form.moment))
+
+        monkeypatch.setattr(BeamPath, "moments", property(skewed))
+        report = verify_suite(42)
+        assert [c.name for c in report.checks if not c.passed] == ["sagnac-loop-vs-area"]
+        check = next(c for c in report.checks if not c.passed)
+        assert check.max_violation == pytest.approx(0.01 / 1.01, rel=1e-6)
+        assert check.worst_case["loop"]
