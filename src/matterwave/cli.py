@@ -28,6 +28,7 @@ from .kinematics import circulation, enclosed_area_vector
 from .model import MatterWaveError, _dot, _unit
 from .phase import (
     TWO_PI,
+    _check_translation,
     interference_loop,
     open_loop_phase,
     sagnac_area_phase,
@@ -302,6 +303,7 @@ def run_command(argv: list[str]) -> int:
         elif args.command == "translate":
             opening = translation_opening(config)
             velocity = config.motion.translation
+            _check_translation(config, velocity.as_tuple())
             phase = open_loop_phase(config.wave, opening, velocity)
             cos_theta = (
                 _dot(_unit(velocity.as_tuple()), _unit(opening.as_tuple()))

@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 from .model import (
     BeamPath,
+    BoostDomainError,
     ConfigKind,
     GeometryError,
     InterferometerConfig,
@@ -26,7 +27,7 @@ from .model import (
     _scaled,
     _unit,
 )
-from .phase import TWO_PI, open_loop_phase, translation_opening
+from .phase import TWO_PI, _check_translation, open_loop_phase, translation_opening
 
 DEFAULT_ARM_LENGTH = 0.01  # m
 
@@ -164,7 +165,9 @@ def sensitivity_sweep(
 
     The sweep direction is the unit vector of the configuration's
     translation; when the configuration is at rest the direction defaults
-    to the opening itself (cos(theta) = 1).
+    to the opening itself (cos(theta) = 1). A sweep whose largest speed takes
+    a segment of either beam outside the boost domain is refused; along one
+    direction, every faster speed would be refused too.
     """
     if not (0.0 <= v_min < v_max < math.inf):
         raise GeometryError(f"need 0 <= v_min < v_max < inf, got {v_min!r}, {v_max!r}")
@@ -183,6 +186,10 @@ def sensitivity_sweep(
             raise GeometryError(f"a sweep from {v_min!r} to {v_max!r} overflows the float range")
         phase = open_loop_phase(wave, opening, Vec3(*_scaled(direction, v)))
         rows.append(SweepRow(V_mps=v, phase_rad=phase, fringe_count=phase / TWO_PI))
+    try:
+        _check_translation(config, _scaled(direction, rows[-1].V_mps))
+    except BoostDomainError as exc:
+        raise BoostDomainError(f"at sweep speed {rows[-1].V_mps!r} m/s: {exc}") from None
 
     v_full_fringe = None
     if cos_theta != 0.0:

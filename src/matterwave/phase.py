@@ -127,6 +127,18 @@ def _checked_moments(wave: ParticleWave, path: BeamPath, field: MotionField) -> 
     return form, u0
 
 
+def _check_translation(config: InterferometerConfig, translation) -> None:
+    """Refuse the uniform ``translation``, a float triple, where it takes a segment of
+    either beam outside the boost domain, as ``two_path_difference`` would. Its speed
+    bounds every segment's; only where that bound fails are the beams compiled and
+    walked."""
+    wave = config.wave
+    if not math.hypot(*translation) * (1.0 + _BOUND_MARGIN) < wave.speed_v:
+        field = MotionField(Vec3(*translation))
+        for path in (config.path_II, config.path_I):
+            _checked_moments(wave, path, field)
+
+
 def _terms(scale: float, u, d, omega, moment) -> list[float]:
     """The rigid identity's terms, scaled: scale * u_j * d_j and scale * omega_j * moment_j
     per axis. A zero rate component drops its term, whose moment may have overflowed."""

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from matterwave import (
@@ -21,7 +21,9 @@ from matterwave import (
     Vec3,
     VerifyReport,
     build_config,
+    config_from_scene,
     make_particle_wave,
+    parse_scene,
     path_phase,
     sensitivity_sweep,
 )
@@ -353,6 +355,49 @@ class TestOutOfRangeTranslationNorms:
         assert last == pytest.approx(fringes, rel=1e-12, abs=0.0)
 
 
+# The slow-motion domain of the boost model, on a Fig3bOpen layout with v = 1 m/s.
+BOOST_REFUSAL = (
+    "segment speed along the beam (-5.0 m/s) cancels or exceeds the particle speed "
+    "(1.0 m/s); phase model does not apply\n"
+)
+
+
+class TestSlowMotionDomain:
+    """translate and sweep refuse the motions that phase refuses: a segment receding
+    at the particle speed or faster."""
+
+    @pytest.mark.parametrize("command", ["phase", "fringes", "translate"])
+    def test_translation_beyond_the_particle_speed_refused(self, capsys, tmp_path, command):
+        argv = [command, "--scene", moving_open_scene(tmp_path, [-5.0, 0.0, 0.0])]
+        assert run(capsys, argv) == (1, "", "matterwave: error: " + BOOST_REFUSAL)
+
+    def test_sweep_refused_at_its_largest_speed(self, capsys, tmp_path):
+        argv = ["sweep", "--scene", moving_open_scene(tmp_path, [-5.0, 0.0, 0.0]), "--vmax", "5"]
+        message = "matterwave: error: at sweep speed 5.0 m/s: " + BOOST_REFUSAL
+        assert run(capsys, argv) == (1, "", message)
+
+    def test_sweep_below_the_particle_speed_answered(self, capsys, tmp_path):
+        argv = ["sweep", "--scene", moving_open_scene(tmp_path, [-5.0, 0.0, 0.0]), "--vmax", "0.5"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["rows"][-1]["V_mps"] == 0.5
+
+    def test_sweep_at_rest_checks_the_direction_of_the_opening(self, capsys, tmp_path):
+        # At rest the sweep runs along the opening, +y, and beam I's closing stub
+        # recedes at |V| / sqrt(5).
+        argv = ["sweep", "--scene", moving_open_scene(tmp_path, [0.0, 0.0, 0.0]), "--vmax", "5"]
+        code, out, err = run(capsys, argv)
+        assert_refused(code, out, err)
+        assert "at sweep speed 5.0 m/s: segment speed along the beam (-2.236067977499" in err
+
+    @pytest.mark.parametrize("command", ["phase", "translate"])
+    def test_fast_translation_along_every_segment_answered(self, capsys, tmp_path, command):
+        # Faster than the particles, but no segment recedes: the beams are walked, and
+        # the motion is answered.
+        code, out, err = run(capsys, [command, "--scene", moving_open_scene(tmp_path, [5.0, 0.0, 0.0])])
+        assert (code, err) == (0, "")
+
+
 class TestSweepCommand:
     def test_csv_structure(self, capsys, data_dir):
         code, out, _ = run(
@@ -664,8 +709,10 @@ class TestErrorContract:
         assert json.loads(out)["total_phase_rad"] == 0.0
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_non_finite_result_refused(self, capsys, data_dir, fmt):
-        argv = ["sweep", "--scene", scene(data_dir, "slow_atom_open.json"), "--vmax", "1e304"]
+    def test_non_finite_result_refused(self, capsys, tmp_path, fmt):
+        # Along (1, 1, 0) no segment of the layout recedes: every grid speed is
+        # inside the boost domain, and the phase at 1e304 m/s overflows.
+        argv = ["sweep", "--scene", moving_open_scene(tmp_path, [1.0, 1.0, 0.0]), "--vmax", "1e304"]
         code, out, err = run(capsys, argv + ["--steps", "2", "--format", fmt])
         assert_refused(code, out, err)
         assert "not finite" in err
@@ -970,3 +1017,56 @@ def _numeric_cells(csv_text):
             except ValueError:
                 continue
             yield cell
+
+
+open_translation_scenes = st.fixed_dictionaries(
+    {
+        "particle": st.just({"speed_mps": 1.0, "wavelength_m": 1e-8}),
+        "geometry": st.fixed_dictionaries(
+            {"kind": open_kinds, "opening_m": st.one_of(st.floats(1e-6, 1.0), points.filter(any))},
+            optional={"arm_length_m": st.floats(1e-6, 1e3)},
+        ),
+        "motion": st.fixed_dictionaries(
+            {"translation_mps": st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3).filter(any)}
+        ),
+    }
+)
+
+
+def _least_boost_factor(doc) -> float:
+    """1 + V . dL / (v |dL|) over the segments of both beams: the boost model holds above 0."""
+    config = config_from_scene(parse_scene(json.dumps(doc)))
+    velocity = config.motion.translation.as_tuple()
+    factors = []
+    for path in (config.path_I, config.path_II):
+        for a, b in zip(path.vertices, path.vertices[1:]):
+            step = [q - p for p, q in zip(a, b)]
+            speed = sum(v * d for v, d in zip(velocity, step)) / math.hypot(*step)
+            factors.append(1.0 + speed / config.wave.speed_v)
+    return min(factors)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(doc=open_translation_scenes)
+@example(
+    doc={
+        "particle": {"speed_mps": 1.0, "wavelength_m": 1e-8},
+        "geometry": {"kind": "Fig3bOpen", "opening_m": 1e-4},
+        "motion": {"translation_mps": [-2.5, 0.0, 0.0]},
+    }
+)
+def test_phase_translate_and_sweep_share_one_domain(capsys, tmp_path, doc):
+    # A translation-only open scene: phase, translate, and a sweep up to |T| along
+    # T all refuse it, or all answer. Within rounding of the boundary, where the
+    # sweep's grid speed may differ from |T| by an ulp, the draw is left out.
+    try:
+        least = _least_boost_factor(doc)
+    except MatterWaveError:  # an opening within the endpoint tolerance: no layout
+        least = math.inf
+    assume(abs(least) > 1e-9)
+    scene_file = tmp_path / "domain.json"
+    scene_file.write_text(json.dumps(doc))
+    speed = math.hypot(*doc["motion"]["translation_mps"])
+    commands = [["phase"], ["translate"], ["sweep", "--vmax", repr(speed)]]
+    codes = {run(capsys, c[:1] + ["--scene", str(scene_file)] + c[1:])[0] for c in commands}
+    assert len(codes) == 1
