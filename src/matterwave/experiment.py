@@ -169,8 +169,16 @@ def sensitivity_sweep(
     a segment of either beam outside the boost domain is refused; along one
     direction, every faster speed would be refused too.
     """
+    # A float bound, inf and nan included, is held to the range below as given;
+    # any other through the number rule first.
+    v_min, v_max = (
+        v if isinstance(v, float) else _number(v, name)
+        for v, name in ((v_min, "v_min"), (v_max, "v_max"))
+    )
     if not (0.0 <= v_min < v_max < math.inf):
         raise GeometryError(f"need 0 <= v_min < v_max < inf, got {v_min!r}, {v_max!r}")
+    if type(steps) is bool or not isinstance(steps, int):
+        raise GeometryError(f"steps must be an integer, got {steps!r}")
     if steps < 2:
         raise GeometryError(f"need at least 2 steps, got {steps}")
     opening = translation_opening(config)

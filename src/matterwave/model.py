@@ -63,6 +63,7 @@ def _number(value, name: str, error: type = GeometryError) -> float:
 
     A number is anything float() converts by its own __float__ (numpy scalars
     too), except a bool; a str converts only by parsing, and None not at all.
+    A __float__ that raises, as a signaling Decimal NaN's does, is no number.
     """
     if type(value) is bool or not hasattr(type(value), "__float__"):
         raise error(f"{name} must be a number, got {value!r}")
@@ -70,6 +71,8 @@ def _number(value, name: str, error: type = GeometryError) -> float:
         number = float(value)
     except OverflowError:  # an int beyond the float range
         raise error(f"{name} is beyond the float range") from None
+    except Exception:
+        raise error(f"{name} must be a number, got {value!r}") from None
     if not math.isfinite(number):
         raise error(f"{name} must be finite, got {value!r}")
     return number

@@ -46,6 +46,7 @@ from .model import (
     PhaseResult,
     Vec3,
     _cross,
+    _number,
     _velocity,
     exact_sum,
 )
@@ -53,7 +54,8 @@ from .model import (
 
 def rest_phase(wave: ParticleWave, length: float) -> float:
     """Phase accumulated along a segment at rest: 2*pi * length / lambda."""
-    if length < 0.0 or not math.isfinite(length):
+    length = _number(length, "length")
+    if length < 0.0:
         raise GeometryError(f"length must be non-negative, got {length!r}")
     return TWO_PI * length / wave.wavelength_lambda
 
@@ -64,8 +66,11 @@ def boost_factor(wave: ParticleWave, speed_parallel: float) -> float:
     ``speed_parallel`` is the component of the segment velocity along the
     beam direction (V*cos(theta)). Raises when the factor is not positive:
     the slow-motion model does not cover a segment receding as fast as the
-    particles travel.
+    particles travel. A float is taken as given, as the kernel passes it;
+    anything else goes through the number rule.
     """
+    if type(speed_parallel) is not float:
+        speed_parallel = _number(speed_parallel, "speed_parallel")
     factor = 1.0 + speed_parallel / wave.speed_v
     if factor <= 0.0:
         raise BoostDomainError(
@@ -273,6 +278,7 @@ def gse_light_phase(wavelength: float, segment_V: Vec3, delta_L: Vec3) -> float:
     factor is doubled relative to the single-beam matter-wave law because
     both directions around the loop contribute.
     """
-    if not (wavelength > 0.0 and math.isfinite(wavelength)):
+    wavelength = _number(wavelength, "wavelength")
+    if not wavelength > 0.0:
         raise GeometryError(f"wavelength must be positive, got {wavelength!r}")
     return (4.0 * math.pi / (C_LIGHT * wavelength)) * segment_V.dot(delta_L)

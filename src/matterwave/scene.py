@@ -178,6 +178,8 @@ class SceneDocument(NamedTuple):
 
 def parse_scene(text: str) -> SceneDocument:
     """Parse and validate a scene document from JSON text."""
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise SceneError(f"expected the scene as text, got {type(text).__name__}")
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

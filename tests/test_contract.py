@@ -6,6 +6,7 @@ Run on more seeds with ``--hypothesis-profile fuzz --hypothesis-seed N``.
 
 import math
 import sys
+from decimal import Decimal
 
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -20,10 +21,15 @@ from matterwave import (
     Vec3,
     build_config,
     fringe_reading,
+    gse_light_phase,
     make_particle_wave,
+    parse_scene,
     path_phase,
+    rest_phase,
+    sensitivity_sweep,
 )
 from matterwave.experiment import LAYOUT_KINDS
+from matterwave.phase import boost_factor
 
 floats = st.one_of(
     st.floats(-2.0, 2.0),
@@ -32,7 +38,9 @@ floats = st.one_of(
 )
 ints = st.one_of(st.integers(-3, 3), st.sampled_from([10**400, -(10**400), 2**1024]))
 vec3s = st.builds(Vec3, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
-scalars = st.one_of(floats, ints, st.booleans(), st.text(max_size=3), st.none(), vec3s)
+# A Decimal converts by its own __float__; a signaling NaN's raises.
+decimals = st.sampled_from([Decimal("1.5"), Decimal("-2"), Decimal("sNaN"), Decimal("NaN")])
+scalars = st.one_of(floats, ints, st.booleans(), st.text(max_size=3), st.none(), vec3s, decimals)
 # Anything a caller might pass: numbers of every kind, non-numbers, sequences.
 values = st.one_of(
     scalars,
@@ -71,6 +79,7 @@ def answered_or_refused(call, *args, **kwargs):
 @example("a", 0, 0)
 @example(None, 0, 0)
 @example(True, 0.0, 0.0)
+@example(Decimal("sNaN"), 0, 0)
 def test_vec3(x, y, z):
     answered_or_refused(Vec3, x, y, z)
 
@@ -138,3 +147,41 @@ def test_fringe_reading(phase):
 @example(["Fig2Rotation"], _wave, MotionField(), {"side_m": 1.0})
 def test_build_config(kind, wave, motion, sizes):
     answered_or_refused(build_config, kind, wave, motion, **sizes)
+
+
+@given(values)
+@example("a")
+@example(None)
+def test_rest_phase(length):
+    answered_or_refused(rest_phase, _wave, length)
+
+
+@given(values)
+@example("a")
+def test_boost_factor(speed_parallel):
+    answered_or_refused(boost_factor, _wave, speed_parallel)
+
+
+@given(values)
+@example("a")
+def test_gse_light_phase(wavelength):
+    answered_or_refused(gse_light_phase, wavelength, Vec3(1.0, 0.0, 0.0), Vec3(0.5, 0.0, 0.0))
+
+
+_open = InterferometerConfig(_square[2], _square[1], _wave, MotionField())
+# Step counts stay small: a sweep of 10**400 steps would be answered, in time.
+steps = st.one_of(st.integers(-3, 5), st.floats(-3.0, 5.0), st.booleans(), st.text(max_size=2), st.none())
+
+
+@given(st.one_of(st.floats(0.0, 1.0), values), st.one_of(st.floats(0.0, 1.0), values), steps)
+@example("a", 1, 3)
+@example(0, 1, "3")
+@example(0, 1, 2.5)
+def test_sensitivity_sweep(v_min, v_max, steps):
+    answered_or_refused(sensitivity_sweep, _open, v_min, v_max, steps)
+
+
+@given(st.one_of(values, st.binary(max_size=8)))
+@example(None)
+def test_parse_scene(text):
+    answered_or_refused(parse_scene, text)
