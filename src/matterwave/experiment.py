@@ -41,6 +41,18 @@ LAYOUT_KINDS = {
     "Fig3cIndependent": ConfigKind.OPEN_LOOP,
     "Fig3dExtracted": ConfigKind.OPEN_LOOP,
 }
+# The builder keys each kind of layout takes.
+_LAYOUT_KEYS = {
+    ConfigKind.CLOSED_LOOP: ("side_m", "width_m", "height_m"),
+    ConfigKind.OPEN_LOOP: ("opening_m", "arm_length_m"),
+}
+
+
+def _check_layout_key(kind: str, key: str) -> None:
+    """Refuse a builder key that the layout ``kind``, a name in LAYOUT_KINDS, does not take."""
+    takes = _LAYOUT_KEYS[LAYOUT_KINDS[kind]]
+    if key not in takes:
+        raise GeometryError(f"{kind} does not take {key} (it takes {', '.join(takes)})")
 
 
 def _rectangle_paths(width: float, height: float) -> tuple[BeamPath, BeamPath]:
@@ -75,7 +87,7 @@ def build_config(
     width_m: float | None = None,
     height_m: float | None = None,
     opening_m: Vec3 | float | None = None,
-    arm_length_m: float = DEFAULT_ARM_LENGTH,
+    arm_length_m: float | None = None,
 ) -> InterferometerConfig:
     """Build one of the canonical interferometer configurations.
 
@@ -83,11 +95,19 @@ def build_config(
     ``side_m`` (square) or ``width_m`` and ``height_m``. Open kinds take
     ``opening_m``, either a vector or a positive scalar meaning an opening
     along +y, perpendicular to the arms, plus an optional
-    ``arm_length_m``; the reported phase provably does not depend on the
-    arm length. Every length goes through the model's number rule.
+    ``arm_length_m`` (DEFAULT_ARM_LENGTH when left out); the reported phase
+    provably does not depend on the arm length. A key the layout does not
+    take is refused. Every length goes through the model's number rule.
     """
     if not isinstance(kind, str) or kind not in LAYOUT_KINDS:
         raise GeometryError(f"unknown layout {kind!r} (known: {', '.join(LAYOUT_KINDS)})")
+    sizes = {
+        "side_m": side_m, "width_m": width_m, "height_m": height_m,
+        "opening_m": opening_m, "arm_length_m": arm_length_m,
+    }
+    for key, value in sizes.items():
+        if value is not None:
+            _check_layout_key(kind, key)
     if LAYOUT_KINDS[kind] is ConfigKind.CLOSED_LOOP:
         if side_m is not None:
             if width_m is not None or height_m is not None:
@@ -110,6 +130,8 @@ def build_config(
     opening = opening_m.as_tuple() if isinstance(opening_m, Vec3) else (0.0, opening_m, 0.0)
     if math.hypot(*opening) == 0.0:
         raise GeometryError("opening must be nonzero")
+    if arm_length_m is None:
+        arm_length_m = DEFAULT_ARM_LENGTH
     arm_length_m = _number(arm_length_m, "arm_length_m")
     if not (arm_length_m > 0.0):
         raise GeometryError(f"arm_length_m must be positive, got {arm_length_m!r}")

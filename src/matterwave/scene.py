@@ -30,7 +30,7 @@ import json
 from functools import partial
 from typing import NamedTuple
 
-from .experiment import LAYOUT_KINDS, build_config
+from .experiment import LAYOUT_KINDS, _check_layout_key, build_config
 from .model import (
     BeamPath,
     GeometryError,
@@ -155,7 +155,13 @@ def _particle(value, path: str) -> dict:
 
 def _geometry(value, path: str) -> dict:
     explicit = isinstance(value, dict) and any(key in value for key in _EXPLICIT)
-    return _read_section(_EXPLICIT if explicit else _BUILDER, value, path)
+    geometry = _read_section(_EXPLICIT if explicit else _BUILDER, value, path)
+    for key in () if explicit else list(geometry)[1:]:  # the builder keys after the kind
+        try:
+            _check_layout_key(geometry["kind"], key)
+        except GeometryError as exc:
+            raise SceneError(f"{path}.{key}: {exc}") from None
+    return geometry
 
 
 _SCENE = {

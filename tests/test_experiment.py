@@ -1,6 +1,7 @@
 """Builders, fringe readout, sensitivity sweep, and the verify suite."""
 
 import math
+import re
 
 import pytest
 
@@ -47,6 +48,29 @@ class TestBuildConfig:
         assert abs(got) == pytest.approx(
             (4 * math.pi / fast_wave.v_lambda) * 1.0 * 0.01, rel=1e-10
         )
+
+    @pytest.mark.parametrize(
+        "kind,sizes,message",
+        [
+            ("Fig2Rotation", dict(side_m=0.1, opening_m=5.0, arm_length_m=-3),
+             "Fig2Rotation does not take opening_m (it takes side_m, width_m, height_m)"),
+            ("Fig3aClosed", dict(side_m=0.1, arm_length_m=0.01),
+             "Fig3aClosed does not take arm_length_m (it takes side_m, width_m, height_m)"),
+            ("Fig3bOpen", dict(opening_m=1e-4, side_m=-1, width_m=0.2),
+             "Fig3bOpen does not take side_m (it takes opening_m, arm_length_m)"),
+            ("Fig3dExtracted", dict(opening_m=Vec3(0, 1e-4, 0), height_m=1.0),
+             "Fig3dExtracted does not take height_m (it takes opening_m, arm_length_m)"),
+        ],
+    )
+    def test_a_key_the_layout_does_not_take_refused(self, unit_wave, kind, sizes, message):
+        with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+            build_config(kind, unit_wave, MotionField(), **sizes)
+
+    def test_arm_length_left_out_is_the_default(self, unit_wave):
+        motion = MotionField(translation=Vec3(0, 1e-4, 0))
+        left_out = build_config("Fig3bOpen", unit_wave, motion, opening_m=1e-4)
+        given = build_config("Fig3bOpen", unit_wave, motion, opening_m=1e-4, arm_length_m=0.01)
+        assert left_out == given
 
     def test_rectangle_dimensions(self, fast_wave):
         config = build_config(
@@ -134,7 +158,7 @@ class TestBuildConfig:
             ("Fig3aClosed", dict(width_m=True, height_m=1.0), "width_m must be a number, got True"),
             ("Fig3aClosed", dict(width_m=1.0, height_m=10**400), "height_m is beyond the float"),
             ("Fig3bOpen", dict(opening_m="0.1"), "opening_m must be a number, got '0.1'"),
-            ("Fig3bOpen", dict(opening_m=1e-4, arm_length_m=None), "arm_length_m must be a number"),
+            ("Fig3bOpen", dict(opening_m=1e-4, arm_length_m="1"), "arm_length_m must be a number"),
             ("Fig3bOpen", dict(opening_m=math.inf), "opening_m must be finite, got inf"),
             (["Fig2Rotation"], dict(side_m=0.1), r"unknown layout \['Fig2Rotation'\]"),
         ],

@@ -110,6 +110,29 @@ def walked_points(points: list) -> tuple:
 finite_coordinates = st.floats(allow_nan=False, allow_infinity=False)
 
 
+class TestLayoutKeys:
+    @pytest.mark.parametrize(
+        "geometry,message",
+        [
+            (
+                {"kind": "Fig2Rotation", "side_m": 0.1, "opening_m": 5.0, "arm_length_m": -3},
+                "scene.geometry.arm_length_m: Fig2Rotation does not take arm_length_m "
+                "(it takes side_m, width_m, height_m)",
+            ),
+            (
+                {"kind": "Fig3bOpen", "opening_m": 1e-4, "side_m": -1, "width_m": 0.2},
+                "scene.geometry.side_m: Fig3bOpen does not take side_m "
+                "(it takes opening_m, arm_length_m)",
+            ),
+        ],
+    )
+    def test_a_key_the_layout_does_not_take_refused_with_its_path(self, geometry, message):
+        text = json.dumps({"particle": {"speed_mps": 1.0, "wavelength_m": 1e-8}, "geometry": geometry})
+        with pytest.raises(SceneError) as info:
+            parse_scene(text)
+        assert str(info.value) == message
+
+
 class TestPointParse:
     """A scene's points are read as a BeamPath; its refusals name the field path."""
 
