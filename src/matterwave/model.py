@@ -71,7 +71,7 @@ def _number(value, name: str, error: type = GeometryError) -> float:
         number = float(value)
     except OverflowError:  # an int beyond the float range
         raise error(f"{name} is beyond the float range") from None
-    except Exception:
+    except (TypeError, ValueError):  # a __float__ that raises, or returns no float
         raise error(f"{name} must be a number, got {value!r}") from None
     if not math.isfinite(number):
         raise error(f"{name} must be finite, got {value!r}")

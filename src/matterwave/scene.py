@@ -156,11 +156,12 @@ def _particle(value, path: str) -> dict:
 def _geometry(value, path: str) -> dict:
     explicit = isinstance(value, dict) and any(key in value for key in _EXPLICIT)
     geometry = _read_section(_EXPLICIT if explicit else _BUILDER, value, path)
-    for key in () if explicit else list(geometry)[1:]:  # the builder keys after the kind
-        try:
-            _check_layout_key(geometry["kind"], key)
-        except GeometryError as exc:
-            raise SceneError(f"{path}.{key}: {exc}") from None
+    if not explicit:
+        for key in list(geometry)[1:]:  # the builder keys, after the kind
+            try:
+                _check_layout_key(geometry["kind"], key)
+            except GeometryError as exc:
+                raise SceneError(f"{path}.{key}: {exc}") from None
     return geometry
 
 
