@@ -25,10 +25,10 @@ from itertools import chain, count, filterfalse
 
 from .experiment import fringe_reading, sensitivity_sweep, verify_suite
 from .kinematics import circulation, enclosed_area_vector
-from .model import MatterWaveError, _dot, _unit
+from .model import MatterWaveError, MotionField, _dot, _unit
 from .phase import (
     TWO_PI,
-    _check_translation,
+    _check_domain,
     interference_loop,
     open_loop_phase,
     sagnac_area_phase,
@@ -303,7 +303,7 @@ def run_command(argv: list[str]) -> int:
         elif args.command == "translate":
             opening = translation_opening(config)
             velocity = config.motion.translation
-            _check_translation(config, velocity.as_tuple())
+            _check_domain(config.wave, (config.path_II, config.path_I), MotionField(velocity))
             phase = open_loop_phase(config.wave, opening, velocity)
             cos_theta = (
                 _dot(_unit(velocity.as_tuple()), _unit(opening.as_tuple()))

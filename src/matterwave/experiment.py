@@ -27,7 +27,7 @@ from .model import (
     _scaled,
     _unit,
 )
-from .phase import TWO_PI, _check_translation, open_loop_phase, translation_opening
+from .phase import TWO_PI, _check_domain, open_loop_phase, translation_opening
 
 DEFAULT_ARM_LENGTH = 0.01  # m
 
@@ -216,8 +216,9 @@ def sensitivity_sweep(
             raise GeometryError(f"a sweep from {v_min!r} to {v_max!r} overflows the float range")
         phase = open_loop_phase(wave, opening, Vec3(*_scaled(direction, v)))
         rows.append(SweepRow(V_mps=v, phase_rad=phase, fringe_count=phase / TWO_PI))
+    fastest = MotionField(Vec3(*_scaled(direction, rows[-1].V_mps)))
     try:
-        _check_translation(config, _scaled(direction, rows[-1].V_mps))
+        _check_domain(wave, (config.path_II, config.path_I), fastest)
     except BoostDomainError as exc:
         raise BoostDomainError(f"at sweep speed {rows[-1].V_mps!r} m/s: {exc}") from None
 

@@ -119,29 +119,21 @@ def _increments(wave: ParticleWave, path: BeamPath, field: MotionField, check=Fa
     return increments
 
 
-def _checked_moments(wave: ParticleWave, path: BeamPath, field: MotionField) -> tuple:
-    """The path's compiled form and U0 at its reference vertex, once no segment is found
-    outside the boost domain. |U0| + |omega| * reach bounds the speed of every point of
-    the path; unless it is below v, the segments are walked and the first one outside
-    raises."""
-    form = path.moments
-    u0 = _velocity(field, form.origin)
-    bound = math.hypot(*u0) + math.hypot(*field.omega.as_tuple()) * form.reach
-    if not bound * (1.0 + _BOUND_MARGIN) < wave.speed_v:
-        _increments(wave, path, field, check=True)
-    return form, u0
-
-
-def _check_translation(config: InterferometerConfig, translation) -> None:
-    """Refuse the uniform ``translation``, a float triple, where it takes a segment of
-    either beam outside the boost domain, as ``two_path_difference`` would. Its speed
-    bounds every segment's; only where that bound fails are the beams compiled and
-    walked."""
-    wave = config.wave
-    if not math.hypot(*translation) * (1.0 + _BOUND_MARGIN) < wave.speed_v:
-        field = MotionField(Vec3(*translation))
-        for path in (config.path_II, config.path_I):
-            _checked_moments(wave, path, field)
+def _check_domain(wave: ParticleWave, paths, field: MotionField) -> None:
+    """Refuse the field where it takes a segment of any of ``paths`` outside the boost
+    domain. With rotation, |U0| + |omega| * reach, U0 the velocity at a path's reference
+    vertex, bounds the speed of every point of the path, read from its compiled form;
+    without, |T| bounds it and nothing is compiled. Unless the bound is below v, the
+    segments are walked and the first one outside raises."""
+    rate = math.hypot(*field.omega.as_tuple())
+    for path in paths:
+        if rate:
+            form = path.moments
+            bound = math.hypot(*_velocity(field, form.origin)) + rate * form.reach
+        else:
+            bound = math.hypot(*field.translation.as_tuple())
+        if not bound * (1.0 + _BOUND_MARGIN) < wave.speed_v:
+            _increments(wave, path, field, check=True)
 
 
 def _terms(scale: float, u, d, omega, moment) -> list[float]:
@@ -149,14 +141,6 @@ def _terms(scale: float, u, d, omega, moment) -> list[float]:
     per axis. A zero rate component drops its term, whose moment may have overflowed."""
     rotation = [scale * (w * m) for w, m in zip(omega, moment) if w]
     return [scale * (a * b) for a, b in zip(u, d)] + rotation
-
-
-def _path_total(wave: ParticleWave, path: BeamPath, field: MotionField) -> float:
-    """(2*pi / v*lambda) * [U0 . delta + omega . moment], U0 the velocity at the path's
-    reference vertex."""
-    form, u0 = _checked_moments(wave, path, field)
-    terms = _terms(TWO_PI / wave.v_lambda, u0, form.delta, field.omega.as_tuple(), form.moment)
-    return exact_sum(terms, "phase")
 
 
 def segment_phase_increment(
@@ -169,7 +153,7 @@ def segment_phase_increment(
     segment's speed along the beam is checked against the domain of that
     boost model. Swapping start and end flips the increment's sign.
     """
-    return _path_total(wave, BeamPath((start, end)), field)
+    return path_phase(wave, BeamPath((start, end)), field).total_phase_rad
 
 
 def path_phase(wave: ParticleWave, path: BeamPath, field: MotionField) -> PhaseResult:
@@ -177,7 +161,11 @@ def path_phase(wave: ParticleWave, path: BeamPath, field: MotionField) -> PhaseR
 
     Equals (2*pi / v*lambda) times the line integral of V along the path.
     """
-    total = _path_total(wave, path, field)
+    _check_domain(wave, (path,), field)
+    form = path.moments
+    u0 = _velocity(field, form.origin)
+    terms = _terms(TWO_PI / wave.v_lambda, u0, form.delta, field.omega.as_tuple(), form.moment)
+    total = exact_sum(terms, "phase")
     return PhaseResult(total, wave.v_lambda, lambda: (("I", tuple(_increments(wave, path, field))),))
 
 
@@ -195,8 +183,8 @@ def two_path_difference(config: InterferometerConfig) -> PhaseResult:
     positive, beam I negated).
     """
     wave, motion, path_ii, path_i = config.wave, config.motion, config.path_II, config.path_I
-    form_ii, _ = _checked_moments(wave, path_ii, motion)
-    form_i, _ = _checked_moments(wave, path_i, motion)
+    _check_domain(wave, (path_ii, path_i), motion)
+    form_ii, form_i = path_ii.moments, path_i.moments
     omega = motion.omega.as_tuple()
     gap = tuple(map(operator.sub, path_i.vertices[-1], path_ii.vertices[-1]))
     opening = map(operator.sub, map(operator.sub, path_i.vertices[0], path_ii.vertices[0]), gap)
