@@ -25,7 +25,7 @@ from itertools import chain, count, filterfalse
 
 from .experiment import fringe_reading, sensitivity_sweep, verify_suite
 from .kinematics import circulation, enclosed_area_vector
-from .model import MatterWaveError, MotionField, _dot, _unit
+from .model import MatterWaveError, MotionField, _cos_between
 from .phase import (
     TWO_PI,
     _check_domain,
@@ -306,7 +306,7 @@ def run_command(argv: list[str]) -> int:
             _check_domain(config.wave, (config.path_II, config.path_I), MotionField(velocity))
             phase = open_loop_phase(config.wave, opening, velocity)
             cos_theta = (
-                _dot(_unit(velocity.as_tuple()), _unit(opening.as_tuple()))
+                _cos_between(velocity.as_tuple(), opening.as_tuple())
                 if velocity.norm() > 0.0
                 else None
             )

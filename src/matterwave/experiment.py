@@ -22,7 +22,7 @@ from .model import (
     MotionField,
     ParticleWave,
     Vec3,
-    _dot,
+    _cos_between,
     _number,
     _scaled,
     _unit,
@@ -167,9 +167,11 @@ class SweepResult(NamedTuple):
     """Phase versus apparatus speed for an open configuration.
 
     ``v_full_fringe_mps`` is the speed producing one full fringe,
-    v_lambda / (D * |cos(theta)|); it is None when the swept velocity is
-    perpendicular to the opening. ``bracket`` is the pair of adjacent grid
-    speeds whose fringe counts straddle 1.0 when the grid reaches it.
+    v_lambda / (D * |cos(theta)|); it is None when no finite speed gives
+    one: the swept velocity is perpendicular to the opening, or that speed
+    lies beyond the float range. ``cos_theta`` lies in [-1, 1]. ``bracket``
+    is the pair of adjacent grid speeds whose fringe counts straddle 1.0
+    when the grid reaches it.
     """
 
     rows: tuple[SweepRow, ...]
@@ -205,8 +207,8 @@ def sensitivity_sweep(
         raise GeometryError(f"need at least 2 steps, got {steps}")
     opening = translation_opening(config)
     translation = config.motion.translation
-    direction = _unit(translation.as_tuple() if translation.norm() > 0.0 else opening.as_tuple())
-    cos_theta = _dot(direction, _unit(opening.as_tuple()))
+    along = translation.as_tuple() if translation.norm() > 0.0 else opening.as_tuple()
+    direction, cos_theta = _unit(along), _cos_between(along, opening.as_tuple())
 
     wave = config.wave
     rows = []
@@ -222,11 +224,10 @@ def sensitivity_sweep(
     except BoostDomainError as exc:
         raise BoostDomainError(f"at sweep speed {rows[-1].V_mps!r} m/s: {exc}") from None
 
-    v_full_fringe = None
-    if cos_theta != 0.0:
-        # A product that underflows to zero leaves a speed beyond the float range.
-        denominator = opening.norm() * abs(cos_theta)
-        v_full_fringe = wave.v_lambda / denominator if denominator > 0.0 else math.inf
+    # No finite speed gives one fringe where the sweep is perpendicular to the opening,
+    # the product underflows to zero or the quotient overflows.
+    denominator = opening.norm() * abs(cos_theta)
+    v_full_fringe = wave.v_lambda / denominator if denominator > 0.0 else math.inf
 
     bracket = None
     for lo, hi in zip(rows, rows[1:]):
@@ -236,7 +237,7 @@ def sensitivity_sweep(
 
     return SweepResult(
         rows=tuple(rows),
-        v_full_fringe_mps=v_full_fringe,
+        v_full_fringe_mps=v_full_fringe if v_full_fringe < math.inf else None,
         bracket=bracket,
         opening_m=opening,
         cos_theta=cos_theta,

@@ -215,6 +215,12 @@ def _unit(v) -> tuple[float, float, float]:
     return (v[0] / n, v[1] / n, v[2] / n)
 
 
+def _cos_between(a, b) -> float:
+    """cos of the angle between the nonzero a and b: _unit(a) . _unit(b), whose rounding
+    can leave [-1, 1], held to it."""
+    return max(-1.0, min(1.0, _dot(_unit(a), _unit(b))))
+
+
 class ParticleWave(_Value):
     """Particle species and wave parameters.
 

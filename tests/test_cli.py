@@ -164,19 +164,24 @@ EXTREME_TRANSLATIONS = pytest.mark.parametrize(
 )
 
 
-def moving_open_scene(tmp_path, translation):
-    """Fig3bOpen scene with v*lambda = 1e-8 m^2/s: one fringe at V . D = 1e-8 m^2/s."""
+def open_scene(tmp_path, motion, opening_m=(0.0, 1e-4, 0.0), speed_mps=1.0, wavelength_m=1e-8):
+    """Fig3bOpen scene file of the given motion section."""
     scene_file = tmp_path / "moving_open.json"
     scene_file.write_text(
         json.dumps(
             {
-                "particle": {"speed_mps": 1.0, "wavelength_m": 1e-8},
-                "motion": {"translation_mps": translation},
-                "geometry": {"kind": "Fig3bOpen", "opening_m": [0.0, 1e-4, 0.0]},
+                "particle": {"speed_mps": speed_mps, "wavelength_m": wavelength_m},
+                "motion": motion,
+                "geometry": {"kind": "Fig3bOpen", "opening_m": list(opening_m)},
             }
         )
     )
     return str(scene_file)
+
+
+def moving_open_scene(tmp_path, translation):
+    """Fig3bOpen scene with v*lambda = 1e-8 m^2/s: one fringe at V . D = 1e-8 m^2/s."""
+    return open_scene(tmp_path, {"translation_mps": translation})
 
 
 class TestPhaseCommand:
@@ -398,6 +403,46 @@ class TestSlowMotionDomain:
         assert (code, err) == (0, "")
 
 
+def compiled(config) -> tuple[bool, bool]:
+    """Whether each beam, II then I, holds its compiled form."""
+    return tuple("moments" in vars(path) for path in (config.path_II, config.path_I))
+
+
+def run_keeping_the_config(capsys, monkeypatch, argv):
+    """Run the command and return the config it built from its scene."""
+    configs = []
+
+    def kept(doc):
+        configs.append(config_from_scene(doc))
+        return configs[-1]
+
+    monkeypatch.setattr("matterwave.cli.config_from_scene", kept)
+    code, _, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    (config,) = configs
+    return config
+
+
+class TestTranslationOnlyChecksCompileNothing:
+    """A translation's speed bounds every segment's, so the domain check of translate
+    and sweep compiles neither beam inside the domain; a rotation's bound needs each
+    beam's reach, which only its compiled form holds."""
+
+    def test_translate(self, capsys, tmp_path, monkeypatch):
+        argv = ["translate", "--scene", moving_open_scene(tmp_path, [0.5, 0.5, 0.0])]
+        assert compiled(run_keeping_the_config(capsys, monkeypatch, argv)) == (False, False)
+
+    def test_sweep(self, unit_wave):
+        motion = MotionField(translation=Vec3(0.5, 0.5, 0.0))
+        config = build_config("Fig3bOpen", unit_wave, motion, opening_m=Vec3(0.0, 1e-4, 0.0))
+        sensitivity_sweep(config, 0.0, 0.5, 3)
+        assert compiled(config) == (False, False)
+
+    def test_a_rotating_motion_compiles_both_beams(self, capsys, tmp_path, monkeypatch):
+        argv = ["phase", "--scene", open_scene(tmp_path, {"omega_radps": [0.0, 0.0, 1e-3]})]
+        assert compiled(run_keeping_the_config(capsys, monkeypatch, argv)) == (True, True)
+
+
 class TestSweepCommand:
     def test_csv_structure(self, capsys, data_dir):
         code, out, _ = run(
@@ -462,6 +507,28 @@ class TestSweepCommand:
         payload = json.loads(out)
         assert payload["cos_theta"] == pytest.approx(cos_theta, rel=1e-12)
         assert payload["rows"][-1]["fringe_count"] == pytest.approx(cos_theta, rel=1e-12)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_full_fringe_speed_beyond_the_float_range_is_null(self, capsys, tmp_path, fmt):
+        # v*lambda / (|D| cos(theta)) = 1 / (1e-3 * 1e-306) overflows: no finite speed
+        # gives a fringe.
+        motion = {"translation_mps": [1e-306, 1.0, 0.0]}
+        path = open_scene(tmp_path, motion, (1e-3, 0.0, 0.0), speed_mps=1000.0, wavelength_m=1e-3)
+        argv = ["sweep", "--scene", path, "--vmax", "1", "--steps", "2", "--format", fmt]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            assert json.loads(out)["v_full_fringe_mps"] is None
+
+    @pytest.mark.parametrize(
+        "argv", [["translate"], ["sweep", "--vmax", "1e-3"]], ids=["translate", "sweep"]
+    )
+    def test_cos_theta_of_parallel_vectors_is_one(self, capsys, tmp_path, argv):
+        # The unit vectors of (1e-4, 1e-4, 0) have a dot product of 1.0000000000000002.
+        path = open_scene(tmp_path, {"translation_mps": [1e-4, 1e-4, 0.0]}, (1e-4, 1e-4, 0.0))
+        code, out, err = run(capsys, argv + ["--scene", path])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["cos_theta"] == 1.0
 
     def test_rejects_bad_grid(self, capsys, data_dir):
         code, _, err = run(

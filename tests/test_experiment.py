@@ -268,6 +268,27 @@ class TestSensitivitySweep:
         assert all(row.phase_rad == 0.0 for row in sweep.rows)
         assert len(sweep.rows) == 7
 
+    # With v*lambda = 1 m^2/s and |D| = 1e-3 m: 1 / (1e-3 * 1e-306) overflows, and
+    # 1e-3 * 5e-324 underflows to zero.
+    @pytest.mark.parametrize("cos_theta", [1e-306, 5e-324], ids=["overflow", "underflow"])
+    def test_full_fringe_speed_beyond_the_float_range_is_none(self, cos_theta):
+        wave = make_particle_wave(1000.0, wavelength=1e-3)
+        motion = MotionField(translation=Vec3(cos_theta, 1.0, 0.0))
+        config = build_config("Fig3bOpen", wave, motion, opening_m=Vec3(1e-3, 0.0, 0.0))
+        sweep = sensitivity_sweep(config, 0.0, 1.0, 2)
+        assert sweep.cos_theta == cos_theta
+        assert sweep.v_full_fringe_mps is None
+
+    def test_cos_theta_at_rest_is_a_cosine(self, unit_wave, rng):
+        # At rest the sweep runs along the opening, and the dot product of its unit
+        # vector with itself rounds above 1 for about one opening in six.
+        for _ in range(2000):
+            opening = Vec3(*(rng.uniform(-1e-3, 1e-3) for _ in range(3)))
+            config = build_config("Fig3bOpen", unit_wave, MotionField(), opening_m=opening)
+            cos_theta = sensitivity_sweep(config, 0.0, 1e-6, 2).cos_theta
+            assert -1.0 <= cos_theta <= 1.0
+            assert math.acos(cos_theta) == pytest.approx(0.0, abs=1e-7)
+
     def test_direction_defaults_to_opening(self, unit_wave):
         config = build_config(
             "Fig3bOpen", unit_wave, MotionField(), opening_m=Vec3(0, 1e-4, 0)
