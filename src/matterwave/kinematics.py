@@ -43,23 +43,25 @@ def circulation(field: MotionField, loop: BeamPath) -> float:
     About the point o of ``_loop_point``, V(r) = V(o) + omega x (r - o), whose
     constant part integrates to zero on a closed loop. The trapezoid rule, exact
     for fields affine in position, integrates the rest on each segment a -> b:
-    omega x (a - o) and omega x (b - o), averaged, dotted with b - a.
+    omega x (a - o) and omega x (b - o), averaged, is omega x m at the midpoint
+    offset m = (a - o)/2 + (b - o)/2, dotted with d = b - a. The rows (m, d) are
+    kept on the loop, so a scan over motions builds them once; a refusal is not kept.
     """
-    if not loop.closed():
-        raise GeometryError("circulation requires a closed path")
+    rows = vars(loop).get("_midpoints")
+    if rows is None:
+        if not loop.closed():
+            raise GeometryError("circulation requires a closed path")
+        ox, oy, oz = _loop_point(loop)
+        verts = loop.vertices
+        # Each offset halved, exact for normal floats: the sum cannot overflow where a' + b' would.
+        rows = vars(loop)["_midpoints"] = [
+            ((ax - ox) * 0.5 + (bx - ox) * 0.5, (ay - oy) * 0.5 + (by - oy) * 0.5,
+             (az - oz) * 0.5 + (bz - oz) * 0.5, bx - ax, by - ay, bz - az)
+            for (ax, ay, az), (bx, by, bz) in zip(verts, islice(verts, 1, None))
+        ]
     wx, wy, wz = field.omega.as_tuple()
-    ox, oy, oz = _loop_point(loop)
-    terms = []
-    ax, ay, az = loop.vertices[0]
-    rx, ry, rz = ax - ox, ay - oy, az - oz
-    vax, vay, vaz = wy * rz - wz * ry, wz * rx - wx * rz, wx * ry - wy * rx
-    for bx, by, bz in islice(loop.vertices, 1, None):
-        rx, ry, rz = bx - ox, by - oy, bz - oz
-        vbx, vby, vbz = wy * rz - wz * ry, wz * rx - wx * rz, wx * ry - wy * rx
-        terms.append((vax + vbx) * 0.5 * (bx - ax) + (vay + vby) * 0.5 * (by - ay)
-                     + (vaz + vbz) * 0.5 * (bz - az))
-        ax, ay, az, vax, vay, vaz = bx, by, bz, vbx, vby, vbz
-    return exact_sum(terms, "circulation")
+    return exact_sum([(wy * mz - wz * my) * dx + (wz * mx - wx * mz) * dy + (wx * my - wy * mx) * dz
+                      for mx, my, mz, dx, dy, dz in rows], "circulation")
 
 
 def enclosed_area_vector(loop: BeamPath) -> Vec3:

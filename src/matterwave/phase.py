@@ -227,9 +227,10 @@ def sagnac_area_phase(wave: ParticleWave, loop: BeamPath, field: MotionField) ->
     A is the loop's signed vector area, ``enclosed_area_vector(loop)``, which
     refuses an open loop and is kept on the loop. Any uniform translation part
     of the field contributes nothing around a closed loop and is ignored here
-    by construction.
+    by construction. A phase beyond the float range is refused as a summed one is.
     """
-    return (4.0 * math.pi / wave.v_lambda) * field.omega.dot(enclosed_area_vector(loop))
+    phase = (4.0 * math.pi / wave.v_lambda) * field.omega.dot(enclosed_area_vector(loop))
+    return exact_sum([phase], "phase")
 
 
 def open_loop_phase(wave: ParticleWave, opening_D: Vec3, velocity_V: Vec3) -> float:

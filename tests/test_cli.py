@@ -275,6 +275,32 @@ class TestSagnacCommand:
         assert (code, out) == (1, "")
         assert err == "matterwave: error: consecutive vertices 2 and 3 coincide\n"
 
+    @pytest.mark.parametrize(
+        "omega,message",
+        [
+            ([0, 0, 1e100], "circulation overflows the float range"),
+            # The circulation is finite, both phases are not.
+            ([0, 0, 1], "phase overflows the float range"),
+        ],
+        ids=["circulation", "phase"],
+    )
+    def test_loop_whose_phase_overflows_refused(self, capsys, tmp_path, omega, message):
+        scene_file = tmp_path / "huge_triangle.json"
+        scene_file.write_text(
+            json.dumps(
+                {
+                    "particle": {"speed_mps": 1.0, "wavelength_m": 1e-8},
+                    "motion": {"omega_radps": omega},
+                    "geometry": {
+                        "path_II_m": [[0, 0, 0], [1e150, 0, 0], [1e150, 1e150, 0]],
+                        "path_I_m": [[0, 0, 0], [1e150, 1e150, 0]],
+                    },
+                }
+            )
+        )
+        code, out, err = run(capsys, ["sagnac", "--scene", str(scene_file)])
+        assert (code, out, err) == (1, "", f"matterwave: error: {message}\n")
+
 
 class TestTranslateCommand:
     def test_slow_atom_scene_value(self, capsys, data_dir):

@@ -128,16 +128,38 @@ class TestCirculation:
     def test_open_path_rejected(self):
         field = MotionField(omega=Vec3(0, 0, 1))
         open_path = BeamPath((Vec3(0, 0, 0), Vec3(1, 0, 0)))
-        with pytest.raises(GeometryError):
-            circulation(field, open_path)
+        for _ in range(2):  # a refusal is not kept
+            with pytest.raises(GeometryError, match="circulation requires a closed path"):
+                circulation(field, open_path)
+        assert "_midpoints" not in vars(open_path)
 
     def test_nan_term_refused(self):
         # Along the ray x = y every trapezoid term is -w*R^2 + w*R^2 with
         # w*R^2 beyond the float range: each term is inf - inf = nan.
         r = 1e200
         loop = BeamPath((Vec3(0, 0, 0), Vec3(r, r, 0), Vec3(2 * r, 2 * r, 0), Vec3(0, 0, 0)))
-        with pytest.raises(GeometryError, match="overflows the float range"):
-            circulation(MotionField(omega=Vec3(0, 0, 1)), loop)
+        for _ in range(2):  # the rows are finite and kept; each sum is refused
+            with pytest.raises(GeometryError, match="overflows the float range"):
+                circulation(MotionField(omega=Vec3(0, 0, 1)), loop)
+
+    def test_rows_are_built_once_per_loop(self):
+        loop = unit_square()
+        circulation(MotionField(omega=Vec3(0, 0, 1)), loop)
+        rows = vars(loop)["_midpoints"]
+        assert circulation(MotionField(omega=Vec3(0.3, -0.2, 1.1)), loop) == pytest.approx(2.2)
+        assert vars(loop)["_midpoints"] is rows
+        assert len(rows) == len(loop.vertices) - 1
+
+    def test_kept_rows_give_a_fresh_loops_answer(self, rng):
+        points = [(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(40)]
+        loop = BeamPath(tuple(points + points[:1]))
+        circulation(MotionField(omega=Vec3(0.0, 0.0, 1.0)), loop)  # keeps the rows
+        for _ in range(5):
+            field = MotionField(omega=Vec3(*(rng.uniform(-2, 2) for _ in range(3))))
+            # An equal loop built separately builds its rows afresh, to the same bits.
+            fresh = circulation(field, BeamPath(tuple(map(tuple, loop.vertices))))
+            assert repr(circulation(field, loop)) == repr(fresh)
+            assert repr(fresh) == repr(reference_circulation(field, loop))
 
 
 class TestEnclosedAreaVector:
@@ -213,18 +235,19 @@ class TestStokesAgreement:
             assert abs(lhs - rhs) <= 1e-10 * scale
 
 
-# The two oracles written out one vector operation at a time, in the order the
-# package first wrote them with Vec3 methods. A Vec3 refused an intermediate
-# beyond the float range; here it reaches a term, which exact_sum refuses.
+# The two oracles written out one vector operation at a time on float triples:
+# the area in the order the package first wrote it with Vec3 methods, the
+# circulation in the form omega x m that it keeps per segment. A Vec3 refused an
+# intermediate beyond the float range; here it reaches a term, which exact_sum refuses.
 def reference_circulation(field, loop):
-    """The trapezoid about the midpoint o of the loop's first segment:
-    omega x (r - o) at a and at b, averaged, dotted with b - a."""
+    """The trapezoid about the midpoint o of the loop's first segment: omega x m
+    at m = (a - o)/2 + (b - o)/2, dotted with b - a."""
     corners, omega = loop.vertices, field.omega.as_tuple()
     o = add(corners[0], scaled(sub(corners[1], corners[0]), 0.5))
     terms = []
     for a, b in zip(corners, corners[1:]):
-        v_avg = scaled(add(cross(omega, sub(a, o)), cross(omega, sub(b, o))), 0.5)
-        terms.append(dot(v_avg, sub(b, a)))
+        m = add(scaled(sub(a, o), 0.5), scaled(sub(b, o), 0.5))
+        terms.append(dot(cross(omega, m), sub(b, a)))
     return exact_sum(terms, "circulation")
 
 
@@ -258,7 +281,7 @@ def closed_loop(points):
 
 
 class TestOraclesMatchVec3RouteBitForBit:
-    """The oracles against the route first written on Vec3, now ``reference_*`` above."""
+    """The oracles against their triple routes, ``reference_*`` above."""
 
     @settings(max_examples=100)
     @given(

@@ -332,6 +332,18 @@ class TestKeptLoop:
         assert interference_loop(same_paths(config, rotation_z)) is loop
         assert loop == concatenated_loop(config)
 
+    def test_configs_sharing_both_beams_reuse_the_rows(self, fast_wave):
+        geometry = closed_square_config(fast_wave, MotionField(), side=0.1)
+        kept = []
+        for k in range(3):  # a scan: a new motion and config per evaluation
+            motion = MotionField(omega=Vec3(0.0, 0.01 * (k + 1), 0.01))
+            loop = interference_loop(same_paths(geometry, motion))
+            by_loop = (TWO_PI / fast_wave.v_lambda) * circulation(motion, loop)
+            by_area = sagnac_area_phase(fast_wave, loop, motion)
+            assert by_loop == pytest.approx(by_area, rel=1e-12)
+            kept.append(vars(loop)["_midpoints"])
+        assert kept[1] is kept[0] and kept[2] is kept[0]
+
     def test_a_different_beam_i_gets_a_new_correct_loop(self, unit_wave):
         config = closed_square_config(unit_wave, MotionField())
         first = interference_loop(config)
@@ -364,6 +376,7 @@ class TestKeptLoop:
         config = closed_square_config(unit_wave, MotionField())
         loop = interference_loop(config)
         sagnac_area_phase(unit_wave, loop, MotionField())
+        circulation(MotionField(), loop)
         for kept in (config.path_II, loop):
             path = BeamPath(tuple(map(tuple, kept.vertices)))  # equal, nothing kept on it
             assert kept == path and not kept != path
@@ -381,6 +394,7 @@ class TestKeptLoop:
             )
             loop = interference_loop(config)
             sagnac_area_phase(unit_wave, loop, MotionField())
+            circulation(MotionField(), loop)
             refs = [weakref.ref(obj) for obj in (path_i, path_ii, loop, config)]
             del path_i, path_ii, config, loop
             assert [ref() for ref in refs] == [None] * 4
@@ -438,6 +452,23 @@ class TestSagnacAreaPhase:
     def test_open_loop_rejected(self, unit_wave):
         with pytest.raises(GeometryError):
             sagnac_area_phase(unit_wave, BeamPath((Vec3(0, 0, 0), Vec3(1, 0, 0))), MotionField())
+
+    @pytest.mark.parametrize(
+        "corners,omega",
+        [
+            ([(0, 0, 0), (1e150, 0, 0), (1e150, 1e150, 0)], (0, 0, 1e100)),
+            ([(0, 0, 0), (1e150, 0, 0), (1e150, 0, 1e150), (0, 1e150, 1e150)], (1e300,) * 3),
+        ],
+        ids=["inf", "nan"],  # the area form's product: omega . A overflows, or is inf - inf
+    )
+    def test_phase_beyond_the_float_range_refused_as_the_circulation_is(
+        self, unit_wave, corners, omega
+    ):
+        loop, field = BeamPath(tuple(corners + corners[:1])), MotionField(omega=Vec3(*omega))
+        with pytest.raises(GeometryError, match="^circulation overflows the float range$"):
+            circulation(field, loop)
+        with pytest.raises(GeometryError, match="^phase overflows the float range$"):
+            sagnac_area_phase(unit_wave, loop, field)
 
 
 class TestOpenLoopPhase:
