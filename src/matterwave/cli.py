@@ -172,16 +172,8 @@ def _load_config(path: str):
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise SceneError(f"cannot read scene file {path!r}: {exc}") from exc
-    # The scene is JSON lists and float triples, free of reference cycles: a
-    # cyclic collection while it is built would only walk it.
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        doc = parse_scene(text)
-        return doc, config_from_scene(doc)
-    finally:
-        if was_enabled:
-            gc.enable()
+    doc = parse_scene(text)
+    return doc, config_from_scene(doc)
 
 
 def _write_stdout(data: bytes) -> None:
@@ -287,6 +279,7 @@ def run_command(argv: list[str]) -> int:
                 per_segment = result.increments
         elif args.command == "sagnac":
             loop = interference_loop(config)
+            _check_domain(config.wave, (config.path_II, config.path_I), config.motion)
             loop_integral = (TWO_PI / config.wave.v_lambda) * circulation(config.motion, loop)
             area_form = sagnac_area_phase(config.wave, loop, config.motion)
             area = enclosed_area_vector(loop)  # kept on the loop: no second walk
@@ -346,6 +339,9 @@ def run_command(argv: list[str]) -> int:
 
 
 def main() -> None:
+    # One short process with no growing reference cycles: a collection would only walk
+    # the scene and the beams. run_command, which tests and libraries call, leaves it on.
+    gc.disable()
     sys.exit(run_command(sys.argv[1:]))
 
 

@@ -344,7 +344,6 @@ class PathMoments(NamedTuple):
     origin: tuple[float, float, float]  # the reference vertex r0
     delta: tuple[float, float, float]   # end - start
     moment: tuple[float, float, float]  # sum of a'_i x a'_(i+1); inf or nan where it overflows
-    reach: float                        # half-diagonal of the offsets' bounding box
 
 
 class BeamPath(_Value):
@@ -380,23 +379,35 @@ class BeamPath(_Value):
         _set(self, "vertices", verts)
 
     @cached_property
+    def extent(self) -> tuple[tuple[float, float, float], float]:
+        """The reference vertex, the larger end vertex in tuple order, and a reach no
+        vertex lies farther from it than: the half-diagonal of the offsets' bounding box,
+        found per axis by max and min, without a Python loop. Built on first use and
+        kept; offsets that leave the float range are refused."""
+        origin = max(self.vertices[-1], self.vertices[0])  # the end where they compare equal
+        spans = [max(max(axis) - o, o - min(axis)) for axis, o in zip(zip(*self.vertices), origin)]
+        if math.inf in spans:
+            raise GeometryError(
+                "vertex offsets from the path's reference vertex overflow the float range"
+            )
+        return origin, math.hypot(*spans)
+
+    @cached_property
     def moments(self) -> PathMoments:
         """The path compiled for rigid motion, built on first use and kept.
 
-        The reference vertex is the larger end vertex in tuple order, and the
-        moment is summed along the orientation that ends there: a path and its
-        reverse share both, so reversal negates a phase exactly. Offsets from
-        the reference vertex that leave the float range are refused.
+        The moment is summed along the orientation that ends at the reference
+        vertex (see ``extent``, whose refusal it shares): a path and its
+        reverse share both, so reversal negates a phase exactly.
         """
         verts = self.vertices
+        origin = ox, oy, oz = self.extent[0]
         flip = verts[0] > verts[-1]
         ordered = verts[::-1] if flip else verts
-        origin = ox, oy, oz = ordered[-1]
         # a'_i x a'_(i+1) = a'_i x dL_i, with dL_i taken between the stored
         # vertices: each term's rounding scales with its segment, not the path.
         terms = tx, ty, tz = [], [], []
         append_x, append_y, append_z = tx.append, ty.append, tz.append
-        mx = my = mz = 0.0  # the largest offset magnitude per axis; the last offset is 0
         ax, ay, az = ordered[0]
         for bx, by, bz in ordered[1:]:
             x, y, z = ax - ox, ay - oy, az - oz
@@ -404,23 +415,12 @@ class BeamPath(_Value):
             append_x(y * dz - z * dy)
             append_y(z * dx - x * dz)
             append_z(x * dy - y * dx)
-            if abs(x) > mx:
-                mx = abs(x)
-            if abs(y) > my:
-                my = abs(y)
-            if abs(z) > mz:
-                mz = abs(z)
             ax, ay, az = bx, by, bz
-        if math.inf in (mx, my, mz):
-            raise GeometryError(
-                "vertex offsets from the path's reference vertex overflow the float range"
-            )
         moment = list(map(_fsum, terms))  # each term rounded, the sum exact
         return PathMoments(
             origin,
             tuple(map(operator.sub, verts[-1], verts[0])),
             tuple(-m for m in moment) if flip else tuple(moment),
-            math.hypot(mx, my, mz),
         )
 
     @classmethod

@@ -46,6 +46,7 @@ from .model import (
     PhaseResult,
     Vec3,
     _cross,
+    _fsum,
     _number,
     _velocity,
     exact_sum,
@@ -72,7 +73,7 @@ def boost_factor(wave: ParticleWave, speed_parallel: float) -> float:
     if type(speed_parallel) is not float:
         speed_parallel = _number(speed_parallel, "speed_parallel")
     factor = 1.0 + speed_parallel / wave.speed_v
-    if factor <= 0.0:
+    if not factor > 0.0:  # nan too
         raise BoostDomainError(
             f"segment speed along the beam ({speed_parallel!r} m/s) cancels or exceeds "
             f"the particle speed ({wave.speed_v!r} m/s); phase model does not apply"
@@ -93,7 +94,8 @@ def _increments(wave: ParticleWave, path: BeamPath, field: MotionField, check=Fa
     with dL = b - a taken between the stored vertices. For a rigid field
     V . dL is the same with V at a, as computed here, since
     (omega x dL) . dL = 0. With ``check``, each segment's speed along the
-    beam, V . dL / |dL|, is checked against the domain of the boost model.
+    beam, V . dL / |dL|, is checked against the domain of the boost model;
+    where V . dL overflows, the speed is summed as V . (dL / |dL|) instead.
     A non-finite increment is left to the caller.
     """
     form = path.moments
@@ -107,13 +109,15 @@ def _increments(wave: ParticleWave, path: BeamPath, field: MotionField, check=Fa
     for bx, by, bz in path.vertices[1:]:
         dx, dy, dz = bx - ax, by - ay, bz - az
         rx, ry, rz = ax - ox, ay - oy, az - oz
-        v_dot_dl = (
-            (ux + (wy * rz - wz * ry)) * dx
-            + (uy + (wz * rx - wx * rz)) * dy
-            + (uz + (wx * ry - wy * rx)) * dz
-        )
+        vx, vy, vz = ux + (wy * rz - wz * ry), uy + (wz * rx - wx * rz), uz + (wx * ry - wy * rx)
+        v_dot_dl = vx * dx + vy * dy + vz * dz
         if check:
-            boost_factor(wave, v_dot_dl / math.hypot(dx, dy, dz))
+            length = math.hypot(dx, dy, dz)
+            if math.isfinite(v_dot_dl):
+                speed = v_dot_dl / length
+            else:  # a product overflowed; none with the unit gap can
+                speed = _fsum([vx * (dx / length), vy * (dy / length), vz * (dz / length)])
+            boost_factor(wave, speed)
         append(scale * v_dot_dl)
         ax, ay, az = bx, by, bz
     return increments
@@ -122,14 +126,14 @@ def _increments(wave: ParticleWave, path: BeamPath, field: MotionField, check=Fa
 def _check_domain(wave: ParticleWave, paths, field: MotionField) -> None:
     """Refuse the field where it takes a segment of any of ``paths`` outside the boost
     domain. With rotation, |U0| + |omega| * reach, U0 the velocity at a path's reference
-    vertex, bounds the speed of every point of the path, read from its compiled form;
-    without, |T| bounds it and nothing is compiled. Unless the bound is below v, the
-    segments are walked and the first one outside raises."""
+    vertex, bounds the speed of every point of the path, read from its extent; without,
+    |T| bounds it. Neither compiles the path. Unless the bound is below v, the segments
+    are walked and the first one outside raises."""
     rate = math.hypot(*field.omega.as_tuple())
     for path in paths:
         if rate:
-            form = path.moments
-            bound = math.hypot(*_velocity(field, form.origin)) + rate * form.reach
+            origin, reach = path.extent
+            bound = math.hypot(*_velocity(field, origin)) + rate * reach
         else:
             bound = math.hypot(*field.translation.as_tuple())
         if not bound * (1.0 + _BOUND_MARGIN) < wave.speed_v:

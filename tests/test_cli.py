@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,7 @@ from matterwave import (
     path_phase,
     sensitivity_sweep,
 )
-from matterwave.cli import emit_results, run_command
+from matterwave.cli import emit_results, main, run_command
 
 TWO_PI = 2.0 * math.pi
 
@@ -275,6 +276,27 @@ class TestSagnacCommand:
         assert (code, out) == (1, "")
         assert err == "matterwave: error: consecutive vertices 2 and 3 coincide\n"
 
+    def test_rotation_outside_the_slow_motion_domain_refused_as_phase_refuses(
+        self, capsys, tmp_path
+    ):
+        # The square's far side, 0.1 m from the axis, recedes at 100 m/s against v = 1 m/s.
+        scene_file = tmp_path / "fast_rotation.json"
+        scene_file.write_text(
+            json.dumps(
+                {
+                    "particle": {"speed_mps": 1.0, "wavelength_m": 1e-8},
+                    "motion": {"omega_radps": [0, 0, 1000]},
+                    "geometry": {"kind": "Fig2Rotation", "side_m": 0.1},
+                }
+            )
+        )
+        refusal = (
+            "matterwave: error: segment speed along the beam (-100.0 m/s) cancels or exceeds "
+            "the particle speed (1.0 m/s); phase model does not apply\n"
+        )
+        for command in ("phase", "sagnac"):
+            assert run(capsys, [command, "--scene", str(scene_file)]) == (1, "", refusal)
+
     @pytest.mark.parametrize(
         "omega,message",
         [
@@ -429,6 +451,45 @@ class TestSlowMotionDomain:
         assert (code, err) == (0, "")
 
 
+def overflow_scene(tmp_path, translation, closed=True):
+    """Two beams with the step [-3, 2, 0]: under [1e308, 1e308, 0] its V . dL is
+    -3e308 + 2e308, which is -inf + inf in floats."""
+    beam_i = [[0, 0, 0], [0, 0, 1], [-3, 2, 1]]
+    if not closed:
+        beam_i = [[0, 0, 0.5], [-3, 2, 0.5], [-3, 2, 1]]
+    scene_file = tmp_path / "overflow.json"
+    scene_file.write_text(
+        json.dumps(
+            {
+                "particle": {"speed_mps": 1.0, "wavelength_m": 1e-8},
+                "motion": {"translation_mps": translation},
+                "geometry": {"path_II_m": [[0, 0, 0], [-3, 2, 0], [-3, 2, 1]], "path_I_m": beam_i},
+            }
+        )
+    )
+    return str(scene_file)
+
+
+class TestOverflowingSpeedAlongTheBeam:
+    """Where V . dL overflows, the speed along the beam is taken along the unit gap,
+    and the segment is refused as at a finite scale."""
+
+    @pytest.mark.parametrize(
+        "command,closed",
+        [("phase", True), ("sagnac", True), ("phase", False), ("translate", False)],
+    )
+    @pytest.mark.parametrize(
+        "scale,speed", [(1e3, "-277.35009811261455"), (1e308, "-2.7735009811261455e+307")]
+    )
+    def test_refused(self, capsys, tmp_path, command, closed, scale, speed):
+        argv = [command, "--scene", overflow_scene(tmp_path, [scale, scale, 0], closed)]
+        message = (
+            f"matterwave: error: segment speed along the beam ({speed} m/s) cancels or exceeds "
+            "the particle speed (1.0 m/s); phase model does not apply\n"
+        )
+        assert run(capsys, argv) == (1, "", message)
+
+
 def compiled(config) -> tuple[bool, bool]:
     """Whether each beam, II then I, holds its compiled form."""
     return tuple("moments" in vars(path) for path in (config.path_II, config.path_I))
@@ -450,9 +511,9 @@ def run_keeping_the_config(capsys, monkeypatch, argv):
 
 
 class TestTranslationOnlyChecksCompileNothing:
-    """A translation's speed bounds every segment's, so the domain check of translate
-    and sweep compiles neither beam inside the domain; a rotation's bound needs each
-    beam's reach, which only its compiled form holds."""
+    """The domain check compiles neither beam inside the domain: a translation's speed
+    bounds every segment's, and a rotation's bound reads each beam's extent. Only a
+    total that sums the moments, as phase's does, compiles them."""
 
     def test_translate(self, capsys, tmp_path, monkeypatch):
         argv = ["translate", "--scene", moving_open_scene(tmp_path, [0.5, 0.5, 0.0])]
@@ -463,6 +524,14 @@ class TestTranslationOnlyChecksCompileNothing:
         config = build_config("Fig3bOpen", unit_wave, motion, opening_m=Vec3(0.0, 1e-4, 0.0))
         sensitivity_sweep(config, 0.0, 0.5, 3)
         assert compiled(config) == (False, False)
+
+    @pytest.mark.parametrize(
+        "motion", [{"translation_mps": [0.5, 0.5, 0]}, {"omega_radps": [0, 0, 1]}]
+    )
+    def test_sagnac(self, capsys, tmp_path, monkeypatch, motion):
+        particle = {"speed_mps": 1.0, "wavelength_m": 1e-8}
+        argv = ["sagnac", "--scene", write_scene(tmp_path, particle, motion=motion)]
+        assert compiled(run_keeping_the_config(capsys, monkeypatch, argv)) == (False, False)
 
     def test_a_rotating_motion_compiles_both_beams(self, capsys, tmp_path, monkeypatch):
         argv = ["phase", "--scene", open_scene(tmp_path, {"omega_radps": [0.0, 0.0, 1e-3]})]
@@ -718,7 +787,7 @@ def test_verify_loads_the_self_check():
 
 
 class TestCollectorStateKept:
-    """Loading a scene pauses the cyclic garbage collector; the call leaves it as it was."""
+    """run_command leaves the cyclic garbage collector as it finds it."""
 
     def test_enabled_after_an_answer(self, capsys, data_dir):
         assert gc.isenabled()
@@ -743,6 +812,66 @@ class TestCollectorStateKept:
         finally:
             gc.enable()
         assert code == 0
+
+
+def staircase_scene(tmp_path, steps):
+    """A closed explicit scene of 2 * steps + 2 segments, turning slowly about z."""
+    beam_ii = [[i / steps, 0.0, 0.0] for i in range(steps + 1)] + [[1.0, 1.0, 0.0]]
+    beam_i = [[0.0, i / steps, 0.0] for i in range(steps + 1)] + [[1.0, 1.0, 0.0]]
+    scene_file = tmp_path / "staircase.json"
+    scene_file.write_text(
+        json.dumps(
+            {
+                "particle": {"speed_mps": 1.0, "wavelength_m": 1e-8},
+                "motion": {"omega_radps": [0.0, 0.0, 0.1]},
+                "geometry": {"path_II_m": beam_ii, "path_I_m": beam_i},
+            }
+        )
+    )
+    return str(scene_file)
+
+
+class TestCollectorOffForTheProcess:
+    """``main``, the console script, turns the cyclic garbage collector off for its
+    one short process."""
+
+    def test_main_runs_the_command_with_the_collector_off(self, monkeypatch):
+        states = []
+        monkeypatch.setattr(
+            "matterwave.cli.run_command", lambda argv: states.append(gc.isenabled()) or 0
+        )
+        monkeypatch.setattr(sys, "argv", ["matterwave", "phase"])
+        try:
+            with pytest.raises(SystemExit) as done:
+                main()
+        finally:
+            gc.enable()
+        assert (states, done.value.code) == ([False], 0)
+
+    def test_a_sagnac_run_starts_no_collection(self, tmp_path):
+        # The loop's kept rows, one tuple per segment, would set off collections.
+        probe = textwrap.dedent(
+            f"""
+            import gc, os, sys
+            import matterwave.cli
+            starts = []
+            gc.callbacks.append(lambda phase, info: phase == "start" and starts.append(info))
+            sys.argv = ["matterwave", "sagnac", "--scene", {staircase_scene(tmp_path, 10_000)!r},
+                        "--out", os.devnull]
+            try:
+                matterwave.cli.main()
+            except SystemExit as done:
+                print(done.code, len(starts))
+            """
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=child_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (child.stdout, child.stderr) == ("0 0\n", "")
 
 
 def write_scene(tmp_path, particle, side_m=0.01, motion=None):
@@ -1163,3 +1292,44 @@ def test_phase_translate_and_sweep_share_one_domain(capsys, tmp_path, doc):
     commands = [["phase"], ["translate"], ["sweep", "--vmax", repr(speed)]]
     codes = {run(capsys, c[:1] + ["--scene", str(scene_file)] + c[1:])[0] for c in commands}
     assert len(codes) == 1
+
+
+inner_vertices = st.lists(points, min_size=1, max_size=3)
+closed_motion_scenes = st.fixed_dictionaries(
+    {
+        "particle": st.just({"speed_mps": 1.0, "wavelength_m": 1e-8}),
+        "geometry": st.one_of(
+            st.fixed_dictionaries({"kind": closed_kinds, "side_m": st.floats(1e-3, 2.0)}),
+            st.tuples(points, inner_vertices, inner_vertices, points).map(
+                lambda t: {"path_II_m": [t[0], *t[1], t[3]], "path_I_m": [t[0], *t[2], t[3]]}
+            ),
+        ),
+        "motion": st.fixed_dictionaries(
+            {},
+            optional={
+                "translation_mps": st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+                "omega_radps": st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+                "pivot_m": points,
+            },
+        ),
+    }
+)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(doc=closed_motion_scenes)
+@example(
+    doc={
+        "particle": {"speed_mps": 1.0, "wavelength_m": 1e-8},
+        "geometry": {"kind": "Fig2Rotation", "side_m": 0.1},
+        "motion": {"omega_radps": [0.0, 0.0, 1000.0]},
+    }
+)
+def test_phase_and_sagnac_share_one_domain(capsys, tmp_path, doc):
+    # A closed scene: phase and sagnac refuse it with the same line, or both answer.
+    scene_file = tmp_path / "closed.json"
+    scene_file.write_text(json.dumps(doc))
+    phase, sagnac = (run(capsys, [c, "--scene", str(scene_file)]) for c in ("phase", "sagnac"))
+    assert phase[0] == sagnac[0]
+    if phase[0] == 1:
+        assert phase[1:] == sagnac[1:]

@@ -4,6 +4,7 @@ import gc
 import math
 import operator
 import random
+import re
 import weakref
 from itertools import chain, repeat
 
@@ -35,7 +36,7 @@ from matterwave import (
     two_path_difference,
 )
 from matterwave import kinematics
-from matterwave.model import PathMoments, _fsum, _velocity, exact_sum
+from matterwave.model import _fsum, _velocity, exact_sum
 from matterwave.phase import boost_factor
 
 import exact
@@ -98,6 +99,10 @@ class TestBoostedWavelength:
             boosted_wavelength(wave, 10.0, -1.0)
         with pytest.raises(BoostDomainError):
             boosted_wavelength(wave, 15.0, -1.0)
+
+    def test_nan_speed_refused(self, unit_wave):
+        with pytest.raises(BoostDomainError, match=r"\(nan m/s\)"):
+            boost_factor(unit_wave, math.nan)
 
 
 class TestMovingPhase:
@@ -670,6 +675,25 @@ class TestNonFiniteSums:
         with pytest.raises(GeometryError, match="overflows the float range"):
             path_phase(unit_wave, path, field)
 
+    @pytest.mark.parametrize(
+        "step,speed",
+        [
+            # V . dL is -3e308 + 2e308: -inf + inf, nan in floats.
+            ((-3.0, 2.0, 0.0), "-2.7735009811261455e+307"),
+            # V . dL is 2e308 - 1.5e308 - 1.5e308: +inf in floats, -1e308 exactly.
+            ((2.0, -1.5, -1.5), "-3.4299717028501755e+307"),
+        ],
+        ids=["nan", "inf-hiding-a-negative"],
+    )
+    def test_overflowing_speed_along_the_beam_decided_on_the_unit_gap(
+        self, unit_wave, step, speed
+    ):
+        path = BeamPath(((0.0, 0.0, 0.0), step))
+        field = MotionField(translation=Vec3(1e308, 1e308, 1e308 if step[2] else 0.0))
+        message = re.escape(f"segment speed along the beam ({speed} m/s)")
+        with pytest.raises(BoostDomainError, match="^" + message):
+            path_phase(unit_wave, path, field)
+
     def test_path_beyond_half_the_float_range_answered(self, unit_wave):
         # 1e308 + 1.7e308 overflows, but no offset from the reference vertex
         # does: the velocity is across the path, and the phase is exactly 0.
@@ -779,9 +803,14 @@ def _cross_sum(p, q, dp, dq):
     return _fsum(list(map(operator.sub, map(operator.mul, p, dq), map(operator.mul, q, dp))))
 
 
+def one_pass_moments(path):
+    """BeamPath.moments, built afresh, and the reach of BeamPath.extent."""
+    return (*BeamPath.moments.func(path), BeamPath.extent.func(path)[1])
+
+
 def list_of_maps_moments(path):
-    """BeamPath.moments as it was compiled before the one-pass loop: per-axis lists of
-    coordinates, offsets and gaps, combined with map."""
+    """BeamPath.moments and its reach as they were compiled before the one-pass loop:
+    per-axis lists of coordinates, offsets and gaps, combined with map."""
     verts = path.vertices
     flip = verts[0] > verts[-1]
     ordered = verts[::-1] if flip else verts
@@ -798,7 +827,7 @@ def list_of_maps_moments(path):
     z = list(map(operator.sub, zs, repeat(oz)))
     dx, dy, dz = (list(map(operator.sub, axis[1:], axis)) for axis in axes)
     moment = (_cross_sum(y, z, dy, dz), _cross_sum(z, x, dz, dx), _cross_sum(x, y, dx, dy))
-    return PathMoments(
+    return (
         origin,
         tuple(map(operator.sub, verts[-1], verts[0])),
         tuple(-m for m in moment) if flip else moment,
@@ -825,6 +854,7 @@ class TestOnePassCompileMatchesListOfMapsBitForBit:
     @example(points=[(0.0, 1e308, 0.0), (0.0, 0.0, 0.0), (0.0, -1.5e308, 0.0)])
     @example(points=[(0.0, 0.0, 1e308), (0.0, 0.0, 0.0), (0.0, 0.0, -1e308)])
     @example(points=list(OVERFLOWING_MOMENTS))
+    @example(points=[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (-0.0, 0.0, 0.0)])  # equal ends
     @example(points=list(PARTIAL_SUM_OVERFLOW))
     def test_moments(self, points):
         try:
@@ -833,4 +863,4 @@ class TestOnePassCompileMatchesListOfMapsBitForBit:
             assume(False)
         # Both orientations: the reference vertex is the larger end vertex.
         for p in (path, path.reversed()):
-            assert compiled(BeamPath.moments.func, p) == compiled(list_of_maps_moments, p)
+            assert compiled(one_pass_moments, p) == compiled(list_of_maps_moments, p)
