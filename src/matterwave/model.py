@@ -333,19 +333,6 @@ def _check_vertices(verts: tuple, first: int = 0) -> None:
         raise GeometryError(f"consecutive vertices {i} and {i + 1} coincide")
 
 
-class PathMoments(NamedTuple):
-    """A beam path compiled for rigid motion.
-
-    In offsets a' = a - origin from the reference vertex, a rigid field reads
-    V(r) = U0 + omega x (r - origin), and its line integral along the path is
-    U0 . delta + omega . moment, whatever the motion.
-    """
-
-    origin: tuple[float, float, float]  # the reference vertex r0
-    delta: tuple[float, float, float]   # end - start
-    moment: tuple[float, float, float]  # sum of a'_i x a'_(i+1); inf or nan where it overflows
-
-
 class BeamPath(_Value):
     """Oriented polyline traversed start to end; segment i is vertices[i] -> vertices[i + 1].
 
@@ -393,15 +380,18 @@ class BeamPath(_Value):
         return origin, math.hypot(*spans)
 
     @cached_property
-    def moments(self) -> PathMoments:
-        """The path compiled for rigid motion, built on first use and kept.
+    def moments(self) -> tuple[float, float, float]:
+        """The moment sum of a'_i x a'_(i+1) over the vertex offsets a' from the reference
+        vertex r0, inf or nan where it overflows, built on first use and kept: a rigid
+        field V(r) = U0 + omega x (r - r0) integrates along the path to
+        U0 . (end - start) + omega . moments.
 
-        The moment is summed along the orientation that ends at the reference
-        vertex (see ``extent``, whose refusal it shares): a path and its
-        reverse share both, so reversal negates a phase exactly.
+        It is summed along the orientation that ends at the reference vertex
+        (see ``extent``, whose refusal it shares): a path and its reverse
+        share both, so reversal negates a phase exactly.
         """
         verts = self.vertices
-        origin = ox, oy, oz = self.extent[0]
+        ox, oy, oz = self.extent[0]
         flip = verts[0] > verts[-1]
         ordered = verts[::-1] if flip else verts
         # a'_i x a'_(i+1) = a'_i x dL_i, with dL_i taken between the stored
@@ -416,12 +406,8 @@ class BeamPath(_Value):
             append_y(z * dx - x * dz)
             append_z(x * dy - y * dx)
             ax, ay, az = bx, by, bz
-        moment = list(map(_fsum, terms))  # each term rounded, the sum exact
-        return PathMoments(
-            origin,
-            tuple(map(operator.sub, verts[-1], verts[0])),
-            tuple(-m for m in moment) if flip else tuple(moment),
-        )
+        moment = tuple(map(_fsum, terms))  # each term rounded, the sum exact
+        return tuple(-m for m in moment) if flip else moment
 
     @classmethod
     def from_points(cls, points) -> "BeamPath":

@@ -9,8 +9,9 @@ about the path's reference vertex r0,
     sum_i V(m_i) . dL_i = U0 . delta + omega . moment,
 
 where delta is the path's end minus its start and moment the sum of
-a'_i x a'_(i+1) over its vertices' offsets a' from r0 (``BeamPath.moments``).
-A path compiles to delta and moment once; each new motion then costs O(1).
+a'_i x a'_(i+1) over its vertices' offsets a' from r0 (``BeamPath.moments``,
+r0 from ``BeamPath.extent``). A path compiles to its moment once; each new
+motion then costs O(1).
 For two beams, ``two_path_difference`` takes one velocity U, at beam II's
 end, and evaluates (2*pi / v*lambda) * [U . D + omega . (M_II - M_I)], D
 the opening between the beams. The paper's results are special cases:
@@ -98,9 +99,8 @@ def _increments(wave: ParticleWave, path: BeamPath, field: MotionField, check=Fa
     where V . dL overflows, the speed is summed as V . (dL / |dL|) instead.
     A non-finite increment is left to the caller.
     """
-    form = path.moments
-    ox, oy, oz = form.origin
-    ux, uy, uz = _velocity(field, form.origin)
+    origin = ox, oy, oz = path.extent[0]
+    ux, uy, uz = _velocity(field, origin)
     wx, wy, wz = field.omega.as_tuple()
     scale = TWO_PI / wave.v_lambda
     increments = []
@@ -140,6 +140,11 @@ def _check_domain(wave: ParticleWave, paths, field: MotionField) -> None:
             _increments(wave, path, field, check=True)
 
 
+def _delta(path: BeamPath) -> tuple[float, float, float]:
+    """The path's end minus its start."""
+    return tuple(map(operator.sub, path.vertices[-1], path.vertices[0]))
+
+
 def _terms(scale: float, u, d, omega, moment) -> list[float]:
     """The rigid identity's terms, scaled: scale * u_j * d_j and scale * omega_j * moment_j
     per axis. A zero rate component drops its term, whose moment may have overflowed."""
@@ -166,9 +171,8 @@ def path_phase(wave: ParticleWave, path: BeamPath, field: MotionField) -> PhaseR
     Equals (2*pi / v*lambda) times the line integral of V along the path.
     """
     _check_domain(wave, (path,), field)
-    form = path.moments
-    u0 = _velocity(field, form.origin)
-    terms = _terms(TWO_PI / wave.v_lambda, u0, form.delta, field.omega.as_tuple(), form.moment)
+    u0 = _velocity(field, path.extent[0])
+    terms = _terms(TWO_PI / wave.v_lambda, u0, _delta(path), field.omega.as_tuple(), path.moments)
     total = exact_sum(terms, "phase")
     return PhaseResult(total, wave.v_lambda, lambda: (("I", tuple(_increments(wave, path, field))),))
 
@@ -188,14 +192,14 @@ def two_path_difference(config: InterferometerConfig) -> PhaseResult:
     """
     wave, motion, path_ii, path_i = config.wave, config.motion, config.path_II, config.path_I
     _check_domain(wave, (path_ii, path_i), motion)
-    form_ii, form_i = path_ii.moments, path_i.moments
     omega = motion.omega.as_tuple()
     gap = tuple(map(operator.sub, path_i.vertices[-1], path_ii.vertices[-1]))
     opening = map(operator.sub, map(operator.sub, path_i.vertices[0], path_ii.vertices[0]), gap)
     end_motion = _cross(omega, gap)
     scale = TWO_PI / wave.v_lambda
-    terms = _terms(scale, _velocity(motion, path_ii.vertices[-1]), opening, omega, form_ii.moment)
-    total = exact_sum(terms + _terms(-scale, end_motion, form_i.delta, omega, form_i.moment), "phase")
+    terms = _terms(scale, _velocity(motion, path_ii.vertices[-1]), opening, omega, path_ii.moments)
+    terms += _terms(-scale, end_motion, _delta(path_i), omega, path_i.moments)
+    total = exact_sum(terms, "phase")
 
     def walk():
         return (

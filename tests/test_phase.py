@@ -37,7 +37,7 @@ from matterwave import (
 )
 from matterwave import kinematics
 from matterwave.model import _fsum, _velocity, exact_sum
-from matterwave.phase import boost_factor
+from matterwave.phase import _delta, boost_factor
 
 import exact
 from triples import add, cross, dot, field_scaled, scaled, sub, unit
@@ -723,7 +723,7 @@ class TestNonFiniteSums:
         # of them in path order is not: the sum is taken again, scaled down.
         path = BeamPath(PARTIAL_SUM_OVERFLOW)
         field = MotionField(omega=Vec3(0.0, 1e-300, 0.0))
-        assert math.isfinite(path.moments.moment[1])
+        assert math.isfinite(path.moments[1])
         got = path_phase(unit_wave, path, field).total_phase_rad
         expected = exact.path_phase(unit_wave, path, field)
         assert abs(got - expected) <= exact.path_bound(unit_wave, field, path)
@@ -789,7 +789,7 @@ class TestCompiledForm:
 
     def test_zero_rotation_with_overflowing_moments_answered(self, unit_wave):
         path = BeamPath(OVERFLOWING_MOMENTS)
-        assert not all(map(math.isfinite, path.moments.moment))
+        assert not all(map(math.isfinite, path.moments))
         field = MotionField(translation=Vec3(1e-150, 2e-150, 1e-150), pivot=Vec3(1, 2, 3))
         result = path_phase(unit_wave, path, field)
         bound = exact.path_bound(unit_wave, field, path)
@@ -804,8 +804,10 @@ def _cross_sum(p, q, dp, dq):
 
 
 def one_pass_moments(path):
-    """BeamPath.moments, built afresh, and the reach of BeamPath.extent."""
-    return (*BeamPath.moments.func(path), BeamPath.extent.func(path)[1])
+    """The reference vertex of BeamPath.extent, the path's delta, BeamPath.moments built
+    afresh, and the reach of BeamPath.extent."""
+    origin, reach = BeamPath.extent.func(path)
+    return origin, _delta(path), BeamPath.moments.func(path), reach
 
 
 def list_of_maps_moments(path):
