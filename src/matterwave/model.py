@@ -381,15 +381,10 @@ class BeamPath(_Value):
 
     @cached_property
     def moments(self) -> tuple[float, float, float]:
-        """The moment sum of a'_i x a'_(i+1) over the vertex offsets a' from the reference
-        vertex r0, inf or nan where it overflows, built on first use and kept: a rigid
-        field V(r) = U0 + omega x (r - r0) integrates along the path to
-        U0 . (end - start) + omega . moments.
-
-        It is summed along the orientation that ends at the reference vertex
-        (see ``extent``, whose refusal it shares): a path and its reverse
-        share both, so reversal negates a phase exactly.
-        """
+        """The sum of a'_i x a'_(i+1) over the vertex offsets a' from the reference vertex,
+        inf or nan where it overflows, built on first use and kept. It is summed along the
+        orientation that ends at the reference vertex (see ``extent``, whose refusal it
+        shares): a path and its reverse share both, so reversal negates a phase exactly."""
         verts = self.vertices
         ox, oy, oz = self.extent[0]
         flip = verts[0] > verts[-1]

@@ -115,8 +115,8 @@ def _increments(wave: ParticleWave, path: BeamPath, field: MotionField, check=Fa
             length = math.hypot(dx, dy, dz)
             if math.isfinite(v_dot_dl):
                 speed = v_dot_dl / length
-            else:  # a product overflowed; none with the unit gap can
-                speed = _fsum([vx * (dx / length), vy * (dy / length), vz * (dz / length)])
+            else:  # a product overflowed: V . (dL / |dL|), whose axes with no gap add nothing
+                speed = _fsum([v * (d / length) for v, d in zip((vx, vy, vz), (dx, dy, dz)) if d])
             boost_factor(wave, speed)
         append(scale * v_dot_dl)
         ax, ay, az = bx, by, bz

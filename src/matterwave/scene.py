@@ -123,10 +123,22 @@ _EXPLICIT = {"path_I_m": (_points, _REQUIRED), "path_II_m": (_points, _REQUIRED)
 _OUTPUT = {"format": (_choice(OUTPUT_FORMATS), "json"), "breakdown": (_bool, False)}
 
 
+class _Object(dict):
+    """A JSON object, as json's object_pairs_hook builds it; ``repeated`` is the first key
+    it gives more than once, whose last value a dict keeps, or None."""
+
+    def __init__(self, pairs: list) -> None:
+        super().__init__(pairs)
+        seen = set()
+        self.repeated = next((key for key, _ in pairs if key in seen or seen.add(key)), None)
+
+
 def _read_section(table: dict, obj, path: str) -> dict:
     """Validated values of one section, keyed by scene key in table order."""
     if not isinstance(obj, dict):
         raise SceneError(f"{path}: expected an object, got {type(obj).__name__}")
+    if getattr(obj, "repeated", None) is not None:
+        raise SceneError(f"{path}.{obj.repeated}: given more than once")
     for key in obj:
         if key not in table:
             raise SceneError(f"{path}.{key}: unknown key (allowed: {', '.join(table)})")
@@ -188,7 +200,7 @@ def parse_scene(text: str) -> SceneDocument:
     if not isinstance(text, (str, bytes, bytearray)):
         raise SceneError(f"expected the scene as text, got {type(text).__name__}")
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_Object)
     except json.JSONDecodeError as exc:
         raise SceneError(f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except (RecursionError, ValueError) as exc:

@@ -511,9 +511,10 @@ def run_keeping_the_config(capsys, monkeypatch, argv):
 
 
 class TestTranslationOnlyChecksCompileNothing:
-    """The domain check compiles neither beam inside the domain: a translation's speed
-    bounds every segment's, and a rotation's bound reads each beam's extent. Only a
-    total that sums the moments, as phase's does, compiles them."""
+    """The domain check compiles neither beam: a translation's speed bounds every
+    segment's, a rotation's bound reads each beam's extent, and where the bound reaches
+    the particle speed the walk reads the reference vertex there too. Only a total that
+    sums the moments, as phase's does, compiles them."""
 
     def test_translate(self, capsys, tmp_path, monkeypatch):
         argv = ["translate", "--scene", moving_open_scene(tmp_path, [0.5, 0.5, 0.0])]
@@ -531,6 +532,19 @@ class TestTranslationOnlyChecksCompileNothing:
     def test_sagnac(self, capsys, tmp_path, monkeypatch, motion):
         particle = {"speed_mps": 1.0, "wavelength_m": 1e-8}
         argv = ["sagnac", "--scene", write_scene(tmp_path, particle, motion=motion)]
+        assert compiled(run_keeping_the_config(capsys, monkeypatch, argv)) == (False, False)
+
+    def test_sagnac_walking_the_beams(self, capsys, tmp_path, monkeypatch):
+        # The bound, |U0| + |omega| * reach = 1.41 m/s, reaches v = 1 m/s, so the
+        # segments are walked; no point of the 0.1 m square moves faster than 0.71 m/s.
+        particle = {"speed_mps": 1.0, "wavelength_m": 1e-8}
+        scene_file = write_scene(tmp_path, particle, side_m=0.1, motion={"omega_radps": [0, 0, 5]})
+        config = run_keeping_the_config(capsys, monkeypatch, ["sagnac", "--scene", scene_file])
+        assert compiled(config) == (False, False)
+
+    def test_translate_walking_the_beams(self, capsys, tmp_path, monkeypatch):
+        # |T| = 5 m/s against v = 1 m/s, along the arms: the beams are walked, and answered.
+        argv = ["translate", "--scene", moving_open_scene(tmp_path, [5.0, 0.0, 0.0])]
         assert compiled(run_keeping_the_config(capsys, monkeypatch, argv)) == (False, False)
 
     def test_a_rotating_motion_compiles_both_beams(self, capsys, tmp_path, monkeypatch):
@@ -917,6 +931,32 @@ class TestErrorContract:
         assert_refused(code, out, err)
         assert "overflows the float range" in err
 
+    @pytest.mark.parametrize("command", ["phase", "fringes"])
+    def test_velocity_beyond_the_float_range_refused_as_an_overflow(
+        self, capsys, tmp_path, command
+    ):
+        # The velocity at beam II's end, (1, 1, 0), is (inf, 1, 0): every segment is
+        # inside the domain, but the phase sum is not finite.
+        scene_file = tmp_path / "overflow.json"
+        scene_file.write_text(
+            json.dumps(
+                {
+                    "particle": {"speed_mps": 1.0, "wavelength_m": 1e-8},
+                    "motion": {
+                        "translation_mps": [1e308, 0, 0],
+                        "omega_radps": [0, 0, 1],
+                        "pivot_m": [0, 1e308, 0],
+                    },
+                    "geometry": {
+                        "path_I_m": [[0, 0, 0], [0, 1, 0], [1, 1, 0]],
+                        "path_II_m": [[0, 0, 0], [1, 0, 0], [1, 1, 0]],
+                    },
+                }
+            )
+        )
+        message = "matterwave: error: phase overflows the float range\n"
+        assert run(capsys, [command, "--scene", str(scene_file)]) == (1, "", message)
+
     def test_closed_translation_beyond_float_range_answered(self, capsys, tmp_path):
         # The same loop: its segment terms overflow, but beams that share start
         # and end have the opening 0, and the phase is exactly 0.
@@ -1050,6 +1090,29 @@ class TestErrorContract:
         code, out, err = run(capsys, argv + bounds)
         assert_refused(code, out, err)
         assert message in err
+
+    @pytest.mark.parametrize(
+        "text,field",
+        [
+            (
+                '{"particle": {"speed_mps": 1.0, "wavelength_m": 1e-8}, "motion": {"omega_radps":'
+                ' [0, 0, 1]}, "geometry": {"kind": "Fig2Rotation", "side_m": 0.1}, "motion": {}}',
+                "scene.motion",
+            ),
+            (
+                '{"particle": {"speed_mps": 1.0, "wavelength_m": 1e-8, "speed_mps": 2.0},'
+                ' "geometry": {"kind": "Fig2Rotation", "side_m": 0.1}}',
+                "scene.particle.speed_mps",
+            ),
+        ],
+        ids=["top-level", "nested"],
+    )
+    def test_repeated_key_refused(self, capsys, tmp_path, text, field):
+        # json keeps a repeated key's last value: the first, here the rotation, was dropped.
+        scene_file = tmp_path / "repeated.json"
+        scene_file.write_text(text)
+        message = f"matterwave: error: {field}: given more than once\n"
+        assert run(capsys, ["phase", "--scene", str(scene_file)]) == (1, "", message)
 
     @pytest.mark.parametrize(
         "content",
@@ -1210,6 +1273,7 @@ commands = st.one_of(
 )
 
 
+@pytest.mark.fuzz
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(
     content=st.one_of(st.binary(max_size=2048), scene_shapes),
@@ -1268,6 +1332,7 @@ def _least_boost_factor(doc) -> float:
     return min(factors)
 
 
+@pytest.mark.fuzz
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(doc=open_translation_scenes)
 @example(
@@ -1316,6 +1381,7 @@ closed_motion_scenes = st.fixed_dictionaries(
 )
 
 
+@pytest.mark.fuzz
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(doc=closed_motion_scenes)
 @example(

@@ -8,6 +8,7 @@ import math
 import sys
 from decimal import Decimal
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -30,6 +31,8 @@ from matterwave import (
 )
 from matterwave.experiment import LAYOUT_KINDS
 from matterwave.phase import boost_factor
+
+pytestmark = pytest.mark.fuzz
 
 floats = st.one_of(
     st.floats(-2.0, 2.0),

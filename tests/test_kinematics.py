@@ -280,6 +280,7 @@ def closed_loop(points):
         assume(False)
 
 
+@pytest.mark.fuzz
 class TestOraclesMatchVec3RouteBitForBit:
     """The oracles against their triple routes, ``reference_*`` above."""
 

@@ -694,6 +694,15 @@ class TestNonFiniteSums:
         with pytest.raises(BoostDomainError, match="^" + message):
             path_phase(unit_wave, path, field)
 
+    def test_velocity_beyond_the_float_range_refused_as_an_overflow(self, unit_wave):
+        # U0 = (inf, 1, 0) at the reference vertex (1, 1, 0). The first segment has no
+        # x gap, so its speed along the beam is 1e308 - 1e308 = 0 m/s, inside the
+        # domain; the phase, U0 . (1, 1, 0) and more, leaves the float range.
+        path = BeamPath(((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0)))
+        field = MotionField(Vec3(1e308, 0, 0), Vec3(0, 0, 1), Vec3(0, 1e308, 0))
+        with pytest.raises(GeometryError, match="^phase overflows the float range$"):
+            path_phase(unit_wave, path, field)
+
     def test_path_beyond_half_the_float_range_answered(self, unit_wave):
         # 1e308 + 1.7e308 overflows, but no offset from the reference vertex
         # does: the velocity is across the path, and the phase is exactly 0.

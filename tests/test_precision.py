@@ -27,6 +27,8 @@ from matterwave import (
     two_path_difference,
 )
 
+pytestmark = pytest.mark.fuzz
+
 # Particle speed far above every apparatus speed drawn below, inside the
 # boost domain: |T| + |omega| * |r - pivot| stays under 2e3 + 2 * 4e7 m/s.
 WAVE = make_particle_wave(1e9, wavelength=1e-12)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 from hypothesis import example, given
@@ -48,6 +49,38 @@ class TestParseScene:
         bad = '{"particle": {"speed_mps": 1.0, "wavelength_m": 1e-8, "speed_kmh": 3.6}, "geometry": {"kind": "Fig3bOpen", "opening_m": 1e-4}}'
         with pytest.raises(SceneError, match=r"particle\.speed_kmh"):
             parse_scene(bad)
+
+    @pytest.mark.parametrize(
+        "text,field",
+        [
+            (
+                '{"particle": {"speed_mps": 1.0, "wavelength_m": 1e-8}, "geometry": {"kind":'
+                ' "Fig3bOpen", "opening_m": 1e-4}, "particle": {"speed_mps": 1.0,'
+                ' "wavelength_m": 1e-8}}',
+                "scene.particle",
+            ),
+            (
+                '{"particle": {"speed_mps": 1.0, "wavelength_m": 1e-8}, "geometry": {"kind":'
+                ' "Fig3bOpen", "opening_m": 1e-4, "opening_m": 2e-4}}',
+                "scene.geometry.opening_m",
+            ),
+            (
+                '{"particle": {"speed_mps": 1.0, "wavelength_m": 1e-8}, "motion":'
+                ' {"pivot_m": [0, 0, 0], "omega_radps": [0, 0, 1], "pivot_m": [1, 0, 0],'
+                ' "omega_radps": [0, 0, 2]}, "geometry": {"kind": "Fig3bOpen", "opening_m": 1e-4}}',
+                "scene.motion.pivot_m",
+            ),
+            (
+                '{"particle": {"speed_mps": 1.0, "wavelength_m": 1e-8}, "geometry": {"kind":'
+                ' "Fig3bOpen", "opening_m": 1e-4}, "output": {"format": "csv", "format": "csv"}}',
+                "scene.output.format",
+            ),
+        ],
+        ids=["section", "builder-key", "first-repeated-of-two", "same-value"],
+    )
+    def test_repeated_key_refused_with_its_path(self, text, field):
+        with pytest.raises(SceneError, match=f"^{re.escape(field)}: given more than once$"):
+            parse_scene(text)
 
     def test_syntax_error_reports_position(self):
         with pytest.raises(SceneError, match=r"line \d+, column \d+"):
