@@ -142,7 +142,8 @@ def _check_domain(wave: ParticleWave, paths, field: MotionField) -> None:
 
 def _delta(path: BeamPath) -> tuple[float, float, float]:
     """The path's end minus its start."""
-    return tuple(map(operator.sub, path.vertices[-1], path.vertices[0]))
+    (ax, ay, az), (bx, by, bz) = path.vertices[0], path.vertices[-1]
+    return (bx - ax, by - ay, bz - az)
 
 
 def _terms(scale: float, u, d, omega, moment) -> list[float]:
