@@ -13,7 +13,6 @@ from .experiment import PropertyCheck, VerifyReport, build_config
 from .kinematics import circulation, curl_fd
 from .model import (
     BeamPath,
-    ConfigKind,
     InterferometerConfig,
     MotionField,
     ParticleWave,
@@ -102,7 +101,7 @@ def _random_closed_config(
     split = rng.randrange(1, n - 1)
     path_i = BeamPath(verts[: split + 1])
     path_ii = BeamPath([verts[0]] + verts[split:][::-1])
-    return InterferometerConfig(path_i, path_ii, wave, motion, ConfigKind.CLOSED_LOOP)
+    return InterferometerConfig(path_i, path_ii, wave, motion)
 
 
 def _path_dict(path: BeamPath) -> list[list[float]]:
@@ -207,7 +206,6 @@ def run_suite(seed: int) -> VerifyReport:
             base.path_II,
             base.wave,
             _field(translation, omega, _random_vec(rng)),
-            base.kind,
         )
         delta = abs(
             two_path_difference(base).total_phase_rad

@@ -24,6 +24,7 @@ from .model import (
     Vec3,
     _cos_between,
     _number,
+    _require_positive,
     _scaled,
     _unit,
 )
@@ -79,15 +80,7 @@ def _open_paths(kind: str, opening, arm_length: float) -> tuple[BeamPath, BeamPa
 
 
 def build_config(
-    kind: str,
-    wave: ParticleWave,
-    motion: MotionField,
-    *,
-    side_m: float | None = None,
-    width_m: float | None = None,
-    height_m: float | None = None,
-    opening_m: Vec3 | float | None = None,
-    arm_length_m: float | None = None,
+    kind: str, wave: ParticleWave, motion: MotionField, **sizes
 ) -> InterferometerConfig:
     """Build one of the canonical interferometer configurations.
 
@@ -96,46 +89,34 @@ def build_config(
     ``opening_m``, either a vector or a positive scalar meaning an opening
     along +y, perpendicular to the arms, plus an optional
     ``arm_length_m`` (DEFAULT_ARM_LENGTH when left out); the reported phase
-    provably does not depend on the arm length. A key the layout does not
-    take is refused. Every length goes through the model's number rule.
+    provably does not depend on the arm length. A size given as None is left
+    out; a key the layout does not take is refused. Every length must be a
+    positive finite number.
     """
     if not isinstance(kind, str) or kind not in LAYOUT_KINDS:
         raise GeometryError(f"unknown layout {kind!r} (known: {', '.join(LAYOUT_KINDS)})")
-    sizes = {
-        "side_m": side_m, "width_m": width_m, "height_m": height_m,
-        "opening_m": opening_m, "arm_length_m": arm_length_m,
-    }
+    sizes = {key: value for key, value in sizes.items() if value is not None}
     for key, value in sizes.items():
-        if value is not None:
-            _check_layout_key(kind, key)
+        _check_layout_key(kind, key)
+        if key != "opening_m" or not isinstance(value, Vec3):
+            sizes[key] = _require_positive(key, value, GeometryError)
     if LAYOUT_KINDS[kind] is ConfigKind.CLOSED_LOOP:
-        if side_m is not None:
-            if width_m is not None or height_m is not None:
+        if "side_m" in sizes:
+            if len(sizes) > 1:
                 raise GeometryError("give either side_m or width_m/height_m, not both")
-            width_m = height_m = _number(side_m, "side_m")
-        if width_m is None or height_m is None:
+            sizes["width_m"] = sizes["height_m"] = sizes["side_m"]
+        elif len(sizes) < 2:
             raise GeometryError(f"{kind} needs side_m or width_m and height_m")
-        width_m, height_m = _number(width_m, "width_m"), _number(height_m, "height_m")
-        if not (width_m > 0.0 and height_m > 0.0):
-            raise GeometryError("rectangle dimensions must be positive")
-        path_i, path_ii = _rectangle_paths(width_m, height_m)
+        path_i, path_ii = _rectangle_paths(sizes["width_m"], sizes["height_m"])
         return InterferometerConfig(path_i, path_ii, wave, motion, ConfigKind.CLOSED_LOOP)
 
-    if opening_m is None:
+    if "opening_m" not in sizes:
         raise GeometryError(f"{kind} needs opening_m")
-    if not isinstance(opening_m, Vec3):
-        opening_m = _number(opening_m, "opening_m")
-        if not opening_m > 0.0:
-            raise GeometryError(f"a scalar opening_m must be positive, got {opening_m!r}")
-    opening = opening_m.as_tuple() if isinstance(opening_m, Vec3) else (0.0, opening_m, 0.0)
+    opening = sizes["opening_m"]
+    opening = opening.as_tuple() if isinstance(opening, Vec3) else (0.0, opening, 0.0)
     if math.hypot(*opening) == 0.0:
         raise GeometryError("opening must be nonzero")
-    if arm_length_m is None:
-        arm_length_m = DEFAULT_ARM_LENGTH
-    arm_length_m = _number(arm_length_m, "arm_length_m")
-    if not (arm_length_m > 0.0):
-        raise GeometryError(f"arm_length_m must be positive, got {arm_length_m!r}")
-    path_i, path_ii = _open_paths(kind, opening, arm_length_m)
+    path_i, path_ii = _open_paths(kind, opening, sizes.get("arm_length_m", DEFAULT_ARM_LENGTH))
     return InterferometerConfig(path_i, path_ii, wave, motion, ConfigKind.OPEN_LOOP)
 
 

@@ -89,11 +89,12 @@ def _coincide(p, q) -> bool:
     return math.dist(p, q) <= _endpoint_tol(p, q)
 
 
-def _require_positive(name: str, value) -> float:
-    """``value`` as a positive finite float, or a WaveError that names ``name``."""
-    number = _number(value, name, WaveError)
+def _require_positive(name: str, value, error: type = WaveError) -> float:
+    """``value`` as a positive finite float, or an ``error`` (WaveError unless given)
+    that names ``name``."""
+    number = _number(value, name, error)
     if not number > 0.0:
-        raise WaveError(f"{name} must be positive and finite, got {value!r}")
+        raise error(f"{name} must be positive and finite, got {value!r}")
     return number
 
 

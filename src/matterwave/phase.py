@@ -49,6 +49,7 @@ from .model import (
     _cross,
     _fsum,
     _number,
+    _require_positive,
     _velocity,
     exact_sum,
 )
@@ -276,7 +277,5 @@ def gse_light_phase(wavelength: float, segment_V: Vec3, delta_L: Vec3) -> float:
     factor is doubled relative to the single-beam matter-wave law because
     both directions around the loop contribute.
     """
-    wavelength = _number(wavelength, "wavelength")
-    if not wavelength > 0.0:
-        raise GeometryError(f"wavelength must be positive, got {wavelength!r}")
+    wavelength = _require_positive("wavelength", wavelength, GeometryError)
     return (4.0 * math.pi / (C_LIGHT * wavelength)) * segment_V.dot(delta_L)
