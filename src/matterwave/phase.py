@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import chain
 
 from .kinematics import enclosed_area_vector
 from .model import (
@@ -149,9 +150,8 @@ def _delta(path: BeamPath) -> tuple[float, float, float]:
 
 def _terms(scale: float, u, d, omega, moment) -> list[float]:
     """The rigid identity's terms, scaled: scale * u_j * d_j and scale * omega_j * moment_j
-    per axis. A zero rate component drops its term, whose moment may have overflowed."""
-    rotation = [scale * (w * m) for w, m in zip(omega, moment) if w]
-    return [scale * (a * b) for a, b in zip(u, d)] + rotation
+    per axis. An exact-zero factor drops its term, whose other factor may have overflowed."""
+    return [scale * (a * b) for a, b in chain(zip(u, d), zip(omega, moment)) if a and b]
 
 
 def segment_phase_increment(

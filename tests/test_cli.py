@@ -165,6 +165,18 @@ EXTREME_TRANSLATIONS = pytest.mark.parametrize(
 )
 
 
+# A closed scene whose velocity at beam II's end, (1, 1, 0), lies beyond the float
+# range, (inf, 1, 0), while every segment stays inside the boost domain.
+OVERFLOWING_VELOCITY_SCENE = {
+    "particle": {"speed_mps": 1.0, "wavelength_m": 1e-8},
+    "motion": {"translation_mps": [1e308, 0, 0], "omega_radps": [0, 0, 1], "pivot_m": [0, 1e308, 0]},
+    "geometry": {
+        "path_I_m": [[0, 0, 0], [0, 1, 0], [1, 1, 0]],
+        "path_II_m": [[0, 0, 0], [1, 0, 0], [1, 1, 0]],
+    },
+}
+
+
 def open_scene(tmp_path, motion, opening_m=(0.0, 1e-4, 0.0), speed_mps=1.0, wavelength_m=1e-8):
     """Fig3bOpen scene file of the given motion section."""
     scene_file = tmp_path / "moving_open.json"
@@ -720,6 +732,12 @@ class TestCliContract:
         assert code == 1
         assert "usage" in err.lower()
 
+    @pytest.mark.parametrize("argv", [["--help"], ["phase", "--help"]], ids=["top", "phase"])
+    def test_help_exits_zero_with_usage_on_stdout(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: matterwave")
+
     def test_out_flag_writes_file(self, capsys, data_dir, tmp_path):
         target = tmp_path / "result.json"
         code, out, _ = run(
@@ -931,31 +949,32 @@ class TestErrorContract:
         assert_refused(code, out, err)
         assert "overflows the float range" in err
 
-    @pytest.mark.parametrize("command", ["phase", "fringes"])
-    def test_velocity_beyond_the_float_range_refused_as_an_overflow(
-        self, capsys, tmp_path, command
+    @pytest.mark.parametrize(
+        "command,key", [("phase", "total_phase_rad"), ("fringes", "base_phase_rad")],
+        ids=["phase", "fringes"],
+    )
+    def test_velocity_beyond_the_float_range_answered_with_the_sagnac_total(
+        self, capsys, tmp_path, command, key
     ):
-        # The velocity at beam II's end, (1, 1, 0), is (inf, 1, 0): every segment is
-        # inside the domain, but the phase sum is not finite.
+        # The velocity at beam II's end, (1, 1, 0), is (inf, 1, 0), but the opening
+        # is exactly zero: the phase is sagnac's, 4*pi/(v*lambda) * omega . A for
+        # the unit square.
         scene_file = tmp_path / "overflow.json"
-        scene_file.write_text(
-            json.dumps(
-                {
-                    "particle": {"speed_mps": 1.0, "wavelength_m": 1e-8},
-                    "motion": {
-                        "translation_mps": [1e308, 0, 0],
-                        "omega_radps": [0, 0, 1],
-                        "pivot_m": [0, 1e308, 0],
-                    },
-                    "geometry": {
-                        "path_I_m": [[0, 0, 0], [0, 1, 0], [1, 1, 0]],
-                        "path_II_m": [[0, 0, 0], [1, 0, 0], [1, 1, 0]],
-                    },
-                }
-            )
-        )
-        message = "matterwave: error: phase overflows the float range\n"
-        assert run(capsys, [command, "--scene", str(scene_file)]) == (1, "", message)
+        scene_file.write_text(json.dumps(OVERFLOWING_VELOCITY_SCENE))
+        code, out, err = run(capsys, [command, "--scene", str(scene_file)])
+        assert (code, err) == (0, "")
+        _, sagnac, _ = run(capsys, ["sagnac", "--scene", str(scene_file)])
+        total = json.loads(sagnac)["loop_integral_phase_rad"]
+        assert json.loads(out)[key] == total == 1256637061.4359171
+
+    def test_velocity_beyond_the_float_range_breakdown_refused(self, capsys, tmp_path):
+        # The same scene's per-segment increments overflow: the total has a finite
+        # value, its breakdown has none.
+        scene_file = tmp_path / "overflow.json"
+        scene_file.write_text(json.dumps(OVERFLOWING_VELOCITY_SCENE))
+        message = "matterwave: error: result is not finite (inf); refusing to write it\n"
+        argv = ["phase", "--scene", str(scene_file), "--breakdown"]
+        assert run(capsys, argv) == (1, "", message)
 
     def test_closed_translation_beyond_float_range_answered(self, capsys, tmp_path):
         # The same loop: its segment terms overflow, but beams that share start
@@ -1391,6 +1410,7 @@ closed_motion_scenes = st.fixed_dictionaries(
         "motion": {"omega_radps": [0.0, 0.0, 1000.0]},
     }
 )
+@example(doc=OVERFLOWING_VELOCITY_SCENE)
 def test_phase_and_sagnac_share_one_domain(capsys, tmp_path, doc):
     # A closed scene: phase and sagnac refuse it with the same line, or both answer.
     scene_file = tmp_path / "closed.json"

@@ -148,6 +148,7 @@ def test_fringe_reading(phase):
 @example("Fig3bOpen", _wave, MotionField(), {"opening_m": "0.1"})
 @example("Fig3bOpen", _wave, MotionField(), {"opening_m": 1e-4, "arm_length_m": "1"})
 @example(["Fig2Rotation"], _wave, MotionField(), {"side_m": 1.0})
+@example("Fig2Rotation", _wave, MotionField(), {"radius_m": 1.0})
 def test_build_config(kind, wave, motion, sizes):
     answered_or_refused(build_config, kind, wave, motion, **sizes)
 

@@ -66,6 +66,33 @@ class TestBuildConfig:
         with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
             build_config(kind, unit_wave, MotionField(), **sizes)
 
+    def test_a_key_no_layout_takes_refused(self, unit_wave):
+        message = "Fig2Rotation does not take radius_m (it takes side_m, width_m, height_m)"
+        with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+            build_config("Fig2Rotation", unit_wave, MotionField(), radius_m=1.0)
+
+    def test_a_size_given_as_none_is_left_out(self, unit_wave):
+        motion = MotionField(translation=Vec3(0, 1e-4, 0))
+        given = build_config("Fig3bOpen", unit_wave, motion, opening_m=1e-4, side_m=None)
+        assert given == build_config("Fig3bOpen", unit_wave, motion, opening_m=1e-4)
+
+    @pytest.mark.parametrize(
+        "kind,sizes,key",
+        [
+            ("Fig2Rotation", dict(side_m=-0.1), "side_m"),
+            ("Fig3aClosed", dict(width_m=0.0, height_m=1.0), "width_m"),
+            ("Fig3aClosed", dict(width_m=1.0, height_m=-2.0), "height_m"),
+            ("Fig3bOpen", dict(opening_m=-1e-4), "opening_m"),
+            ("Fig3cIndependent", dict(opening_m=1e-4, arm_length_m=0.0), "arm_length_m"),
+        ],
+    )
+    def test_non_positive_lengths_refused_by_the_positive_rule(
+        self, unit_wave, kind, sizes, key
+    ):
+        message = f"{key} must be positive and finite, got {sizes[key]!r}"
+        with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+            build_config(kind, unit_wave, MotionField(), **sizes)
+
     def test_arm_length_left_out_is_the_default(self, unit_wave):
         motion = MotionField(translation=Vec3(0, 1e-4, 0))
         left_out = build_config("Fig3bOpen", unit_wave, motion, opening_m=1e-4)

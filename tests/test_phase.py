@@ -526,6 +526,12 @@ class TestGseLightPhase:
         with pytest.raises(GeometryError):
             gse_light_phase(0.0, Vec3(1, 0, 0), Vec3(1, 0, 0))
 
+    @pytest.mark.parametrize("wavelength", [0.0, -1.55e-6])
+    def test_non_positive_wavelength_refused_by_the_positive_rule(self, wavelength):
+        message = f"^wavelength must be positive and finite, got {wavelength!r}$"
+        with pytest.raises(GeometryError, match=message):
+            gse_light_phase(wavelength, Vec3(1, 0, 0), Vec3(1, 0, 0))
+
 
 class TestFactorIdentities:
     @pytest.mark.parametrize("name", sorted(PARTICLE_MASSES_KG))
