@@ -96,8 +96,9 @@ def build_config(
     if not isinstance(kind, str) or kind not in LAYOUT_KINDS:
         raise GeometryError(f"unknown layout {kind!r} (known: {', '.join(LAYOUT_KINDS)})")
     sizes = {key: value for key, value in sizes.items() if value is not None}
-    for key, value in sizes.items():
+    for key in sizes:
         _check_layout_key(kind, key)
+    for key, value in sizes.items():
         if key != "opening_m" or not isinstance(value, Vec3):
             sizes[key] = _require_positive(key, value, GeometryError)
     if LAYOUT_KINDS[kind] is ConfigKind.CLOSED_LOOP:
