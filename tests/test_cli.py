@@ -953,7 +953,7 @@ class TestErrorContract:
         "command,key", [("phase", "total_phase_rad"), ("fringes", "base_phase_rad")],
         ids=["phase", "fringes"],
     )
-    def test_velocity_beyond_the_float_range_answered_with_the_sagnac_total(
+    def test_velocity_beyond_the_float_range_answered_as_sagnac(
         self, capsys, tmp_path, command, key
     ):
         # The velocity at beam II's end, (1, 1, 0), is (inf, 1, 0), but the opening

@@ -60,38 +60,18 @@ class TestBuildConfig:
              "Fig3bOpen does not take side_m (it takes opening_m, arm_length_m)"),
             ("Fig3dExtracted", dict(opening_m=Vec3(0, 1e-4, 0), height_m=1.0),
              "Fig3dExtracted does not take height_m (it takes opening_m, arm_length_m)"),
+            ("Fig2Rotation", dict(radius_m=1.0),
+             "Fig2Rotation does not take radius_m (it takes side_m, width_m, height_m)"),
         ],
     )
     def test_a_key_the_layout_does_not_take_refused(self, unit_wave, kind, sizes, message):
         with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
             build_config(kind, unit_wave, MotionField(), **sizes)
 
-    def test_a_key_no_layout_takes_refused(self, unit_wave):
-        message = "Fig2Rotation does not take radius_m (it takes side_m, width_m, height_m)"
-        with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
-            build_config("Fig2Rotation", unit_wave, MotionField(), radius_m=1.0)
-
     def test_a_size_given_as_none_is_left_out(self, unit_wave):
         motion = MotionField(translation=Vec3(0, 1e-4, 0))
         given = build_config("Fig3bOpen", unit_wave, motion, opening_m=1e-4, side_m=None)
         assert given == build_config("Fig3bOpen", unit_wave, motion, opening_m=1e-4)
-
-    @pytest.mark.parametrize(
-        "kind,sizes,key",
-        [
-            ("Fig2Rotation", dict(side_m=-0.1), "side_m"),
-            ("Fig3aClosed", dict(width_m=0.0, height_m=1.0), "width_m"),
-            ("Fig3aClosed", dict(width_m=1.0, height_m=-2.0), "height_m"),
-            ("Fig3bOpen", dict(opening_m=-1e-4), "opening_m"),
-            ("Fig3cIndependent", dict(opening_m=1e-4, arm_length_m=0.0), "arm_length_m"),
-        ],
-    )
-    def test_non_positive_lengths_refused_by_the_positive_rule(
-        self, unit_wave, kind, sizes, key
-    ):
-        message = f"{key} must be positive and finite, got {sizes[key]!r}"
-        with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
-            build_config(kind, unit_wave, MotionField(), **sizes)
 
     def test_arm_length_left_out_is_the_default(self, unit_wave):
         motion = MotionField(translation=Vec3(0, 1e-4, 0))
@@ -188,8 +168,17 @@ class TestBuildConfig:
             ("Fig3bOpen", dict(opening_m=1e-4, arm_length_m="1"), "arm_length_m must be a number"),
             ("Fig3bOpen", dict(opening_m=math.inf), "opening_m must be finite, got inf"),
             (["Fig2Rotation"], dict(side_m=0.1), r"unknown layout \['Fig2Rotation'\]"),
+            ("Fig2Rotation", dict(side_m=-0.1), r"side_m must be positive and finite, got -0\.1$"),
+            ("Fig3aClosed", dict(width_m=0.0, height_m=1.0), "width_m must be positive and finite"),
+            ("Fig3aClosed", dict(width_m=1.0, height_m=-2), "height_m must be positive and finite"),
+            ("Fig3bOpen", dict(opening_m=-1e-4), "opening_m must be positive and finite"),
+            ("Fig3cIndependent", dict(opening_m=1e-4, arm_length_m=0.0),
+             "arm_length_m must be positive and finite, got 0.0"),
         ],
-        ids=["side", "width", "height", "opening", "arm-length", "infinite-opening", "list-kind"],
+        ids=[
+            "side", "width", "height", "opening", "arm-length", "infinite-opening", "list-kind",
+            "negative-side", "zero-width", "negative-height", "negative-opening", "zero-arm-length",
+        ],
     )
     def test_lengths_go_through_the_number_rule(self, unit_wave, kind, kwargs, message):
         with pytest.raises(GeometryError, match=f"^{message}"):

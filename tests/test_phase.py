@@ -523,14 +523,8 @@ class TestGseLightPhase:
         assert light == pytest.approx(matter, rel=1e-12)
 
     def test_bad_wavelength(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError, match="^wavelength must be positive and finite, got 0.0$"):
             gse_light_phase(0.0, Vec3(1, 0, 0), Vec3(1, 0, 0))
-
-    @pytest.mark.parametrize("wavelength", [0.0, -1.55e-6])
-    def test_non_positive_wavelength_refused_by_the_positive_rule(self, wavelength):
-        message = f"^wavelength must be positive and finite, got {wavelength!r}$"
-        with pytest.raises(GeometryError, match=message):
-            gse_light_phase(wavelength, Vec3(1, 0, 0), Vec3(1, 0, 0))
 
 
 class TestFactorIdentities:
