@@ -340,8 +340,11 @@ def run_command(argv: list[str]) -> int:
 
 def main() -> None:
     # One short process with no growing reference cycles: a collection would only walk
-    # the scene and the beams. run_command, which tests and libraries call, leaves it on.
+    # the scene and the beams. Finalization still makes one full collection; frozen,
+    # what start-up and the imports built is left out of it. run_command, which tests
+    # and libraries call, leaves the collector as it finds it.
     gc.disable()
+    gc.freeze()
     sys.exit(run_command(sys.argv[1:]))
 
 

@@ -845,6 +845,16 @@ class TestCollectorStateKept:
             gc.enable()
         assert code == 0
 
+    def test_freeze_count_unchanged(self, capsys, data_dir):
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            code, _, _ = run(capsys, ["phase", "--scene", scene(data_dir, "slow_atom_open.json")])
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
+        assert code == 0
+
 
 def staircase_scene(tmp_path, steps):
     """A closed explicit scene of 2 * steps + 2 segments, turning slowly about z."""
@@ -868,17 +878,20 @@ class TestCollectorOffForTheProcess:
     one short process."""
 
     def test_main_runs_the_command_with_the_collector_off(self, monkeypatch):
+        # What start-up built is frozen, so the exit collection leaves it out.
         states = []
         monkeypatch.setattr(
-            "matterwave.cli.run_command", lambda argv: states.append(gc.isenabled()) or 0
+            "matterwave.cli.run_command",
+            lambda argv: states.append((gc.isenabled(), gc.get_freeze_count() > 0)) or 0,
         )
         monkeypatch.setattr(sys, "argv", ["matterwave", "phase"])
         try:
             with pytest.raises(SystemExit) as done:
                 main()
         finally:
+            gc.unfreeze()
             gc.enable()
-        assert (states, done.value.code) == ([False], 0)
+        assert (states, done.value.code) == ([(False, True)], 0)
 
     def test_a_sagnac_run_starts_no_collection(self, tmp_path):
         # The loop's kept rows, one tuple per segment, would set off collections.
@@ -904,6 +917,30 @@ class TestCollectorOffForTheProcess:
             timeout=60,
         )
         assert (child.stdout, child.stderr) == ("0 0\n", "")
+
+    def test_the_console_script_freezes_start_up_before_its_command(self):
+        # The exit collection walks only the objects outside the permanent generation.
+        probe = textwrap.dedent(
+            """
+            import gc, os, sys
+            import matterwave.cli
+            run_command = matterwave.cli.run_command
+            def probed(argv):
+                print(gc.get_freeze_count() > 10 * len(gc.get_objects()))
+                return run_command(argv)
+            matterwave.cli.run_command = probed
+            sys.argv = ["matterwave", "verify", "--out", os.devnull]
+            matterwave.cli.main()
+            """
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=child_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (child.returncode, child.stdout, child.stderr) == (0, "True\n", "")
 
 
 def write_scene(tmp_path, particle, side_m=0.01, motion=None):
