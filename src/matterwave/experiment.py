@@ -31,6 +31,9 @@ from .model import (
 from .phase import TWO_PI, _check_domain, open_loop_phase, translation_opening
 
 DEFAULT_ARM_LENGTH = 0.01  # m
+# The most grid points a sweep or a fringe scan takes: every one is a row held in
+# memory until the document is written.
+_MAX_STEPS = 100_000
 
 
 # The layouts ``build_config`` and scene files accept, by name, with the
@@ -171,9 +174,10 @@ def sensitivity_sweep(
 
     The sweep direction is the unit vector of the configuration's
     translation; when the configuration is at rest the direction defaults
-    to the opening itself (cos(theta) = 1). A sweep whose largest speed takes
-    a segment of either beam outside the boost domain is refused; along one
-    direction, every faster speed would be refused too.
+    to the opening itself (cos(theta) = 1). ``steps`` runs from 2 to 100,000.
+    A sweep whose largest speed takes a segment of either beam outside the
+    boost domain is refused; along one direction, every faster speed would
+    be refused too.
     """
     # A float bound, inf and nan included, is held to the range below as given;
     # any other through the number rule first.
@@ -187,6 +191,8 @@ def sensitivity_sweep(
         raise GeometryError(f"steps must be an integer, got {steps!r}")
     if steps < 2:
         raise GeometryError(f"need at least 2 steps, got {steps}")
+    if steps > _MAX_STEPS:
+        raise GeometryError(f"need at most {_MAX_STEPS} steps, got {steps}")
     opening = translation_opening(config)
     translation = config.motion.translation
     along = translation.as_tuple() if translation.norm() > 0.0 else opening.as_tuple()

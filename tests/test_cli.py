@@ -683,6 +683,21 @@ class TestFringesCommand:
         assert (code, out, err) == (1, "", "matterwave: error: --steps must be at least 2, got 1\n")
 
 
+@pytest.mark.parametrize("steps", ["100001", "1000000000000"])
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["sweep", "--scene", "slow_atom_open.json", "--vmax", "2e-4"], "need at most 100000 steps"),
+        (["fringes", "--scene", "closed_translation.json"], "--steps must be at most 100000"),
+    ],
+    ids=["sweep", "fringes"],
+)
+def test_steps_beyond_the_maximum_refused_at_once(capsys, data_dir, argv, message, steps):
+    argv = [scene(data_dir, arg) if arg.endswith(".json") else arg for arg in argv]
+    code, out, err = run(capsys, argv + ["--steps", steps])
+    assert (code, out, err) == (1, "", f"matterwave: error: {message}, got {steps}\n")
+
+
 class TestVerifyCommand:
     def test_passes_with_default_seed(self, capsys):
         code, out, _ = run(capsys, ["verify", "--seed", "42"])
