@@ -38,9 +38,9 @@ from .model import (
     MatterWaveError,
     MotionField,
     Vec3,
+    _require_positive,
     make_particle_wave,
 )
-from .model import _number as _model_number
 
 OUTPUT_FORMATS = ("csv", "json")
 
@@ -49,13 +49,10 @@ class SceneError(MatterWaveError):
     """Malformed scene text or schema violation; message names the field path."""
 
 
-# The model states what a number, a vector and a beam path are; these readers
-# add the shape a scene writes them in, and the field path to what they refuse.
-def _number(value, path: str) -> float:
-    try:
-        return _model_number(value, path)
-    except GeometryError as exc:
-        raise SceneError(str(exc)) from None
+# The model states what a positive number, a vector and a beam path are; these
+# readers add the shape a scene writes them in, and the field path to what they refuse.
+def _positive(value, path: str) -> float:
+    return _require_positive(path, value, SceneError)
 
 
 def _vec3(value, path: str) -> Vec3:
@@ -77,7 +74,7 @@ def _points(value, path: str) -> BeamPath:
 
 
 def _opening(value, path: str) -> Vec3 | float:
-    return _vec3(value, path) if isinstance(value, list) else _number(value, path)
+    return _vec3(value, path) if isinstance(value, list) else _positive(value, path)
 
 
 def _choice(names):
@@ -102,9 +99,9 @@ def _bool(value, path: str) -> bool:
 # is passed on as; builder keys are build_config's own. Order is output order.
 _REQUIRED = object()
 _PARTICLE = {
-    "speed_mps": (_number, _REQUIRED, "speed_v"),
-    "mass_kg": (_number, None, "mass"),
-    "wavelength_m": (_number, None, "wavelength"),
+    "speed_mps": (_positive, _REQUIRED, "speed_v"),
+    "mass_kg": (_positive, None, "mass"),
+    "wavelength_m": (_positive, None, "wavelength"),
 }
 _MOTION = {
     "translation_mps": (_vec3, None, "translation"),
@@ -113,10 +110,10 @@ _MOTION = {
 }
 _BUILDER = {
     "kind": (_choice(LAYOUT_KINDS), _REQUIRED),
-    "side_m": (_number, None),
-    "width_m": (_number, None),
-    "height_m": (_number, None),
-    "arm_length_m": (_number, None),
+    "side_m": (_positive, None),
+    "width_m": (_positive, None),
+    "height_m": (_positive, None),
+    "arm_length_m": (_positive, None),
     "opening_m": (_opening, None),
 }
 _EXPLICIT = {"path_I_m": (_points, _REQUIRED), "path_II_m": (_points, _REQUIRED)}
@@ -167,14 +164,15 @@ def _particle(value, path: str) -> dict:
 
 def _geometry(value, path: str) -> dict:
     explicit = isinstance(value, dict) and any(key in value for key in _EXPLICIT)
-    geometry = _read_section(_EXPLICIT if explicit else _BUILDER, value, path)
-    if not explicit:
-        for key in list(geometry)[1:]:  # the builder keys, after the kind
+    kind = value.get("kind") if isinstance(value, dict) else None
+    if not explicit and isinstance(kind, str) and kind in LAYOUT_KINDS:
+        # A key the layout does not take is refused before any value is read.
+        for key in filter(value.__contains__, list(_BUILDER)[1:]):
             try:
-                _check_layout_key(geometry["kind"], key)
+                _check_layout_key(kind, key)
             except GeometryError as exc:
                 raise SceneError(f"{path}.{key}: {exc}") from None
-    return geometry
+    return _read_section(_EXPLICIT if explicit else _BUILDER, value, path)
 
 
 _SCENE = {
@@ -221,11 +219,19 @@ def serialize_scene(doc: SceneDocument) -> str:
     return json.dumps(doc._asdict(), indent=2, default=_plain) + "\n"
 
 
+def _built(section: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; what it refuses is refused with the section's path."""
+    try:
+        return build(*args, **kwargs)
+    except MatterWaveError as exc:
+        raise SceneError(f"scene.{section}: {exc}") from None
+
+
 def config_from_scene(doc: SceneDocument) -> InterferometerConfig:
     """Realize the scene as a validated interferometer configuration."""
-    wave = make_particle_wave(**_renamed(doc.particle, _PARTICLE))
+    wave = _built("particle", make_particle_wave, **_renamed(doc.particle, _PARTICLE))
     motion = MotionField(**_renamed(doc.motion, _MOTION))
     if doc.geometry.keys() == _EXPLICIT.keys():  # the beam starts decide the kind
         path_i, path_ii = (doc.geometry[key] for key in _EXPLICIT)
-        return InterferometerConfig(path_i, path_ii, wave, motion)
-    return build_config(wave=wave, motion=motion, **doc.geometry)
+        return _built("geometry", InterferometerConfig, path_i, path_ii, wave, motion)
+    return _built("geometry", build_config, wave=wave, motion=motion, **doc.geometry)

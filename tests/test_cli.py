@@ -1067,8 +1067,8 @@ class TestErrorContract:
         code, out, err = run(capsys, ["phase", "--scene", str(scene_file), "--format", fmt])
         assert_refused(code, out, err)
         assert err == (
-            "matterwave: error: OpenLoop requires a nonzero opening between beam starts, "
-            "gap is 1.000e-300 m, within the tolerance 1.000e-12 m\n"
+            "matterwave: error: scene.geometry: OpenLoop requires a nonzero opening between "
+            "beam starts, gap is 1.000e-300 m, within the tolerance 1.000e-12 m\n"
         )
 
     @pytest.mark.parametrize(
@@ -1087,8 +1087,8 @@ class TestErrorContract:
         code, out, err = run(capsys, ["phase", "--scene", str(scene_file)])
         assert_refused(code, out, err)
         assert err == (
-            f"matterwave: error: a {geometry['kind']} layout of this opening and arm length "
-            "leaves the float range\n"
+            f"matterwave: error: scene.geometry: a {geometry['kind']} layout of this opening "
+            "and arm length leaves the float range\n"
         )
 
     @pytest.mark.parametrize(
@@ -1107,7 +1107,8 @@ class TestErrorContract:
         code, out, err = run(capsys, argv[:1] + ["--scene", str(scene_file)] + argv[1:])
         assert_refused(code, out, err)
         assert err == (
-            "matterwave: error: the opening between the beam starts overflows the float range\n"
+            "matterwave: error: scene.geometry: the opening between the beam starts overflows "
+            "the float range\n"
         )
 
     def test_opening_whose_length_alone_overflows_answered(self, capsys, tmp_path):

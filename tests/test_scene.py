@@ -166,6 +166,64 @@ class TestLayoutKeys:
         assert str(info.value) == message
 
 
+def built(particle: dict, geometry: dict):
+    """The configuration of a scene with these sections, read and built."""
+    return config_from_scene(parse_scene(json.dumps({"particle": particle, "geometry": geometry})))
+
+
+class TestFieldPaths:
+    """What reading or building a particle or a builder geometry refuses names its path."""
+
+    WAVE = {"speed_mps": 1.0, "wavelength_m": 1e-8}
+
+    @pytest.mark.parametrize(
+        "particle,geometry,message",
+        [
+            (WAVE, {"kind": "Fig2Rotation", "side_m": -0.1},
+             "scene.geometry.side_m must be positive and finite, got -0.1"),
+            (WAVE, {"kind": "Fig3aClosed", "width_m": 0, "height_m": 1},
+             "scene.geometry.width_m must be positive and finite, got 0"),
+            (WAVE, {"kind": "Fig3aClosed", "width_m": 1, "height_m": -1e-3},
+             "scene.geometry.height_m must be positive and finite, got -0.001"),
+            (WAVE, {"kind": "Fig3bOpen", "opening_m": 1e-4, "arm_length_m": 0.0},
+             "scene.geometry.arm_length_m must be positive and finite, got 0.0"),
+            (WAVE, {"kind": "Fig3bOpen", "opening_m": -1e-4},
+             "scene.geometry.opening_m must be positive and finite, got -0.0001"),
+            ({"speed_mps": -1.0, "wavelength_m": 1e-8}, {"kind": "Fig3bOpen", "opening_m": 1e-4},
+             "scene.particle.speed_mps must be positive and finite, got -1.0"),
+            ({"speed_mps": 1.0, "mass_kg": 0}, {"kind": "Fig3aClosed", "side_m": 0.1},
+             "scene.particle.mass_kg must be positive and finite, got 0"),
+            ({"speed_mps": 1.0, "wavelength_m": -1e-8}, {"kind": "Fig3aClosed", "side_m": 0.1},
+             "scene.particle.wavelength_m must be positive and finite, got -1e-08"),
+            (
+                {"speed_mps": 1.0, "mass_kg": 1e-26, "wavelength_m": 1e-8},
+                {"kind": "Fig3aClosed", "side_m": 0.1},
+                "scene.particle: wavelength inconsistent with de Broglie relation: given 1e-08, "
+                "speed 1.0, mass 1e-26 (relative mismatch 8.491e-01)",
+            ),
+            (
+                {"speed_mps": 1e-200, "wavelength_m": 1e-200}, {"kind": "Fig3aClosed", "side_m": 0.1},
+                "scene.particle: speed_v * wavelength_lambda = 0.0 is outside the normal float range",
+            ),
+            (WAVE, {"kind": "Fig2Rotation", "side_m": 1, "width_m": 2},
+             "scene.geometry: give either side_m or width_m/height_m, not both"),
+            (WAVE, {"kind": "Fig2Rotation", "width_m": 2},
+             "scene.geometry: Fig2Rotation needs side_m or width_m and height_m"),
+            (WAVE, {"kind": "Fig3bOpen"}, "scene.geometry: Fig3bOpen needs opening_m"),
+            (WAVE, {"kind": "Fig3bOpen", "opening_m": [0, 0, 0]},
+             "scene.geometry: opening must be nonzero"),
+        ],
+        ids=[
+            "side", "width", "height", "arm", "scalar-opening", "speed", "mass", "wavelength",
+            "de-broglie", "v-lambda", "side-and-width", "no-height", "no-opening", "zero-opening",
+        ],
+    )
+    def test_refusal_names_its_field_path(self, particle, geometry, message):
+        with pytest.raises(SceneError) as info:
+            built(particle, geometry)
+        assert str(info.value) == message
+
+
 class TestPointParse:
     """A scene's points are read as a BeamPath; its refusals name the field path."""
 
