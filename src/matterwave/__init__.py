@@ -21,8 +21,6 @@ from .kinematics import circulation, curl_fd, enclosed_area_vector
 from .model import (
     C_LIGHT,
     H_PLANCK,
-    HBAR,
-    PARTICLE_MASSES_KG,
     BeamPath,
     BoostDomainError,
     ConfigKind,
@@ -53,7 +51,6 @@ from .scene import (
     SceneError,
     config_from_scene,
     parse_scene,
-    serialize_scene,
 )
 
 __version__ = "0.1.0"

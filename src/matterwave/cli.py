@@ -23,7 +23,7 @@ import os
 import sys
 from itertools import chain, count, filterfalse
 
-from .experiment import _MAX_STEPS, fringe_reading, sensitivity_sweep, verify_suite
+from .experiment import _check_steps, fringe_reading, sensitivity_sweep, verify_suite
 from .kinematics import circulation, enclosed_area_vector
 from .model import MatterWaveError, MotionField, _cos_between
 from .phase import (
@@ -323,10 +323,7 @@ def run_command(argv: list[str]) -> int:
                 "v_lambda_m2ps": sweep.v_lambda,
             }
         else:  # fringes
-            if args.steps < 2:
-                raise MatterWaveError(f"--steps must be at least 2, got {args.steps}")
-            if args.steps > _MAX_STEPS:
-                raise MatterWaveError(f"--steps must be at most {_MAX_STEPS}, got {args.steps}")
+            _check_steps(args.steps)
             base = two_path_difference(config).total_phase_rad
             rows = []
             for i in range(args.steps):

@@ -59,6 +59,13 @@ def _check_layout_key(kind: str, key: str) -> None:
         raise GeometryError(f"{kind} does not take {key} (it takes {', '.join(takes)})")
 
 
+def _check_steps(steps) -> None:
+    """Refuse a grid of ``steps`` points, a sweep's or a fringe scan's, unless ``steps``
+    is an integer from 2 to _MAX_STEPS."""
+    if type(steps) is bool or not isinstance(steps, int) or not 2 <= steps <= _MAX_STEPS:
+        raise GeometryError(f"steps must be an integer from 2 to {_MAX_STEPS}, got {steps!r}")
+
+
 def _rectangle_paths(width: float, height: float) -> tuple[BeamPath, BeamPath]:
     a, b, c, d = (0.0, 0.0, 0.0), (width, 0.0, 0.0), (width, height, 0.0), (0.0, height, 0.0)
     # Beam I runs up then across, beam II across then up. With this labeling,
@@ -119,7 +126,7 @@ def build_config(
     opening = sizes["opening_m"]
     opening = opening.as_tuple() if isinstance(opening, Vec3) else (0.0, opening, 0.0)
     if math.hypot(*opening) == 0.0:
-        raise GeometryError("opening must be nonzero")
+        raise GeometryError("open-loop phase requires a nonzero opening")
     path_i, path_ii = _open_paths(kind, opening, sizes.get("arm_length_m", DEFAULT_ARM_LENGTH))
     return InterferometerConfig(path_i, path_ii, wave, motion, ConfigKind.OPEN_LOOP)
 
@@ -187,12 +194,7 @@ def sensitivity_sweep(
     )
     if not (0.0 <= v_min < v_max < math.inf):
         raise GeometryError(f"need 0 <= v_min < v_max < inf, got {v_min!r}, {v_max!r}")
-    if type(steps) is bool or not isinstance(steps, int):
-        raise GeometryError(f"steps must be an integer, got {steps!r}")
-    if steps < 2:
-        raise GeometryError(f"need at least 2 steps, got {steps}")
-    if steps > _MAX_STEPS:
-        raise GeometryError(f"need at most {_MAX_STEPS} steps, got {steps}")
+    _check_steps(steps)
     opening = translation_opening(config)
     translation = config.motion.translation
     along = translation.as_tuple() if translation.norm() > 0.0 else opening.as_tuple()

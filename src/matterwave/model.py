@@ -17,16 +17,8 @@ from typing import NamedTuple
 
 # Physical constants (exact SI values where defined exact).
 H_PLANCK = 6.62607015e-34      # J*s, exact by SI definition
-HBAR = H_PLANCK / (2.0 * math.pi)
 C_LIGHT = 2.99792458e8         # m/s, exact by SI definition
 TWO_PI = 2.0 * math.pi
-
-# CODATA-2018 particle masses, kg.
-PARTICLE_MASSES_KG = {
-    "electron": 9.1093837015e-31,
-    "proton": 1.67262192369e-27,
-    "neutron": 1.67492749804e-27,
-}
 
 # Geometric coincidence tolerance. Far below any physical scale in use,
 # so ideal-geometry checks never bite on real configurations.

@@ -93,10 +93,10 @@ def _bool(value, path: str) -> bool:
     return value
 
 
-# One table per section, walked by parse, serialize and build alike: scene key
+# One table per section, walked by parse and build alike: scene key
 # -> (reader, default[, name]). The default is the JSON value read for an absent
 # key (None: leave it out; _REQUIRED: refuse). The name is the keyword the value
-# is passed on as; builder keys are build_config's own. Order is output order.
+# is passed on as; builder keys are build_config's own. Keys are read in table order.
 _REQUIRED = object()
 _PARTICLE = {
     "speed_mps": (_positive, _REQUIRED, "speed_v"),
@@ -184,7 +184,7 @@ _SCENE = {
 
 
 class SceneDocument(NamedTuple):
-    """A validated scene, sections in file order, each mapping key -> value.
+    """A validated scene, sections in schema order, each mapping key -> value in table order.
     An explicit geometry holds its two checked ``BeamPath`` objects."""
 
     particle: dict
@@ -205,18 +205,6 @@ def parse_scene(text: str) -> SceneDocument:
         # Nesting beyond the recursion limit, or an integer literal too long for int().
         raise SceneError(f"unreadable scene: {exc}") from None
     return SceneDocument(**_read_section(_SCENE, raw, "scene"))
-
-
-def _plain(value) -> dict | list:
-    """JSON form of the scene values json cannot write itself: paths and Vec3."""
-    if isinstance(value, BeamPath):
-        return list(map(list, value.vertices))
-    return list(value.as_tuple())
-
-
-def serialize_scene(doc: SceneDocument) -> str:
-    """Canonical JSON for a scene document; parse(serialize(doc)) == doc."""
-    return json.dumps(doc._asdict(), indent=2, default=_plain) + "\n"
 
 
 def _built(section: str, build, *args, **kwargs):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from matterwave import (
     BeamPath,
+    GeometryError,
     MatterWaveError,
     MotionField,
     PhaseResult,
@@ -680,22 +681,45 @@ class TestFringesCommand:
             capsys,
             ["fringes", "--scene", scene(data_dir, "closed_translation.json"), "--steps", "1"],
         )
-        assert (code, out, err) == (1, "", "matterwave: error: --steps must be at least 2, got 1\n")
+        assert (code, out, err) == (1, "", f"matterwave: error: {STEPS_RANGE}, got 1\n")
+
+
+# The one grid-size rule of a sweep and a fringe scan, stated by experiment._check_steps.
+STEPS_RANGE = "steps must be an integer from 2 to 100000"
+STEPS_ARGV = {
+    "sweep": ["sweep", "--scene", "slow_atom_open.json", "--vmax", "2e-4"],
+    "fringes": ["fringes", "--scene", "closed_translation.json"],
+}
+
+
+def steps_argv(data_dir, command: str, steps: str) -> list:
+    argv = STEPS_ARGV[command] + ["--steps", steps]
+    return [scene(data_dir, arg) if arg.endswith(".json") else arg for arg in argv]
 
 
 @pytest.mark.parametrize("steps", ["100001", "1000000000000"])
-@pytest.mark.parametrize(
-    "argv,message",
-    [
-        (["sweep", "--scene", "slow_atom_open.json", "--vmax", "2e-4"], "need at most 100000 steps"),
-        (["fringes", "--scene", "closed_translation.json"], "--steps must be at most 100000"),
-    ],
-    ids=["sweep", "fringes"],
-)
-def test_steps_beyond_the_maximum_refused_at_once(capsys, data_dir, argv, message, steps):
-    argv = [scene(data_dir, arg) if arg.endswith(".json") else arg for arg in argv]
-    code, out, err = run(capsys, argv + ["--steps", steps])
-    assert (code, out, err) == (1, "", f"matterwave: error: {message}, got {steps}\n")
+@pytest.mark.parametrize("command", ["sweep", "fringes"])
+def test_steps_beyond_the_maximum_refused_at_once(capsys, data_dir, command, steps):
+    code, out, err = run(capsys, steps_argv(data_dir, command, steps))
+    assert (code, out, err) == (1, "", f"matterwave: error: {STEPS_RANGE}, got {steps}\n")
+
+
+@pytest.mark.parametrize("steps", ["1", "100001", "1000000000000"])
+def test_sweep_and_fringes_refuse_a_steps_count_with_one_text(capsys, data_dir, steps):
+    lines = set()
+    for command in STEPS_ARGV:
+        code, out, err = run(capsys, steps_argv(data_dir, command, steps))
+        assert (code, out) == (1, "")
+        lines.add(err)
+    assert lines == {f"matterwave: error: {STEPS_RANGE}, got {steps}\n"}
+
+
+@pytest.mark.parametrize("steps", [True, 2.5, 1, 100001])
+def test_sensitivity_sweep_refuses_a_steps_count_with_the_same_text(unit_wave, steps):
+    config = build_config("Fig3bOpen", unit_wave, MotionField(), opening_m=1e-4)
+    with pytest.raises(GeometryError) as info:
+        sensitivity_sweep(config, 0.0, 1e-4, steps)
+    assert str(info.value) == f"{STEPS_RANGE}, got {steps!r}"
 
 
 class TestVerifyCommand:

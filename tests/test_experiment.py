@@ -185,7 +185,7 @@ class TestBuildConfig:
             build_config(kind, unit_wave, MotionField(), **kwargs)
 
     def test_zero_opening_vector_rejected(self, unit_wave):
-        with pytest.raises(GeometryError, match="^opening must be nonzero$"):
+        with pytest.raises(GeometryError, match="^open-loop phase requires a nonzero opening$"):
             build_config("Fig3bOpen", unit_wave, MotionField(), opening_m=Vec3(0.0, -0.0, 0.0))
 
     def test_unknown_kind_rejected(self, unit_wave):

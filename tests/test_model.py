@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from matterwave import (
     H_PLANCK,
-    HBAR,
-    PARTICLE_MASSES_KG,
     BeamPath,
     ConfigKind,
     GeometryError,
@@ -25,6 +23,7 @@ from matterwave import (
 )
 from matterwave.model import _cross, _dot, _scaled, _unit, exact_sum
 
+from codata import PARTICLE_MASSES_KG
 from triples import field_sum
 
 NEUTRON = PARTICLE_MASSES_KG["neutron"]
@@ -33,9 +32,6 @@ finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinit
 
 
 class TestConstants:
-    def test_hbar_is_h_over_two_pi(self):
-        assert HBAR == H_PLANCK / (2.0 * math.pi)
-
     def test_exact_si_values(self):
         assert H_PLANCK == 6.62607015e-34
 

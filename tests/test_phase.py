@@ -17,10 +17,8 @@ from matterwave import (
     BoostDomainError,
     ConfigKind,
     GeometryError,
-    HBAR,
     InterferometerConfig,
     MotionField,
-    PARTICLE_MASSES_KG,
     Vec3,
     build_config,
     circulation,
@@ -40,6 +38,7 @@ from matterwave.model import _fsum, _velocity, exact_sum
 from matterwave.phase import _delta, boost_factor
 
 import exact
+from codata import HBAR, PARTICLE_MASSES_KG
 from triples import add, cross, dot, field_scaled, scaled, sub, unit
 
 TWO_PI = 2.0 * math.pi

@@ -11,7 +11,6 @@ import json
 import pytest
 
 from matterwave import (
-    PARTICLE_MASSES_KG,
     BeamPath,
     ConfigKind,
     FringeReading,
@@ -34,6 +33,8 @@ from matterwave import (
     parse_scene,
     verify_suite,
 )
+
+from codata import PARTICLE_MASSES_KG
 
 SQUARE_I = ((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0))
 SQUARE_II = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0))
