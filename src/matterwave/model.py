@@ -302,28 +302,32 @@ def _triple(point, index: int) -> tuple[float, float, float]:
     return tuple(_number(c, f"vertex {index}: {name}") for c, name in zip(xyz, "xyz"))
 
 
-def _check_vertices(verts: tuple, first: int = 0) -> None:
-    """Refuse non-finite coordinates, overflowing gaps and repeated consecutive
-    vertices of float triples; messages number the vertices from ``first``."""
-    # Coordinate magnitudes that sum to at most half the float range are finite,
-    # and so is every gap between two of them. Only a larger sum (or an inf or
-    # nan coordinate) walks the axes, to find what to refuse, if anything.
-    if not sum(map(abs, chain.from_iterable(verts))) <= sys.float_info.max / 2.0:
-        for name, axis in zip("xyz", zip(*verts)):
-            gaps = list(map(operator.sub, axis[1:], axis))
-            # A finite first coordinate and finite gaps make every coordinate finite.
-            if math.isfinite(axis[0]) and all(map(math.isfinite, gaps)):
-                continue
+def _check_vertices(verts: tuple) -> tuple[tuple[float, float, float], float]:
+    """Refuse non-finite coordinates, an axis whose span leaves the float range and
+    repeated consecutive vertices of float triples; return their extent (see
+    ``BeamPath``), read from each axis's max and min.
+
+    A finite span bounds every gap and every offset between two vertices: each is
+    the rounding of a difference no larger than the span's, and rounding keeps order.
+    """
+    origin = max(verts[-1], verts[0])  # the end where they compare equal
+    spans = []
+    for name, axis, o in zip("xyz", zip(*verts), origin):
+        if not math.isfinite(sum(axis)):  # an inf or nan coordinate, or a sum that overflows
             for i, c in enumerate(axis):
                 if not math.isfinite(c):
-                    raise GeometryError(f"vertex {first + i}: {name} must be finite, got {c!r}")
-            i = first + next(i for i, gap in enumerate(gaps) if not math.isfinite(gap))
-            raise GeometryError(f"{name} gap from vertex {i} to {i + 1} overflows the float range")
+                    raise GeometryError(f"vertex {i}: {name} must be finite, got {c!r}")
+        low, high = min(axis), max(axis)
+        if high - low == math.inf:
+            i, j = sorted((axis.index(low), axis.index(high)))
+            raise GeometryError(f"{name} span from vertex {i} to vertex {j} overflows the float range")
+        spans.append(max(high - o, o - low))
     # Differences of finite floats vanish only between equal floats.
     same = list(map(operator.eq, verts, verts[1:]))
     if True in same:
-        i = first + same.index(True)
+        i = same.index(True)
         raise GeometryError(f"consecutive vertices {i} and {i + 1} coincide")
+    return origin, math.hypot(*spans)
 
 
 class BeamPath(_Value):
@@ -331,6 +335,9 @@ class BeamPath(_Value):
 
     Vertices are (x, y, z) float triples; the constructor also takes Vec3
     objects or any 3-sequences of numbers, and checks every vertex once.
+    ``extent``, set then, is the reference vertex, the larger end vertex in
+    tuple order, and a reach no vertex lies farther from it than: the
+    half-diagonal of the offsets' bounding box.
     """
 
     _fields = ("vertices",)
@@ -355,29 +362,15 @@ class BeamPath(_Value):
             verts = tuple(map(_triple, verts, count()))
         if len(verts) < 2:
             raise GeometryError("a beam path needs at least 2 vertices")
-        _check_vertices(verts)
+        _set(self, "extent", _check_vertices(verts))
         _set(self, "vertices", verts)
-
-    @cached_property
-    def extent(self) -> tuple[tuple[float, float, float], float]:
-        """The reference vertex, the larger end vertex in tuple order, and a reach no
-        vertex lies farther from it than: the half-diagonal of the offsets' bounding box,
-        found per axis by max and min, without a Python loop. Built on first use and
-        kept; offsets that leave the float range are refused."""
-        origin = max(self.vertices[-1], self.vertices[0])  # the end where they compare equal
-        spans = [max(max(axis) - o, o - min(axis)) for axis, o in zip(zip(*self.vertices), origin)]
-        if math.inf in spans:
-            raise GeometryError(
-                "vertex offsets from the path's reference vertex overflow the float range"
-            )
-        return origin, math.hypot(*spans)
 
     @cached_property
     def moments(self) -> tuple[float, float, float]:
         """The sum of a'_i x a'_(i+1) over the vertex offsets a' from the reference vertex,
         inf or nan where it overflows, built on first use and kept. It is summed along the
-        orientation that ends at the reference vertex (see ``extent``, whose refusal it
-        shares): a path and its reverse share both, so reversal negates a phase exactly."""
+        orientation that ends at the reference vertex (see ``extent``): a path and its
+        reverse share both, so reversal negates a phase exactly."""
         verts = self.vertices
         ox, oy, oz = self.extent[0]
         flip = verts[0] > verts[-1]
@@ -405,23 +398,28 @@ class BeamPath(_Value):
         return _coincide(self.vertices[0], self.vertices[-1])
 
     def reversed(self) -> "BeamPath":
-        # Reversal keeps every check true: gaps change sign, neighbours stay neighbours.
-        return BeamPath._checked(self.vertices[::-1])
+        # Reversal keeps every check true and the reach: each axis keeps its extremes, and
+        # neighbours stay neighbours. The reference vertex is taken again, as the end of the
+        # reverse where the ends compare equal: they may differ in the sign of a zero.
+        verts = self.vertices
+        return BeamPath._checked(verts[::-1], (max(verts[0], verts[-1]), self.extent[1]))
 
     def joined(self, tail: "BeamPath") -> "BeamPath":
         """This path, then ``tail`` after its first vertex, which stands where this path ends.
 
-        Both paths are checked already, so only the segment joining them is;
-        a refusal numbers its vertices as a check of the whole path would.
+        The joined path is checked as a whole, as its own vertices would be: each
+        part's span may fit the float range while theirs together does not.
         """
-        _check_vertices((self.vertices[-1], tail.vertices[1]), first=len(self.vertices) - 1)
-        return BeamPath._checked(self.vertices + tail.vertices[1:])
+        verts = self.vertices + tail.vertices[1:]
+        return BeamPath._checked(verts, _check_vertices(verts))
 
     @classmethod
-    def _checked(cls, verts: tuple) -> "BeamPath":
-        """A path of float triples known to pass ``__post_init__``, built without it."""
+    def _checked(cls, verts: tuple, extent: tuple) -> "BeamPath":
+        """A path of float triples known to pass ``__post_init__`` with this extent,
+        built without it."""
         path = object.__new__(cls)
         _set(path, "vertices", verts)
+        _set(path, "extent", extent)
         return path
 
 

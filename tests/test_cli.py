@@ -30,6 +30,7 @@ from matterwave import (
     sensitivity_sweep,
 )
 from matterwave.cli import emit_results, main, run_command
+from matterwave.model import _coincide
 
 TWO_PI = 2.0 * math.pi
 
@@ -1401,18 +1402,59 @@ def _numeric_cells(csv_text):
             yield cell
 
 
+# Explicit open beams whose vertices may lie in the +-1e308 band: a gap stays
+# finite unless its two ends sit at opposite edges of the band, while a beam's
+# span, and its offsets from its reference vertex, can leave the float range.
+band_points = st.tuples(points, st.sampled_from([None, 0, 1, 2]), st.sampled_from([1e308, -1e308])).map(
+    lambda t: t[0] if t[1] is None else [*t[0][: t[1]], t[2], *t[0][t[1] + 1 :]]  # one axis moved out
+)
+band_middles = st.lists(band_points, min_size=1, max_size=3)
+open_band_beams = st.tuples(band_points, band_points, band_middles, band_middles, band_points).filter(
+    lambda t: not _coincide(t[0], t[1])  # open: the starts do not coincide
+).map(lambda t: {"path_I_m": [t[0], *t[2], t[4]], "path_II_m": [t[1], *t[3], t[4]]})
 open_translation_scenes = st.fixed_dictionaries(
     {
         "particle": st.just({"speed_mps": 1.0, "wavelength_m": 1e-8}),
-        "geometry": st.fixed_dictionaries(
-            {"kind": open_kinds, "opening_m": st.one_of(st.floats(1e-6, 1.0), points.filter(any))},
-            optional={"arm_length_m": st.floats(1e-6, 1e3)},
+        "geometry": st.one_of(
+            st.fixed_dictionaries(
+                {"kind": open_kinds, "opening_m": st.one_of(st.floats(1e-6, 1.0), points.filter(any))},
+                optional={"arm_length_m": st.floats(1e-6, 1e3)},
+            ),
+            open_band_beams,
         ),
         "motion": st.fixed_dictionaries(
             {"translation_mps": st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3).filter(any)}
         ),
     }
 )
+
+
+# A translation-only open scene whose beam I is wider along x than the float range,
+# though each of its gaps is finite.
+WIDE_OPEN_SCENE = {
+    "particle": {"speed_mps": 1.0, "wavelength_m": 1e-8},
+    "geometry": {
+        "path_I_m": [[0, 1, 0], [-1e308, 1, 0], [0, 0.5, 0], [1e308, 0, 0]],
+        "path_II_m": [[0, 0, 0], [1e308, 0, 0]],
+    },
+    "motion": {"translation_mps": [0, 1e-6, 0]},
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["phase"], ["fringes", "--steps", "3"], ["translate"], ["sweep", "--vmax", "1e-6"], ["sagnac"]],
+    ids=["phase", "fringes", "translate", "sweep", "sagnac"],
+)
+def test_a_path_wider_than_the_float_range_refused_by_every_command(capsys, tmp_path, argv):
+    scene_file = tmp_path / "wide.json"
+    scene_file.write_text(json.dumps(WIDE_OPEN_SCENE))
+    code, out, err = run(capsys, argv[:1] + ["--scene", str(scene_file)] + argv[1:])
+    assert_refused(code, out, err)
+    assert err == (
+        "matterwave: error: scene.geometry.path_I_m: "
+        "x span from vertex 1 to vertex 3 overflows the float range\n"
+    )
 
 
 def _least_boost_factor(doc) -> float:
@@ -1438,19 +1480,20 @@ def _least_boost_factor(doc) -> float:
         "motion": {"translation_mps": [-2.5, 0.0, 0.0]},
     }
 )
+@example(doc=WIDE_OPEN_SCENE)
 def test_phase_translate_and_sweep_share_one_domain(capsys, tmp_path, doc):
-    # A translation-only open scene: phase, translate, and a sweep up to |T| along
-    # T all refuse it, or all answer. Within rounding of the boundary, where the
+    # A translation-only open scene: phase, fringes, translate, and a sweep up to |T|
+    # along T all refuse it, or all answer. Within rounding of the boundary, where the
     # sweep's grid speed may differ from |T| by an ulp, the draw is left out.
     try:
         least = _least_boost_factor(doc)
-    except MatterWaveError:  # an opening within the endpoint tolerance: no layout
+    except MatterWaveError:  # a geometry refused: no layout, or a path wider than floats
         least = math.inf
     assume(abs(least) > 1e-9)
     scene_file = tmp_path / "domain.json"
     scene_file.write_text(json.dumps(doc))
     speed = math.hypot(*doc["motion"]["translation_mps"])
-    commands = [["phase"], ["translate"], ["sweep", "--vmax", repr(speed)]]
+    commands = [["phase"], ["fringes", "--steps", "3"], ["translate"], ["sweep", "--vmax", repr(speed)]]
     codes = {run(capsys, c[:1] + ["--scene", str(scene_file)] + c[1:])[0] for c in commands}
     assert len(codes) == 1
 

@@ -5,7 +5,7 @@ import operator
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from matterwave import (
@@ -334,45 +334,92 @@ class TestBeamPath:
 
 
 def per_axis_refusal(points) -> str | None:
-    """The vertex checks as a walk over every axis: the message of the first
-    refusal, or None. Written out here to pin BeamPath's faster route to it."""
+    """The vertex checks as a walk over every axis and every pair of its coordinates:
+    the message of the first refusal, or None. Written out here to pin BeamPath's
+    route, which reads each axis's max and min, to it."""
     for name, axis in zip("xyz", zip(*points)):
         for i, c in enumerate(axis):
             if not math.isfinite(c):
                 return f"vertex {i}: {name} must be finite, got {c!r}"
-        for i, (a, b) in enumerate(zip(axis, axis[1:])):
-            if not math.isfinite(b - a):
-                return f"{name} gap from vertex {i} to {i + 1} overflows the float range"
+        if any(not math.isfinite(b - a) for a in axis for b in axis):
+            indices = range(len(axis))
+            i, j = sorted((min(indices, key=axis.__getitem__), max(indices, key=axis.__getitem__)))
+            return f"{name} span from vertex {i} to vertex {j} overflows the float range"
     for i, (a, b) in enumerate(zip(points, points[1:])):
         if a == b:
             return f"consecutive vertices {i} and {i + 1} coincide"
     return None
 
 
+def walked_extent(points) -> tuple:
+    """The reference vertex, the larger end vertex, and the hypot of each axis's largest
+    offset magnitude from it, found by walking every vertex."""
+    origin = max(points[-1], points[0])
+    reach = [max(abs(c - o) for c in axis) for axis, o in zip(zip(*points), origin)]
+    return origin, math.hypot(*reach)
+
+
 # Coordinates whose sums and gaps overflow, and repeats that make vertices coincide.
 edge_coordinates = st.sampled_from(
     [0.0, -0.0, 1.0, -2.5, 1e308, -1e308, 1.7976931348623157e308, 8e307, math.inf, -math.inf, math.nan]
 )
+edge_points = st.lists(st.tuples(edge_coordinates, edge_coordinates, edge_coordinates), min_size=2, max_size=6)
+# Finite coordinates, a few in the band where two of them differ beyond the float range.
+wide_coordinates = st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.1, 3.0, 1e-300, -7.0, 1e308, -8e307])
+wide_points = st.lists(
+    st.tuples(wide_coordinates, wide_coordinates, wide_coordinates), min_size=2, max_size=6, unique=True
+)
 
 
 class TestVertexChecks:
-    @given(st.lists(st.tuples(edge_coordinates, edge_coordinates, edge_coordinates), min_size=2, max_size=6))
+    @given(edge_points)
+    @example([(0.0, 1.0, 0.0), (-1e308, 1.0, 0.0), (0.0, 0.5, 0.0), (1e308, 0.0, 0.0)])
     def test_refusal_is_the_per_axis_walks(self, points):
         points = tuple(points)
         try:
-            BeamPath(points)
+            path = BeamPath(points)
             message = None
         except GeometryError as exc:
             message = str(exc)
         assert message == per_axis_refusal(points)
+        if message is None:  # every gap and every offset between two vertices is finite
+            assert path.extent == walked_extent(points)
+            assert all(math.isfinite(b - a) for axis in zip(*points) for a in axis for b in axis)
+
+    @given(wide_points, wide_points)
+    @example([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (-0.0, 0.0, 0.0)], [(0.0, 0.0, 0.0), (0.0, 1.0, 0.0)])
+    def test_derived_paths_carry_the_extent_of_their_vertices(self, head, tail):
+        # reversed() and joined() skip the constructor: each extent is the one it would set.
+        try:
+            head, tail = BeamPath(tuple(head)), BeamPath(tuple(tail))
+        except GeometryError:
+            assume(False)
+        back = head.reversed()
+        assert repr(back.extent) == repr(BeamPath(back.vertices).extent)
+        try:
+            joined = head.joined(tail)
+        except GeometryError as exc:
+            with pytest.raises(GeometryError) as whole:
+                BeamPath(head.vertices + tail.vertices[1:])
+            assert str(exc) == str(whole.value)
+            return
+        assert repr(joined.extent) == repr(BeamPath(joined.vertices).extent)
 
     def test_join_refusal_numbers_vertices_in_the_whole_path(self):
         head = BeamPath(((0.0, 0.0, 0.0), (1e308, 0.0, 0.0)))
         tail = BeamPath(((5.0, 0.0, 0.0), (-1e308, 0.0, 0.0), (0.0, 1.0, 0.0)))
-        message = "x gap from vertex 1 to 2 overflows the float range"
+        message = "x span from vertex 1 to vertex 2 overflows the float range"
         with pytest.raises(GeometryError, match=f"^{message}$"):
             head.joined(tail)
         assert per_axis_refusal(head.vertices + tail.vertices[1:]) == message
+
+    def test_join_refuses_a_span_that_neither_part_has(self):
+        # Every gap is finite and each part spans 1e308 m in x; the joined path spans 2e308 m.
+        head = BeamPath(((0.0, 0.0, 0.0), (1e308, 0.0, 0.0), (0.0, 1.0, 0.0)))
+        tail = BeamPath(((0.0, 1.0, 0.0), (-1e308, 1.0, 0.0), (0.0, 0.0, 0.0)))
+        message = "x span from vertex 1 to vertex 3 overflows the float range"
+        with pytest.raises(GeometryError, match=f"^{message}$"):
+            head.joined(tail)
 
     def test_joined_path_skips_the_tails_first_vertex(self):
         head = BeamPath(((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)))

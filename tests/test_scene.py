@@ -247,11 +247,11 @@ class TestPointParse:
         [
             (
                 "[[0.0, 0.0, 0.0], [1e308, 0.0, 0.0], [-1e308, 0.0, 0.0], [1.0, 0.0, 0.0]]",
-                "x gap from vertex 1 to 2 overflows the float range",
+                "x span from vertex 1 to vertex 2 overflows the float range",
             ),
             (
                 "[[0.0, 0.0, 0.0], [0.0, -1e308, 0.0], [0.0, 1e308, 0.0], [1.0, 0.0, 0.0]]",
-                "y gap from vertex 1 to 2 overflows the float range",
+                "y span from vertex 1 to vertex 2 overflows the float range",
             ),
             (
                 "[[0.0, 0.0, 0.0], [1e308, 0.0, 0.0], [1e308, 0.0, 0.0], [1.0, 0.0, 0.0]]",
@@ -266,8 +266,7 @@ class TestPointParse:
         assert str(info.value) == f"scene.geometry.path_I_m: {message}"
 
     def test_coordinates_beyond_the_bulk_bound_with_finite_gaps_accepted(self):
-        # The magnitudes sum past half the float range, so the bulk check does
-        # not vouch for them; the walk finds every gap finite.
+        # The magnitudes sum past the float range, but each axis spans 1e308 m.
         path_i = "[[0.0, 0.0, 0.0], [1e308, 0.0, 0.0], [1e308, 1e308, 0.0], [1.0, 0.0, 0.0]]"
         config = config_from_scene(parse_scene(explicit_scene(path_i)))
         assert config.path_I.vertices[2] == (1e308, 1e308, 0.0)
