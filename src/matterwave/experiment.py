@@ -14,6 +14,7 @@ import math
 from typing import NamedTuple
 
 from .model import (
+    ENDPOINT_TOL,
     BeamPath,
     BoostDomainError,
     ConfigKind,
@@ -22,6 +23,7 @@ from .model import (
     MotionField,
     ParticleWave,
     Vec3,
+    _coincide,
     _cos_between,
     _number,
     _require_positive,
@@ -119,16 +121,20 @@ def build_config(
         elif len(sizes) < 2:
             raise GeometryError(f"{kind} needs side_m or width_m and height_m")
         path_i, path_ii = _rectangle_paths(sizes["width_m"], sizes["height_m"])
-        return InterferometerConfig(path_i, path_ii, wave, motion, ConfigKind.CLOSED_LOOP)
+        return InterferometerConfig(path_i, path_ii, wave, motion)
 
     if "opening_m" not in sizes:
         raise GeometryError(f"{kind} needs opening_m")
     opening = sizes["opening_m"]
     opening = opening.as_tuple() if isinstance(opening, Vec3) else (0.0, opening, 0.0)
-    if math.hypot(*opening) == 0.0:
-        raise GeometryError("open-loop phase requires a nonzero opening")
+    # The config's comparison of the beam starts; an opening it refuses is within ENDPOINT_TOL.
+    if _coincide(opening, (0.0, 0.0, 0.0)):
+        raise GeometryError(
+            f"{kind} requires a nonzero opening between beam starts, gap is "
+            f"{math.hypot(*opening):.3e} m, within the tolerance {ENDPOINT_TOL:.3e} m"
+        )
     path_i, path_ii = _open_paths(kind, opening, sizes.get("arm_length_m", DEFAULT_ARM_LENGTH))
-    return InterferometerConfig(path_i, path_ii, wave, motion, ConfigKind.OPEN_LOOP)
+    return InterferometerConfig(path_i, path_ii, wave, motion)
 
 
 class FringeReading(NamedTuple):

@@ -404,15 +404,6 @@ class BeamPath(_Value):
         verts = self.vertices
         return BeamPath._checked(verts[::-1], (max(verts[0], verts[-1]), self.extent[1]))
 
-    def joined(self, tail: "BeamPath") -> "BeamPath":
-        """This path, then ``tail`` after its first vertex, which stands where this path ends.
-
-        The joined path is checked as a whole, as its own vertices would be: each
-        part's span may fit the float range while theirs together does not.
-        """
-        verts = self.vertices + tail.vertices[1:]
-        return BeamPath._checked(verts, _check_vertices(verts))
-
     @classmethod
     def _checked(cls, verts: tuple, extent: tuple) -> "BeamPath":
         """A path of float triples known to pass ``__post_init__`` with this extent,
@@ -469,8 +460,8 @@ class ConfigKind(Enum):
 
 
 class InterferometerConfig(_Value):
-    """Two beam paths, the wave they carry, and the motion of the apparatus. Left out,
-    ``kind`` is decided by the beam starts: closed where they coincide, else open."""
+    """Two beam paths, the wave they carry, and the motion of the apparatus. The beam starts
+    decide ``kind``: closed where they coincide, else open; a kind that is given must agree."""
 
     _fields = ("path_I", "path_II", "wave", "motion", "kind")
 
@@ -497,24 +488,17 @@ class InterferometerConfig(_Value):
             end_gap = math.dist(verts_i[-1], verts_ii[-1])
             raise GeometryError(f"beam paths must share their endpoint, gap is {end_gap:.3e} m")
         start_ii, start_i = verts_ii[0], verts_i[0]
-        start_gap, closed = math.dist(start_ii, start_i), _coincide(start_ii, start_i)
-        if self.kind is None:
-            _set(self, "kind", ConfigKind.CLOSED_LOOP if closed else ConfigKind.OPEN_LOOP)
-        if self.kind is ConfigKind.CLOSED_LOOP:
-            if not closed:
+        kind = ConfigKind.CLOSED_LOOP if _coincide(start_ii, start_i) else ConfigKind.OPEN_LOOP
+        if self.kind is not kind:
+            if self.kind is not None:
                 raise GeometryError(
-                    f"closed-loop beams must share their start, gap is {start_gap:.3e} m"
+                    f"kind must be {kind} for beam starts {math.dist(start_ii, start_i):.3e} m "
+                    f"apart (tolerance {_endpoint_tol(start_ii, start_i):.3e} m), got {self.kind!r}"
                 )
-        elif self.kind is not ConfigKind.OPEN_LOOP:
-            raise GeometryError(f"kind must be a ConfigKind or None, got {self.kind!r}")
-        elif closed:
-            raise GeometryError(
-                f"{self.kind.value} requires a nonzero opening between beam starts, gap is "
-                f"{start_gap:.3e} m, within the tolerance {_endpoint_tol(start_ii, start_i):.3e} m"
-            )
+            _set(self, "kind", kind)
         # An opening whose length alone overflows still has a phase; one whose
-        # components do not has none.
-        elif start_gap == math.inf and not all(
+        # components do not has none. Starts that coincide are never that far apart.
+        if math.dist(start_ii, start_i) == math.inf and not all(
             map(math.isfinite, map(operator.sub, start_i, start_ii))
         ):
             raise GeometryError("the opening between the beam starts overflows the float range")

@@ -47,6 +47,7 @@ from .model import (
     ParticleWave,
     PhaseResult,
     Vec3,
+    _check_vertices,
     _cross,
     _fsum,
     _number,
@@ -226,7 +227,9 @@ def interference_loop(config: InterferometerConfig) -> BeamPath:
     path_i, kept = config.path_I, vars(config.path_II)
     built_from, loop = kept.get("_loop", (None, None))
     if built_from is not path_i.vertices:
-        loop = config.path_II.joined(path_i.reversed())
+        # Checked whole: each beam's span may fit the float range while theirs together does not.
+        verts = config.path_II.vertices + path_i.vertices[-2::-1]
+        loop = BeamPath._checked(verts, _check_vertices(verts))
         kept["_loop"] = (path_i.vertices, loop)
     return loop
 

@@ -33,7 +33,6 @@ from typing import NamedTuple
 from .experiment import LAYOUT_KINDS, _check_layout_key, build_config
 from .model import (
     BeamPath,
-    GeometryError,
     InterferometerConfig,
     MatterWaveError,
     MotionField,
@@ -51,6 +50,14 @@ class SceneError(MatterWaveError):
 
 # The model states what a positive number, a vector and a beam path are; these
 # readers add the shape a scene writes them in, and the field path to what they refuse.
+def _built(path: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; what it refuses is refused with the field path ``path``."""
+    try:
+        return build(*args, **kwargs)
+    except MatterWaveError as exc:
+        raise SceneError(f"{path}: {exc}") from None
+
+
 def _positive(value, path: str) -> float:
     return _require_positive(path, value, SceneError)
 
@@ -58,19 +65,13 @@ def _positive(value, path: str) -> float:
 def _vec3(value, path: str) -> Vec3:
     if not isinstance(value, list) or len(value) != 3:
         raise SceneError(f"{path}: expected [x, y, z]")
-    try:
-        return Vec3(*value)
-    except GeometryError as exc:
-        raise SceneError(f"{path}: {exc}") from None
+    return _built(path, Vec3, *value)
 
 
 def _points(value, path: str) -> BeamPath:
     if not isinstance(value, list) or len(value) < 2:
         raise SceneError(f"{path}: expected a list of at least 2 [x, y, z] points")
-    try:
-        return BeamPath(value)
-    except GeometryError as exc:
-        raise SceneError(f"{path}: {exc}") from None
+    return _built(path, BeamPath, value)
 
 
 def _opening(value, path: str) -> Vec3 | float:
@@ -168,10 +169,7 @@ def _geometry(value, path: str) -> dict:
     if not explicit and isinstance(kind, str) and kind in LAYOUT_KINDS:
         # A key the layout does not take is refused before any value is read.
         for key in filter(value.__contains__, list(_BUILDER)[1:]):
-            try:
-                _check_layout_key(kind, key)
-            except GeometryError as exc:
-                raise SceneError(f"{path}.{key}: {exc}") from None
+            _built(f"{path}.{key}", _check_layout_key, kind, key)
     return _read_section(_EXPLICIT if explicit else _BUILDER, value, path)
 
 
@@ -207,19 +205,11 @@ def parse_scene(text: str) -> SceneDocument:
     return SceneDocument(**_read_section(_SCENE, raw, "scene"))
 
 
-def _built(section: str, build, *args, **kwargs):
-    """``build(*args, **kwargs)``; what it refuses is refused with the section's path."""
-    try:
-        return build(*args, **kwargs)
-    except MatterWaveError as exc:
-        raise SceneError(f"scene.{section}: {exc}") from None
-
-
 def config_from_scene(doc: SceneDocument) -> InterferometerConfig:
     """Realize the scene as a validated interferometer configuration."""
-    wave = _built("particle", make_particle_wave, **_renamed(doc.particle, _PARTICLE))
+    wave = _built("scene.particle", make_particle_wave, **_renamed(doc.particle, _PARTICLE))
     motion = MotionField(**_renamed(doc.motion, _MOTION))
     if doc.geometry.keys() == _EXPLICIT.keys():  # the beam starts decide the kind
         path_i, path_ii = (doc.geometry[key] for key in _EXPLICIT)
-        return _built("geometry", InterferometerConfig, path_i, path_ii, wave, motion)
-    return _built("geometry", build_config, wave=wave, motion=motion, **doc.geometry)
+        return _built("scene.geometry", InterferometerConfig, path_i, path_ii, wave, motion)
+    return _built("scene.geometry", build_config, wave=wave, motion=motion, **doc.geometry)

@@ -1,5 +1,6 @@
 """Builders, fringe readout, sensitivity sweep, and the verify suite."""
 
+import json
 import math
 import re
 
@@ -9,19 +10,24 @@ from matterwave import (
     BeamPath,
     ConfigKind,
     GeometryError,
+    InterferometerConfig,
     MotionField,
+    SceneError,
     Vec3,
     build_config,
+    config_from_scene,
     fringe_reading,
     interference_loop,
     make_particle_wave,
     open_loop_phase,
+    parse_scene,
     sagnac_area_phase,
     sensitivity_sweep,
     translation_opening,
     two_path_difference,
     verify_suite,
 )
+from matterwave.experiment import DEFAULT_ARM_LENGTH, _open_paths
 
 TWO_PI = 2.0 * math.pi
 
@@ -185,8 +191,48 @@ class TestBuildConfig:
             build_config(kind, unit_wave, MotionField(), **kwargs)
 
     def test_zero_opening_vector_rejected(self, unit_wave):
-        with pytest.raises(GeometryError, match="^open-loop phase requires a nonzero opening$"):
+        message = (
+            "^Fig3bOpen requires a nonzero opening between beam starts, gap is 0.000e[+]00 m, "
+            "within the tolerance 1.000e-12 m$"
+        )
+        with pytest.raises(GeometryError, match=message):
             build_config("Fig3bOpen", unit_wave, MotionField(), opening_m=Vec3(0.0, -0.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "length", [0.0, 1e-300, 5e-13, 1e-12, math.nextafter(1e-12, 1.0), 2e-12]
+    )
+    def test_layouts_and_explicit_beams_draw_the_tolerance_line_alike(self, unit_wave, length):
+        # An open layout is refused exactly where its own beams make a closed config.
+        opening = (0.0, length, 0.0)
+        try:
+            beams = _open_paths("Fig3bOpen", opening, DEFAULT_ARM_LENGTH)
+        except GeometryError:  # no opening: each beam repeats its arm's end as the merge
+            assert length == 0.0
+            beams = None
+        closed = beams is None or (
+            InterferometerConfig(*beams, unit_wave, MotionField()).kind is ConfigKind.CLOSED_LOOP
+        )
+        assert closed is (length <= 1e-12)
+        message = (
+            f"Fig3bOpen requires a nonzero opening between beam starts, gap is {length:.3e} m, "
+            "within the tolerance 1.000e-12 m"
+        )
+        scene = json.dumps(
+            {
+                "particle": {"speed_mps": 1.0, "wavelength_m": 1e-8},
+                "geometry": {"kind": "Fig3bOpen", "opening_m": list(opening)},
+            }
+        )
+        if closed:
+            with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+                build_config("Fig3bOpen", unit_wave, MotionField(), opening_m=Vec3(*opening))
+            with pytest.raises(SceneError) as refused:
+                config_from_scene(parse_scene(scene))
+            assert str(refused.value) == f"scene.geometry: {message}"
+        else:
+            config = build_config("Fig3bOpen", unit_wave, MotionField(), opening_m=Vec3(*opening))
+            assert config == InterferometerConfig(*beams, unit_wave, MotionField())
+            assert config_from_scene(parse_scene(scene)) == config
 
     def test_unknown_kind_rejected(self, unit_wave):
         with pytest.raises(GeometryError, match=r"^unknown layout 'Fig9' \(known: Fig2Rotation, "):

@@ -18,6 +18,7 @@ from matterwave import (
     ParticleWave,
     Vec3,
     WaveError,
+    interference_loop,
     make_particle_wave,
     translation_opening,
 )
@@ -351,6 +352,13 @@ def per_axis_refusal(points) -> str | None:
     return None
 
 
+def closed_config(path_i, path_ii) -> InterferometerConfig:
+    """A config at rest of the beams through the vertex lists ``path_i`` and ``path_ii``."""
+    wave = make_particle_wave(1.0, wavelength=1e-8)
+    path_i, path_ii = BeamPath(tuple(path_i)), BeamPath(tuple(path_ii))
+    return InterferometerConfig(path_i, path_ii, wave, MotionField())
+
+
 def walked_extent(points) -> tuple:
     """The reference vertex, the larger end vertex, and the hypot of each axis's largest
     offset magnitude from it, found by walking every vertex."""
@@ -387,44 +395,52 @@ class TestVertexChecks:
             assert all(math.isfinite(b - a) for axis in zip(*points) for a in axis for b in axis)
 
     @given(wide_points, wide_points)
-    @example([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (-0.0, 0.0, 0.0)], [(0.0, 0.0, 0.0), (0.0, 1.0, 0.0)])
-    def test_derived_paths_carry_the_extent_of_their_vertices(self, head, tail):
-        # reversed() and joined() skip the constructor: each extent is the one it would set.
+    @example([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (-0.0, 0.0, 0.0)], [(0.0, 1.0, 0.0)])
+    def test_derived_paths_carry_the_extent_of_their_vertices(self, head, middle):
+        # reversed() and the interference loop skip the constructor: each extent is the one
+        # it would set. Beam II is ``head``; beam I shares its start and end.
         try:
-            head, tail = BeamPath(tuple(head)), BeamPath(tuple(tail))
+            path_ii = BeamPath(tuple(head))
+            config = closed_config((head[0], *middle, head[-1]), head)
         except GeometryError:
             assume(False)
-        back = head.reversed()
+        back = path_ii.reversed()
         assert repr(back.extent) == repr(BeamPath(back.vertices).extent)
+        whole = path_ii.vertices + tuple(reversed(config.path_I.vertices))[1:]
         try:
-            joined = head.joined(tail)
+            loop = interference_loop(config)
         except GeometryError as exc:
-            with pytest.raises(GeometryError) as whole:
-                BeamPath(head.vertices + tail.vertices[1:])
-            assert str(exc) == str(whole.value)
+            with pytest.raises(GeometryError) as refused:
+                BeamPath(whole)
+            assert str(exc) == str(refused.value)
             return
-        assert repr(joined.extent) == repr(BeamPath(joined.vertices).extent)
+        assert loop.vertices == whole
+        assert repr(loop.extent) == repr(BeamPath(whole).extent)
 
     def test_join_refusal_numbers_vertices_in_the_whole_path(self):
-        head = BeamPath(((0.0, 0.0, 0.0), (1e308, 0.0, 0.0)))
-        tail = BeamPath(((5.0, 0.0, 0.0), (-1e308, 0.0, 0.0), (0.0, 1.0, 0.0)))
-        message = "x span from vertex 1 to vertex 2 overflows the float range"
+        # Beam I's far vertex is its vertex 2, and vertex 4 of the loop.
+        path_ii = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1e308, 0.0, 0.0), (0.0, 1.0, 0.0))
+        path_i = ((0.0, 0.0, 0.0), (5.0, 0.0, 0.0), (-1e308, 0.5, 0.0), (0.0, 1.0, 0.0))
+        config = closed_config(path_i, path_ii)
+        message = "x span from vertex 2 to vertex 4 overflows the float range"
         with pytest.raises(GeometryError, match=f"^{message}$"):
-            head.joined(tail)
-        assert per_axis_refusal(head.vertices + tail.vertices[1:]) == message
+            interference_loop(config)
+        assert per_axis_refusal(path_ii + path_i[-2::-1]) == message
 
     def test_join_refuses_a_span_that_neither_part_has(self):
-        # Every gap is finite and each part spans 1e308 m in x; the joined path spans 2e308 m.
-        head = BeamPath(((0.0, 0.0, 0.0), (1e308, 0.0, 0.0), (0.0, 1.0, 0.0)))
-        tail = BeamPath(((0.0, 1.0, 0.0), (-1e308, 1.0, 0.0), (0.0, 0.0, 0.0)))
+        # Every gap is finite and each beam spans 1e308 m in x; the loop spans 2e308 m.
+        path_ii = ((0.0, 0.0, 0.0), (1e308, 0.5, 0.0), (0.0, 1.0, 0.0))
+        path_i = ((0.0, 0.0, 0.0), (-1e308, 0.5, 0.0), (0.0, 1.0, 0.0))
         message = "x span from vertex 1 to vertex 3 overflows the float range"
         with pytest.raises(GeometryError, match=f"^{message}$"):
-            head.joined(tail)
+            interference_loop(closed_config(path_i, path_ii))
 
     def test_joined_path_skips_the_tails_first_vertex(self):
-        head = BeamPath(((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)))
-        tail = BeamPath(((1.0, 1e-13, 0.0), (1.0, 1.0, 0.0), (0.0, 0.0, 0.0)))
-        assert head.joined(tail).vertices == ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 0.0, 0.0))
+        # Beam I ends 1e-13 m from beam II's end: the loop goes on from beam II's.
+        path_ii = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0))
+        path_i = ((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0 + 1e-13, 0.0))
+        loop = interference_loop(closed_config(path_i, path_ii))
+        assert loop.vertices == path_ii + ((0.0, 1.0, 0.0), (0.0, 0.0, 0.0))
 
     def test_reversed_path_is_a_beam_path(self):
         path = BeamPath(((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0)))
@@ -534,7 +550,11 @@ class TestInterferometerConfig:
             ({0: None, 1: None}, "path_I must be a BeamPath, got None"),
             ({2: None}, "wave must be a ParticleWave, got None"),
             ({3: (0, 0, 0)}, r"motion must be a MotionField, got \(0, 0, 0\)"),
-            ({4: "ClosedLoop"}, "kind must be a ConfigKind or None, got 'ClosedLoop'"),
+            (
+                {4: "ClosedLoop"},
+                r"kind must be ConfigKind.CLOSED_LOOP for beam starts 0.000e\+00 m apart "
+                r"\(tolerance 1.000e-12 m\), got 'ClosedLoop'",
+            ),
         ],
         ids=["paths", "wave", "motion", "kind"],
     )
@@ -551,6 +571,49 @@ class TestInterferometerConfig:
         shifted = BeamPath(((0.0, 1e-4, 0.0),) + path_i.vertices[1:])
         opened = InterferometerConfig(shifted, path_ii, unit_wave, MotionField())
         assert (closed.kind, opened.kind) == (ConfigKind.CLOSED_LOOP, ConfigKind.OPEN_LOOP)
+
+
+# Beam starts on both sides of the endpoint tolerance: 1e-12 m, or 4 ulps of the
+# coordinates far out (about 3.7e-9 m at 6.4e6 m).
+start_offsets = st.sampled_from(
+    [0.0, 1e-300, 5e-13, 1e-12, math.nextafter(1e-12, 1.0), 2e-12, 3e-9, 4e-9, 1e-4, 0.25]
+)
+
+
+class TestGivenKind:
+    """A kind that is given must be the one the beam starts decide."""
+
+    @given(
+        st.sampled_from([(0.0, 0.0, 0.0), (6.4e6, 0.0, 0.0), (-1e-3, 2.0, 5.0)]),
+        start_offsets,
+        st.sampled_from([(0.0, 1.0, 0.0), (0.0, 0.0, -1.0), (0.6, 0.0, 0.8)]),
+    )
+    @example((0.0, 0.0, 0.0), 1e-12, (0.0, 1.0, 0.0))
+    @example((0.0, 0.0, 0.0), math.nextafter(1e-12, 1.0), (0.0, 1.0, 0.0))
+    def test_a_kind_that_is_given_must_be_the_inferred_one(self, base, offset, direction):
+        def at(offset):
+            return tuple(map(operator.add, base, offset))
+
+        start_i = at(_scaled(direction, offset))
+        path_ii = BeamPath((base, at((1.0, 0.0, 0.0)), at((1.0, 1.0, 1.0))))
+        path_i = BeamPath((start_i, at((0.0, 0.0, 1.0)), at((1.0, 1.0, 1.0))))
+        wave, motion = make_particle_wave(1.0, wavelength=1e-8), MotionField()
+        inferred = InterferometerConfig(path_i, path_ii, wave, motion)
+        gap = math.dist(start_i, base)
+        tolerance = max(1e-12, 4.0 * math.ulp(max(map(abs, start_i + base))))
+        kind = ConfigKind.CLOSED_LOOP if gap <= tolerance else ConfigKind.OPEN_LOOP
+        assert inferred.kind is kind
+        given_kind = InterferometerConfig(path_i, path_ii, wave, motion, kind)
+        assert given_kind == inferred and hash(given_kind) == hash(inferred)
+        assert repr(given_kind) == repr(inferred)
+        other = ConfigKind.OPEN_LOOP if kind is ConfigKind.CLOSED_LOOP else ConfigKind.CLOSED_LOOP
+        for wrong in (other, "ClosedLoop", "OpenLoop", 0):
+            with pytest.raises(GeometryError) as refused:
+                InterferometerConfig(path_i, path_ii, wave, motion, wrong)
+            assert str(refused.value) == (
+                f"kind must be {kind} for beam starts {gap:.3e} m apart "
+                f"(tolerance {tolerance:.3e} m), got {wrong!r}"
+            )
 
 
 class TestExactSum:

@@ -210,7 +210,8 @@ class TestFieldPaths:
              "scene.geometry: Fig2Rotation needs side_m or width_m and height_m"),
             (WAVE, {"kind": "Fig3bOpen"}, "scene.geometry: Fig3bOpen needs opening_m"),
             (WAVE, {"kind": "Fig3bOpen", "opening_m": [0, 0, 0]},
-             "scene.geometry: open-loop phase requires a nonzero opening"),
+             "scene.geometry: Fig3bOpen requires a nonzero opening between beam starts, "
+             "gap is 0.000e+00 m, within the tolerance 1.000e-12 m"),
         ],
         ids=[
             "side", "width", "height", "arm", "scalar-opening", "speed", "mass", "wavelength",

@@ -54,8 +54,16 @@ def catalogue() -> list:
 
 def test_every_refusal_is_written_as_a_literal_or_an_f_string():
     sites = dict(refusal_sites())
-    assert len(sites) > 60  # the walk found the package's refusals
     assert [site for site, text in sites.items() if text is None] == []
+
+
+def test_rows_and_distinct_refusal_texts_pair_one_to_one():
+    # Each row is matched by exactly one distinct text of the source, and each text by one
+    # row; so the walk found as many refusals as the catalogue lists.
+    patterns = sorted({pattern(text) for _, text in refusal_sites() if text is not None})
+    rows = catalogue()
+    assert [row for row in rows if sum(bool(re.fullmatch(p, row)) for p in patterns) != 1] == []
+    assert [p for p in patterns if sum(bool(re.fullmatch(p, row)) for row in rows) != 1] == []
 
 
 def test_every_refusal_text_has_a_row_in_the_catalogue():
@@ -73,6 +81,25 @@ def test_every_row_of_the_catalogue_is_a_refusal_text():
     rows = catalogue()
     assert len(rows) == len(set(rows))
     assert [row for row in rows if not any(re.fullmatch(p, row) for p in patterns)] == []
+
+
+def test_no_call_in_the_package_passes_a_kind():
+    # The beam starts decide the kind: InterferometerConfig's fifth argument is for callers
+    # outside the package, which must give the kind the starts decide. A call that hands
+    # the class on, as scene._built does, passes it the arguments after it.
+    calls, given = 0, []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            names = [getattr(node.func, "id", getattr(node.func, "attr", None))]
+            names += [getattr(arg, "id", None) for arg in node.args]
+            if "InterferometerConfig" in names:
+                calls += 1
+                passed = node.args[names.index("InterferometerConfig"):]
+                if len(passed) > 4 or any(k.arg in ("kind", None) for k in node.keywords):
+                    given.append(f"{path.name}:{node.lineno}")
+    assert calls > 0 and given == []
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name)
