@@ -302,17 +302,15 @@ def _triple(point, index: int) -> tuple[float, float, float]:
     return tuple(_number(c, f"vertex {index}: {name}") for c, name in zip(xyz, "xyz"))
 
 
-def _check_vertices(verts: tuple) -> tuple[tuple[float, float, float], float]:
-    """Refuse non-finite coordinates, an axis whose span leaves the float range and
-    repeated consecutive vertices of float triples; return their extent (see
-    ``BeamPath``), read from each axis's max and min.
+def _check_vertices(verts: tuple) -> tuple[tuple[float, float], ...]:
+    """Refuse non-finite coordinates, an axis whose span leaves the float range and repeated
+    consecutive vertices of float triples; return their box, each axis's (min, max).
 
     A finite span bounds every gap and every offset between two vertices: each is
     the rounding of a difference no larger than the span's, and rounding keeps order.
     """
-    origin = max(verts[-1], verts[0])  # the end where they compare equal
-    spans = []
-    for name, axis, o in zip("xyz", zip(*verts), origin):
+    box = []
+    for name, axis in zip("xyz", zip(*verts)):
         if not math.isfinite(sum(axis)):  # an inf or nan coordinate, or a sum that overflows
             for i, c in enumerate(axis):
                 if not math.isfinite(c):
@@ -321,13 +319,13 @@ def _check_vertices(verts: tuple) -> tuple[tuple[float, float, float], float]:
         if high - low == math.inf:
             i, j = sorted((axis.index(low), axis.index(high)))
             raise GeometryError(f"{name} span from vertex {i} to vertex {j} overflows the float range")
-        spans.append(max(high - o, o - low))
+        box.append((low, high))
     # Differences of finite floats vanish only between equal floats.
     same = list(map(operator.eq, verts, verts[1:]))
     if True in same:
         i = same.index(True)
         raise GeometryError(f"consecutive vertices {i} and {i + 1} coincide")
-    return origin, math.hypot(*spans)
+    return tuple(box)
 
 
 class BeamPath(_Value):
@@ -335,9 +333,8 @@ class BeamPath(_Value):
 
     Vertices are (x, y, z) float triples; the constructor also takes Vec3
     objects or any 3-sequences of numbers, and checks every vertex once.
-    ``extent``, set then, is the reference vertex, the larger end vertex in
-    tuple order, and a reach no vertex lies farther from it than: the
-    half-diagonal of the offsets' bounding box.
+    ``box``, set then, is each axis's (min, max); a path built from checked
+    ones may keep a wider box that holds them.
     """
 
     _fields = ("vertices",)
@@ -362,8 +359,15 @@ class BeamPath(_Value):
             verts = tuple(map(_triple, verts, count()))
         if len(verts) < 2:
             raise GeometryError("a beam path needs at least 2 vertices")
-        _set(self, "extent", _check_vertices(verts))
+        _set(self, "box", _check_vertices(verts))
         _set(self, "vertices", verts)
+
+    @cached_property
+    def extent(self) -> tuple[tuple[float, float, float], float]:
+        """The reference vertex, the larger end vertex in tuple order, and a reach no vertex
+        lies farther from it than: the half-diagonal of the box's offsets from it."""
+        origin = max(self.vertices[-1], self.vertices[0])
+        return origin, math.hypot(*(max(high - o, o - low) for (low, high), o in zip(self.box, origin)))
 
     @cached_property
     def moments(self) -> tuple[float, float, float]:
@@ -398,19 +402,15 @@ class BeamPath(_Value):
         return _coincide(self.vertices[0], self.vertices[-1])
 
     def reversed(self) -> "BeamPath":
-        # Reversal keeps every check true and the reach: each axis keeps its extremes, and
-        # neighbours stay neighbours. The reference vertex is taken again, as the end of the
-        # reverse where the ends compare equal: they may differ in the sign of a zero.
-        verts = self.vertices
-        return BeamPath._checked(verts[::-1], (max(verts[0], verts[-1]), self.extent[1]))
+        # Reversed, the vertices keep their box and their neighbours: every check still holds.
+        return BeamPath._checked(self.vertices[::-1], self.box)
 
     @classmethod
-    def _checked(cls, verts: tuple, extent: tuple) -> "BeamPath":
-        """A path of float triples known to pass ``__post_init__`` with this extent,
-        built without it."""
+    def _checked(cls, verts: tuple, box: tuple) -> "BeamPath":
+        """A path of float triples known to pass ``__post_init__``, in a box that holds them."""
         path = object.__new__(cls)
         _set(path, "vertices", verts)
-        _set(path, "extent", extent)
+        _set(path, "box", box)
         return path
 
 
@@ -496,12 +496,11 @@ class InterferometerConfig(_Value):
                     f"apart (tolerance {_endpoint_tol(start_ii, start_i):.3e} m), got {self.kind!r}"
                 )
             _set(self, "kind", kind)
-        # An opening whose length alone overflows still has a phase; one whose
-        # components do not has none. Starts that coincide are never that far apart.
-        if math.dist(start_ii, start_i) == math.inf and not all(
-            map(math.isfinite, map(operator.sub, start_i, start_ii))
-        ):
-            raise GeometryError("the opening between the beam starts overflows the float range")
+        # The joint box's span on an axis is one beam's own, which fits, or one beam's high end
+        # less the other's low end; where it fits, so does every offset between two vertices.
+        for name, (low_i, high_i), (low_ii, high_ii) in zip("xyz", self.path_I.box, self.path_II.box):
+            if high_i - low_ii == math.inf or high_ii - low_i == math.inf:
+                raise GeometryError(f"{name} span of the two beams together overflows the float range")
 
 
 class SegmentContribution(NamedTuple):

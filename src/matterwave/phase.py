@@ -47,7 +47,7 @@ from .model import (
     ParticleWave,
     PhaseResult,
     Vec3,
-    _check_vertices,
+    _coincide,
     _cross,
     _fsum,
     _number,
@@ -224,13 +224,15 @@ def interference_loop(config: InterferometerConfig) -> BeamPath:
     """
     if config.kind is not ConfigKind.CLOSED_LOOP:
         raise GeometryError("only closed-loop configurations define an interference loop")
-    path_i, kept = config.path_I, vars(config.path_II)
-    built_from, loop = kept.get("_loop", (None, None))
+    path_i, path_ii = config.path_I, config.path_II
+    built_from, loop = vars(path_ii).get("_loop", (None, None))
     if built_from is not path_i.vertices:
-        # Checked whole: each beam's span may fit the float range while theirs together does not.
-        verts = config.path_II.vertices + path_i.vertices[-2::-1]
-        loop = BeamPath._checked(verts, _check_vertices(verts))
-        kept["_loop"] = (path_i.vertices, loop)
+        # Beam I backward from its last but one vertex, or from the one before where that
+        # repeats beam II's end, a segment of zero length; the config checked their joint box.
+        start = -3 if path_i.vertices[-2] == path_ii.vertices[-1] else -2
+        box = tuple((min(a[0], b[0]), max(a[1], b[1])) for a, b in zip(path_ii.box, path_i.box))
+        loop = BeamPath._checked(path_ii.vertices + path_i.vertices[start::-1], box)
+        vars(path_ii)["_loop"] = (path_i.vertices, loop)
     return loop
 
 
@@ -254,7 +256,7 @@ def open_loop_phase(wave: ParticleWave, opening_D: Vec3, velocity_V: Vec3) -> fl
     ``translation_opening``). Only the opening survives: the shared arm
     geometry cancels segment by segment.
     """
-    if opening_D.norm() == 0.0:
+    if _coincide(opening_D.as_tuple(), (0.0, 0.0, 0.0)):
         raise GeometryError("open-loop phase requires a nonzero opening")
     return (TWO_PI / wave.v_lambda) * velocity_V.dot(opening_D)
 

@@ -169,3 +169,18 @@ def area_bound(loop) -> float:
     """4 eps * sum_i |a_i - o| |a_(i+1) - o|, per component (m^2)."""
     offsets = _loop_offsets(loop)
     return 4.0 * EPS * math.fsum(p * q for p, q in zip(offsets, offsets[1:]))
+
+
+def sagnac_bound(config, loop, phase: float) -> float:
+    """Bound on the distance of either of sagnac's forms on the interference loop from the
+    two-path phase ``phase``: the kernel's bound; the oracles' bounds as phases, and 8 eps
+    of the phase for the roundings that make a phase of them; and k * |gap| * (U + |omega|
+    * |c - end_II|), gap = end_I - end_II, U the speed bound at beam II's end and c beam I's
+    last but one vertex, for the loop's join, which goes from beam II's end straight to c."""
+    field, k = config.motion, TWO_PI / config.wave.v_lambda
+    end_ii, (c, end_i) = config.path_II.vertices[-1], config.path_I.vertices[-2:]
+    omega = _norm(field.omega.as_tuple())
+    oracles = max(circulation_bound(loop, field), 2.0 * omega * math.sqrt(3.0) * area_bound(loop))
+    gap = _norm([a - b for a, b in zip(end_i, end_ii)])
+    join = gap * (_speed(field, end_ii) + omega * _norm([a - b for a, b in zip(c, end_ii)]))
+    return two_path_bound(config) + k * (oracles + join) + 8.0 * EPS * abs(phase)

@@ -391,49 +391,52 @@ class TestVertexChecks:
             message = str(exc)
         assert message == per_axis_refusal(points)
         if message is None:  # every gap and every offset between two vertices is finite
+            assert path.box == tuple((min(axis), max(axis)) for axis in zip(*points))
             assert path.extent == walked_extent(points)
             assert all(math.isfinite(b - a) for axis in zip(*points) for a in axis for b in axis)
 
     @given(wide_points, wide_points)
     @example([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (-0.0, 0.0, 0.0)], [(0.0, 1.0, 0.0)])
+    @example([(0.0, 0.0, 0.0), (1e308, 0.0, 0.0), (0.0, 1.0, 0.0)], [(-8e307, 0.0, 0.0)])
     def test_derived_paths_carry_the_extent_of_their_vertices(self, head, middle):
         # reversed() and the interference loop skip the constructor: each extent is the one
-        # it would set. Beam II is ``head``; beam I shares its start and end.
+        # it would set. Beam II is ``head``; beam I shares its start and end, so the config
+        # refuses the two beams exactly where the loop is wider than the float range.
         try:
-            path_ii = BeamPath(tuple(head))
-            config = closed_config((head[0], *middle, head[-1]), head)
+            path_ii, path_i = BeamPath(tuple(head)), BeamPath((head[0], *middle, head[-1]))
         except GeometryError:
             assume(False)
         back = path_ii.reversed()
         assert repr(back.extent) == repr(BeamPath(back.vertices).extent)
-        whole = path_ii.vertices + tuple(reversed(config.path_I.vertices))[1:]
+        whole = path_ii.vertices + path_i.vertices[-2::-1]
         try:
-            loop = interference_loop(config)
+            config = closed_config(path_i.vertices, head)
         except GeometryError as exc:
-            with pytest.raises(GeometryError) as refused:
+            axis = str(exc)[0]
+            assert str(exc) == f"{axis} span of the two beams together overflows the float range"
+            with pytest.raises(GeometryError, match=f"^{axis} span from vertex"):
                 BeamPath(whole)
-            assert str(exc) == str(refused.value)
             return
+        loop = interference_loop(config)
         assert loop.vertices == whole
         assert repr(loop.extent) == repr(BeamPath(whole).extent)
 
-    def test_join_refusal_numbers_vertices_in_the_whole_path(self):
-        # Beam I's far vertex is its vertex 2, and vertex 4 of the loop.
-        path_ii = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1e308, 0.0, 0.0), (0.0, 1.0, 0.0))
-        path_i = ((0.0, 0.0, 0.0), (5.0, 0.0, 0.0), (-1e308, 0.5, 0.0), (0.0, 1.0, 0.0))
-        config = closed_config(path_i, path_ii)
-        message = "x span from vertex 2 to vertex 4 overflows the float range"
+    def test_join_refusal_names_the_axis_of_the_joint_span(self):
+        # Each beam spans 1e308 m in y and fits; their joint box spans 2e308 m in y alone.
+        path_ii = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1e308, 0.0), (0.0, 1.0, 0.0))
+        path_i = ((0.0, 0.0, 0.0), (5.0, 0.0, 0.0), (-1e308, -1e308, 0.0), (0.0, 1.0, 0.0))
+        message = "y span of the two beams together overflows the float range"
         with pytest.raises(GeometryError, match=f"^{message}$"):
-            interference_loop(config)
-        assert per_axis_refusal(path_ii + path_i[-2::-1]) == message
+            closed_config(path_i, path_ii)
+        assert per_axis_refusal(path_ii + path_i[-2::-1]).startswith("y span from vertex")
 
     def test_join_refuses_a_span_that_neither_part_has(self):
-        # Every gap is finite and each beam spans 1e308 m in x; the loop spans 2e308 m.
+        # Every gap is finite and each beam spans 1e308 m in x; the loop would span 2e308 m.
         path_ii = ((0.0, 0.0, 0.0), (1e308, 0.5, 0.0), (0.0, 1.0, 0.0))
         path_i = ((0.0, 0.0, 0.0), (-1e308, 0.5, 0.0), (0.0, 1.0, 0.0))
-        message = "x span from vertex 1 to vertex 3 overflows the float range"
+        message = "x span of the two beams together overflows the float range"
         with pytest.raises(GeometryError, match=f"^{message}$"):
-            interference_loop(closed_config(path_i, path_ii))
+            closed_config(path_i, path_ii)
 
     def test_joined_path_skips_the_tails_first_vertex(self):
         # Beam I ends 1e-13 m from beam II's end: the loop goes on from beam II's.
@@ -534,9 +537,17 @@ class TestInterferometerConfig:
     def test_opening_beyond_the_float_range_refused(self, unit_wave):
         path_i = BeamPath(((1.7e308, 0.0, 0.0), (0.0, 0.0, 0.0)))
         path_ii = BeamPath(((-1.7e308, 0.0, 0.0), (0.0, 0.0, 0.0)))
-        message = "^the opening between the beam starts overflows the float range$"
+        message = "^x span of the two beams together overflows the float range$"
         with pytest.raises(GeometryError, match=message):
             InterferometerConfig(path_i, path_ii, unit_wave, MotionField(), ConfigKind.OPEN_LOOP)
+
+    def test_open_beams_wider_together_than_the_float_range_refused(self, unit_wave):
+        # The opening is 1 m, and each beam fits the float range; together they do not.
+        path_i = BeamPath(((0.0, 1.0, 0.0), (1e308, 1.0, 0.0), (0.0, 0.5, 0.0)))
+        path_ii = BeamPath(((0.0, 0.0, 0.0), (-1e308, 0.0, 0.0), (0.0, 0.5, 0.0)))
+        message = "^x span of the two beams together overflows the float range$"
+        with pytest.raises(GeometryError, match=message):
+            InterferometerConfig(path_i, path_ii, unit_wave, MotionField())
 
     def test_opening_whose_length_alone_overflows_accepted(self, unit_wave):
         path_i = BeamPath(((1.5e308, 1.5e308, 0.0), (0.0, 0.0, 0.0)))

@@ -1,6 +1,6 @@
 """Checks over the package's source text, read with ``ast``: every refusal text
-the package can raise has its row in README "Refusals", and no module imports a
-name it never reads."""
+the package can raise has its row in README "Refusals", only the beam path
+constructor reads vertices, and no module imports a name it never reads."""
 
 import ast
 import re
@@ -100,6 +100,25 @@ def test_no_call_in_the_package_passes_a_kind():
                 if len(passed) > 4 or any(k.arg in ("kind", None) for k in node.keywords):
                     given.append(f"{path.name}:{node.lineno}")
     assert calls > 0 and given == []
+
+
+def test_only_the_beam_path_constructor_checks_vertices():
+    # A path's vertices are read once, when it is built; a path made from checked ones
+    # (BeamPath._checked) is not read again, and a pair of beams is judged by their boxes.
+    readers = []
+
+    def walk(node, scope, module):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = scope + [child.name]
+            elif getattr(child, "id", getattr(child, "attr", None)) == "_check_vertices":
+                readers.append(f"{module}:{'.'.join(scope)}")
+            walk(child, inner, module)
+
+    for path in MODULES:
+        walk(ast.parse(path.read_text(encoding="utf-8")), [], path.name)
+    assert readers == ["model.py:BeamPath.__post_init__"]
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name)
