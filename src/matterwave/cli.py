@@ -23,7 +23,9 @@ import os
 import sys
 from itertools import chain, count, filterfalse
 
-from .experiment import _check_steps, fringe_reading, sensitivity_sweep, verify_suite
+from .experiment import (
+    FringeReading, SweepRow, _check_steps, fringe_reading, sensitivity_sweep, verify_suite
+)
 from .kinematics import circulation, enclosed_area_vector
 from .model import MatterWaveError, MotionField, _cos_between
 from .phase import (
@@ -78,60 +80,75 @@ def _csv_entry(path_id) -> str:
     return f"per_segment.{path_id}.".replace("%", "%%") + "%d,%r"
 
 
-def _entries(entry, sep: str, beams) -> list[str]:
-    """Each beam's entries, ``entry(label)`` filled once per segment, joined by ``sep``.
+def _json_row(header) -> str:
+    """The template of one grid row, filled with its cells: the JSON object of the header's keys."""
+    keys = ",\n".join(f'      {json.dumps(key).replace("%", "%%")}: %r' for key in header)
+    return f"    {{\n{keys}\n    }}"
 
-    One format operation over the repeated template per beam spares an
-    intermediate string per segment.
+
+def _entries(entry, sep: str, lists):
+    """Each list's entries, ``entry(label)`` filled once per entry, joined by ``sep``;
+    ``lists`` yields (label, entry count, the values of each entry).
+
+    One format operation over the repeated template per list spares an
+    intermediate string per entry.
     """
-    return [
-        sep.join([entry(path_id)] * len(incs)) % tuple(chain.from_iterable(zip(count(), incs)))
-        for path_id, incs in beams
-        if incs
-    ]
+    return (
+        sep.join([entry(label)] * n) % tuple(chain.from_iterable(values))
+        for label, n, values in lists
+        if n
+    )
 
 
-def _json_list(beams) -> str:
-    """The breakdown as a JSON list; a function of its own, so that the joined
+def _json_list(entry, lists) -> str:
+    """The entries as a JSON list; a function of its own, so that the joined
     entries are freed before the document that holds the list is built."""
-    entries = ",\n".join(_entries(_json_entry, ",\n", beams))
+    entries = ",\n".join(_entries(entry, ",\n", lists))
     return f"[\n{entries}\n  ]" if entries else "[]"
 
 
-def emit_results(doc: dict, fmt: str, per_segment=None, table=None) -> bytes:
+def emit_results(doc: dict, fmt: str, per_segment=None) -> bytes:
     """Serialize a payload to JSON or CSV bytes (LF line endings, '.' decimals).
 
-    JSON is ``doc`` as json.dumps(indent=2) writes it. CSV is ``table`` (rows,
-    header first) when given; else the records under ``doc["rows"]``, one row
-    each; else one ``quantity,value`` row per number in ``doc``.
-    ``per_segment``, the (label, increments) of each beam, appends the
-    breakdown, written from a fixed template: the bytes json.dumps(indent=2)
-    and the CSV cells would give. A number that is not finite has no JSON
-    form, so output holding one is refused in both formats.
+    A grid is ``doc["rows"] = (header, rows)``: distinct names, and rows that
+    are tuples of one cell per name. JSON is ``doc`` as json.dumps(indent=2)
+    writes it, a grid's rows as objects keyed by the header, written from a
+    template where their key stands (their cells are floats). CSV is the grid,
+    header first, when ``doc`` holds one; else one ``quantity,value`` row per
+    number in ``doc``. ``per_segment``, the (label, increments) of each beam,
+    appends the breakdown, written from a fixed template: the bytes
+    json.dumps(indent=2) and the CSV cells would give. A number that is not
+    finite has no JSON form, so output holding one is refused in both formats.
     """
     beams = per_segment or ()
-    bad = next(filterfalse(math.isfinite, chain.from_iterable(incs for _, incs in beams)), None)
+    header, rows = doc.get("rows", ((), ()))
+    cells = chain.from_iterable(rows) if fmt == "json" else ()  # CSV cells are checked one by one
+    bad = next(filterfalse(math.isfinite, chain(cells, *(incs for _, incs in beams))), None)
     if bad is not None:
         raise _not_finite(bad)
+    segments = [(label, len(incs), zip(count(), incs)) for label, incs in beams]
     if fmt == "json":
         try:
-            text = json.dumps(doc, indent=2, allow_nan=False)
+            text = json.dumps({**doc, "rows": None} if header else doc, indent=2, allow_nan=False)
+            text += "\n"  # the last line's end, so that the longest string is not copied for it
         except ValueError as exc:  # raised only for a float that is inf or nan
             raise _not_finite(exc) from None
+        if header:  # the rows go in where their key stands
+            head, _, tail = text.partition('\n  "rows": null')
+            text = f'{head}\n  "rows": {_json_list(_json_row, [(header, len(rows), rows)])}{tail}'
         if per_segment is not None:  # the list goes in before the payload's closing brace
-            text = f'{text[:-2]},\n  "per_segment": {_json_list(beams)}\n}}'
+            text = f'{text[:-3]},\n  "per_segment": {_json_list(_json_entry, segments)}\n}}\n'
     elif fmt == "csv":
-        if table is None:
-            records = doc["rows"] if "rows" in doc else [
-                {"quantity": k, "value": v} for k, v in doc.items() if isinstance(v, (int, float))
-            ]
-            table = [list(records[0])] + [list(record.values()) for record in records]
-        lines = [",".join(map(_csv_cell, row)) for row in table]
-        lines.extend(_entries(_csv_entry, "\n", beams))
+        if not header:
+            numbers = [(k, v) for k, v in doc.items() if isinstance(v, (int, float))]
+            header, rows = ("quantity", "value"), numbers
+        lines = [",".join(map(_csv_cell, row)) for row in chain([header], rows)]
+        lines.extend(_entries(_csv_entry, "\n", segments))
+        lines.append("")  # the last line's end
         text = "\n".join(lines)
     else:
         raise MatterWaveError(f"unknown output format {fmt!r}")
-    return (text + "\n").encode()
+    return text.encode()
 
 
 def _build_parser() -> _Parser:
@@ -257,11 +274,10 @@ def run_command(argv: list[str]) -> int:
             report = verify_suite(seed=args.seed)
             checks = [c._asdict() for c in report.checks]
             doc = {"seed": report.seed, "passed": report.passed, "checks": checks}
-            table = [["check", "samples", "max_violation", "tolerance", "passed"]] + [
-                [c.name, c.samples, c.max_violation, c.tolerance, str(c.passed).lower()]
-                for c in report.checks
-            ]
-            _write(emit_results(doc, args.format or "json", table=table), args.out)
+            if args.format == "csv":  # a grid of the columns that CSV can hold
+                header = ("check", "samples", "max_violation", "tolerance", "passed")
+                doc = {"rows": (header, [(*c[:4], str(c.passed).lower()) for c in report.checks])}
+            _write(emit_results(doc, args.format or "json"), args.out)
             return 0 if report.passed else 2
 
         scene, config = _load_config(args.scene)
@@ -315,7 +331,7 @@ def run_command(argv: list[str]) -> int:
         elif args.command == "sweep":
             sweep = sensitivity_sweep(config, args.vmin, args.vmax, args.steps)
             doc = {
-                "rows": [r._asdict() for r in sweep.rows],
+                "rows": (SweepRow._fields, sweep.rows),
                 "v_full_fringe_mps": sweep.v_full_fringe_mps,
                 "bracket_mps": list(sweep.bracket) if sweep.bracket else None,
                 "opening_m": list(sweep.opening_m.as_tuple()),
@@ -325,11 +341,9 @@ def run_command(argv: list[str]) -> int:
         else:  # fringes
             _check_steps(args.steps)
             base = two_path_difference(config).total_phase_rad
-            rows = []
-            for i in range(args.steps):
-                offset = TWO_PI * i / (args.steps - 1)
-                rows.append({"offset_rad": offset, **fringe_reading(base + offset)._asdict()})
-            doc = {"base_phase_rad": base, "rows": rows}
+            offsets = (TWO_PI * i / (args.steps - 1) for i in range(args.steps))
+            rows = [(offset, *fringe_reading(base + offset)) for offset in offsets]
+            doc = {"base_phase_rad": base, "rows": (("offset_rad", *FringeReading._fields), rows)}
         _write(emit_results(doc, fmt, per_segment), args.out)
         return 0
     except MatterWaveError as exc:

@@ -31,9 +31,11 @@ def curl_fd(field: MotionField, r: Vec3) -> Vec3:
     return Vec3(dy_z - dz_y, dz_x - dx_z, dx_y - dy_x)
 
 
-def _loop_point(loop: BeamPath) -> tuple[float, float, float]:
+def _loop_point(loop: BeamPath, quantity: str) -> tuple[float, float, float]:
     """The midpoint of the loop's first segment, which the oracles take offsets from: on
     the loop, so offsets are as small as the loop, and not the vertex the kernel takes."""
+    if not loop.closed():
+        raise GeometryError(f"{quantity} requires a closed path")
     return tuple(a + (b - a) * 0.5 for a, b in zip(*loop.vertices[:2]))
 
 
@@ -49,9 +51,7 @@ def circulation(field: MotionField, loop: BeamPath) -> float:
     """
     rows = vars(loop).get("_midpoints")
     if rows is None:
-        if not loop.closed():
-            raise GeometryError("circulation requires a closed path")
-        ox, oy, oz = _loop_point(loop)
+        ox, oy, oz = _loop_point(loop, "circulation")
         verts = loop.vertices
         # Each offset halved, exact for normal floats: the sum cannot overflow where a' + b' would.
         rows = vars(loop)["_midpoints"] = [
@@ -77,9 +77,7 @@ def enclosed_area_vector(loop: BeamPath) -> Vec3:
     area = vars(loop).get("_area")
     if area is not None:
         return area
-    if not loop.closed():
-        raise GeometryError("enclosed area requires a closed path")
-    ox, oy, oz = _loop_point(loop)
+    ox, oy, oz = _loop_point(loop, "enclosed area")
     terms = tx, ty, tz = [], [], []
     append_x, append_y, append_z = tx.append, ty.append, tz.append
     ax, ay, az = loop.vertices[0]

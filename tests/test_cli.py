@@ -20,6 +20,7 @@ from matterwave import (
     MotionField,
     PhaseResult,
     PropertyCheck,
+    SweepRow,
     Vec3,
     VerifyReport,
     build_config,
@@ -66,8 +67,9 @@ class TestEmitResults:
             opening_m=Vec3(0, 1e-4, 0),
         )
         sweep = sensitivity_sweep(config, 0.0, 2e-4, 7)
-        doc = {"rows": [row._asdict() for row in sweep.rows], "cos_theta": sweep.cos_theta}
+        doc = {"rows": (SweepRow._fields, sweep.rows), "cos_theta": sweep.cos_theta}
         lines = emit_results(doc, "csv").decode().splitlines()
+        assert lines[0] == "V_mps,phase_rad,fringe_count"
         assert len(lines) == 1 + 7
         for line, row in zip(lines[1:], sweep.rows):
             v, phase, fringes = (float(tok) for tok in line.split(","))
@@ -149,6 +151,42 @@ class TestBreakdownTemplate:
             emit_results(totals(result), fmt, result.increments)
         # Without the breakdown the increments are not written, so not refused.
         assert emit_results(totals(result), fmt)
+
+
+# A grid: distinct names, then rows of one finite float per name.
+grids = st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True).flatmap(
+    lambda header: st.tuples(
+        st.just(tuple(header)),
+        st.lists(st.tuples(*[finite_increments] * len(header)), max_size=6),
+    )
+)
+# The other keys of a grid's document, one of them a nested "rows" key.
+GRID_NEIGHBOURS = {"cos_theta": 0.5, "opening_m": [0.0, 1e-4, 0.0], "nested": {"rows": None}}
+
+
+class TestGridTemplate:
+    """A grid's rows come from a template; they are the serializers' bytes."""
+
+    @given(grids, st.booleans())
+    @example((("V_mps", '%d"%%'), [(1.0, -0.0), (5e-324, 1e16)]), True)
+    @example((("offset_rad",), []), False)
+    def test_template_matches_the_reference_serializers(self, grid, rows_first):
+        header, rows = grid
+        doc = {**GRID_NEIGHBOURS, "rows": grid}
+        if rows_first:
+            doc = {"rows": grid, **GRID_NEIGHBOURS}
+        records = [dict(zip(header, row)) for row in rows]
+        reference_json = json.dumps({**doc, "rows": records}, indent=2) + "\n"
+        assert emit_results(doc, "json") == reference_json.encode()
+        cells = [",".join(map(str, header))] + [",".join(map(repr, row)) for row in rows]
+        assert emit_results(doc, "csv") == ("\n".join(cells) + "\n").encode()
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_cell_refused(self, bad, fmt):
+        doc = {"rows": (("a", "b"), [(0.5, 1.0), (1.0, bad)]), "cos_theta": 1.0}
+        with pytest.raises(MatterWaveError, match=rf"^result is not finite \({bad}\); refusing"):
+            emit_results(doc, fmt)
 
 
 def run(capsys, argv):
@@ -1097,8 +1135,8 @@ class TestErrorContract:
         # inside the boost domain, and the phase at 1e304 m/s overflows.
         argv = ["sweep", "--scene", moving_open_scene(tmp_path, [1.0, 1.0, 0.0]), "--vmax", "1e304"]
         code, out, err = run(capsys, argv + ["--steps", "2", "--format", fmt])
-        assert_refused(code, out, err)
-        assert "not finite" in err
+        message = "matterwave: error: result is not finite (inf); refusing to write it\n"
+        assert (code, out, err) == (1, "", message)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_opening_within_the_endpoint_tolerance_refused_with_its_gap(

@@ -5,6 +5,8 @@ import math
 import re
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from matterwave import (
     BeamPath,
@@ -28,6 +30,7 @@ from matterwave import (
     verify_suite,
 )
 from matterwave.experiment import DEFAULT_ARM_LENGTH, _open_paths
+from matterwave.model import _coincide, _scaled, _unit
 
 TWO_PI = 2.0 * math.pi
 
@@ -371,6 +374,43 @@ class TestSensitivitySweep:
         config = build_config("Fig3aClosed", unit_wave, MotionField(), side_m=0.1)
         with pytest.raises(GeometryError):
             sensitivity_sweep(config, 0.0, 1.0, 5)
+
+
+coordinates = st.floats(-1e3, 1e3)
+
+
+@pytest.mark.fuzz
+@given(
+    kind=st.sampled_from(["Fig3bOpen", "Fig3cIndependent", "Fig3dExtracted"]),
+    opening=st.tuples(coordinates, coordinates, coordinates).filter(
+        lambda d: not _coincide(d, (0.0, 0.0, 0.0))
+    ),
+    translation=st.tuples(coordinates, coordinates, coordinates),
+    speed=st.floats(1e-3, 1e6),
+    grid=st.tuples(st.floats(0.0, 0.2), st.floats(0.25, 0.5), st.integers(2, 40)),
+)
+@example(
+    kind="Fig3bOpen", opening=(0.0, 1e-4, 0.0), translation=(-0.0, 0.0, 0.0), speed=1.0,
+    grid=(0.0, 0.5, 11),
+)
+def test_sweep_rows_are_the_open_loop_phase_bit_for_bit(kind, opening, translation, speed, grid):
+    # Below half the particle speed every grid speed is inside the boost domain. Each
+    # row's phase is the one open_loop_phase gives for the grid speed along the sweep
+    # direction, to the last bit and the sign of zero.
+    wave = make_particle_wave(speed, wavelength=1e-8)
+    motion = MotionField(translation=Vec3(*translation))
+    config = build_config(kind, wave, motion, opening_m=Vec3(*opening))
+    fraction_min, fraction_max, steps = grid
+    v_min, v_max = fraction_min * speed, fraction_max * speed
+    sweep = sensitivity_sweep(config, v_min, v_max, steps)
+    opening_d = translation_opening(config)
+    direction = _unit(translation if any(translation) else opening_d.as_tuple())
+    assert len(sweep.rows) == steps
+    for i, row in enumerate(sweep.rows):
+        assert row.V_mps == v_min + (v_max - v_min) * i / (steps - 1)
+        expected = open_loop_phase(wave, opening_d, Vec3(*_scaled(direction, row.V_mps)))
+        assert repr(row.phase_rad) == repr(expected)
+        assert repr(row.fringe_count) == repr(expected / TWO_PI)
 
 
 class TestVerifySuite:
