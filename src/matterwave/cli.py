@@ -53,37 +53,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{message}\n{self.format_usage()}")
 
 
-def _not_finite(value) -> MatterWaveError:
-    return MatterWaveError(f"result is not finite ({value}); refusing to write it")
-
-
-def _csv_cell(value) -> str:
-    if not isinstance(value, float):
-        return str(value)
-    if not math.isfinite(value):
-        raise _not_finite(value)
-    return repr(value)
-
-
-# The template of one per-segment entry of a beam, filled with (segment index,
-# increment): a JSON entry as json.dumps(..., indent=2) lays it out inside the
-# payload, and a CSV row. A "%" in the beam's label is escaped.
-def _json_entry(path_id) -> str:
-    label = json.dumps(path_id).replace("%", "%%")  # quoted and escaped as JSON
-    return (
-        '    {\n      "path_id": ' + label
-        + ',\n      "segment_index": %d,\n      "phase_rad": %r\n    }'
-    )
-
-
-def _csv_entry(path_id) -> str:
-    return f"per_segment.{path_id}.".replace("%", "%%") + "%d,%r"
-
-
 def _json_row(header) -> str:
     """The template of one grid row, filled with its cells: the JSON object of the header's keys."""
     keys = ",\n".join(f'      {json.dumps(key).replace("%", "%%")}: %r' for key in header)
     return f"    {{\n{keys}\n    }}"
+
+
+# The template of one per-segment entry of a beam, filled with (segment index,
+# increment): a JSON entry, the grid's row template with the beam's label
+# written in, and a CSV row. A "%" in the beam's label is escaped.
+def _json_entry(path_id) -> str:
+    label = json.dumps(path_id).replace("%", "%%")  # quoted and escaped as JSON
+    return _json_row(("path_id", "segment_index", "phase_rad")).replace("%r", label, 1)
+
+
+def _csv_entry(path_id) -> str:
+    return f"per_segment.{path_id}.".replace("%", "%%") + "%d,%r"
 
 
 def _entries(entry, sep: str, lists):
@@ -107,42 +92,49 @@ def _json_list(entry, lists) -> str:
     return f"[\n{entries}\n  ]" if entries else "[]"
 
 
-def emit_results(doc: dict, fmt: str, per_segment=None) -> bytes:
-    """Serialize a payload to JSON or CSV bytes (LF line endings, '.' decimals).
+def _floats(value):
+    """The floats that ``value`` holds, walked through lists, tuples and dicts."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return chain.from_iterable(map(_floats, value))
+    return (value,) if isinstance(value, float) else ()
 
-    A grid is ``doc["rows"] = (header, rows)``: distinct names, and rows that
-    are tuples of one cell per name. JSON is ``doc`` as json.dumps(indent=2)
-    writes it, a grid's rows as objects keyed by the header, written from a
-    template where their key stands (their cells are floats). CSV is the grid,
-    header first, when ``doc`` holds one; else one ``quantity,value`` row per
-    number in ``doc``. ``per_segment``, the (label, increments) of each beam,
-    appends the breakdown, written from a fixed template: the bytes
-    json.dumps(indent=2) and the CSV cells would give. A number that is not
-    finite has no JSON form, so output holding one is refused in both formats.
+
+def emit_results(doc: dict, fmt: str) -> bytes:
+    """Serialize a document to JSON or CSV bytes (LF line endings, '.' decimals).
+
+    Two entries are lists, written from a template: a grid, ``doc["rows"] =
+    (header, rows)`` of distinct names and rows of one cell per name, and a
+    breakdown, ``doc["per_segment"]``, the (label, increments) of each beam.
+    JSON is ``doc`` as json.dumps(indent=2) writes it, each list where its key
+    stands: a grid's rows as objects keyed by the header, the breakdown as one
+    path_id, segment_index, phase_rad object per increment. CSV is the grid,
+    header first, or else one ``quantity,value`` row per number in ``doc``, then
+    one row per increment. A number that is not finite has no JSON form: every
+    float ``doc`` holds is checked before any text is built, for both formats.
     """
-    beams = per_segment or ()
     header, rows = doc.get("rows", ((), ()))
-    cells = chain.from_iterable(rows) if fmt == "json" else ()  # CSV cells are checked one by one
-    bad = next(filterfalse(math.isfinite, chain(cells, *(incs for _, incs in beams))), None)
-    if bad is not None:
-        raise _not_finite(bad)
+    beams = doc.get("per_segment", ())
     segments = [(label, len(incs), zip(count(), incs)) for label, incs in beams]
+    lists = {"rows": (_json_row, [(header, len(rows), rows)]), "per_segment": (_json_entry, segments)}
+    spliced = dict.fromkeys(lists.keys() & doc)  # each list's place, null until it is written
+    cells = filter(float.__instancecheck__, chain.from_iterable(rows))  # names and counts pass
+    numbers = chain(_floats({**doc, **spliced}), cells, *(incs for _, incs in beams))
+    bad = next(filterfalse(math.isfinite, numbers), None)
+    if bad is not None:
+        raise MatterWaveError(f"result is not finite ({bad}); refusing to write it")
     if fmt == "json":
-        try:
-            text = json.dumps({**doc, "rows": None} if header else doc, indent=2, allow_nan=False)
-            text += "\n"  # the last line's end, so that the longest string is not copied for it
-        except ValueError as exc:  # raised only for a float that is inf or nan
-            raise _not_finite(exc) from None
-        if header:  # the rows go in where their key stands
-            head, _, tail = text.partition('\n  "rows": null')
-            text = f'{head}\n  "rows": {_json_list(_json_row, [(header, len(rows), rows)])}{tail}'
-        if per_segment is not None:  # the list goes in before the payload's closing brace
-            text = f'{text[:-3]},\n  "per_segment": {_json_list(_json_entry, segments)}\n}}\n'
+        text = json.dumps({**doc, **spliced}, indent=2, allow_nan=False)
+        text += "\n"  # the last line's end, so that the longest string is not copied for it
+        for key in spliced:  # each list goes in where its key stands
+            head, _, tail = text.partition(f'\n  "{key}": null')
+            text = f'{head}\n  "{key}": {_json_list(*lists[key])}{tail}'
     elif fmt == "csv":
         if not header:
             numbers = [(k, v) for k, v in doc.items() if isinstance(v, (int, float))]
             header, rows = ("quantity", "value"), numbers
-        lines = [",".join(map(_csv_cell, row)) for row in chain([header], rows)]
+        lines = [",".join(map(str, row)) for row in chain([header], rows)]
         lines.extend(_entries(_csv_entry, "\n", segments))
         lines.append("")  # the last line's end
         text = "\n".join(lines)
@@ -283,7 +275,6 @@ def run_command(argv: list[str]) -> int:
         scene, config = _load_config(args.scene)
         fmt = args.format or scene.output["format"]
 
-        per_segment = None
         if args.command == "phase":
             result = two_path_difference(config)
             doc = {
@@ -292,7 +283,7 @@ def run_command(argv: list[str]) -> int:
                 "v_lambda_m2ps": result.v_lambda,
             }
             if args.breakdown or scene.output["breakdown"]:
-                per_segment = result.increments
+                doc["per_segment"] = result.increments
         elif args.command == "sagnac":
             loop = interference_loop(config)
             _check_domain(config.wave, (config.path_II, config.path_I), config.motion)
@@ -344,7 +335,7 @@ def run_command(argv: list[str]) -> int:
             offsets = (TWO_PI * i / (args.steps - 1) for i in range(args.steps))
             rows = [(offset, *fringe_reading(base + offset)) for offset in offsets]
             doc = {"base_phase_rad": base, "rows": (("offset_rad", *FringeReading._fields), rows)}
-        _write(emit_results(doc, fmt, per_segment), args.out)
+        _write(emit_results(doc, fmt), args.out)
         return 0
     except MatterWaveError as exc:
         sys.stderr.write(f"{PROG}: error: {exc}\n")

@@ -53,7 +53,7 @@ class TestEmitResults:
         wave = make_particle_wave(50.0, wavelength=0.1)
         path = BeamPath((Vec3(0, 0, 0), Vec3(0.5, 0, 0), Vec3(0.5, 0.5, 0)))
         result = path_phase(wave, path, MotionField(translation=Vec3(0.1, 0.2, 0)))
-        payload = json.loads(emit_results(totals(result), "json", result.increments))
+        payload = json.loads(emit_results({**totals(result), "per_segment": result.increments}, "json"))
         assert len(payload["per_segment"]) == 2
         payload = json.loads(emit_results(totals(result), "json"))
         assert "per_segment" not in payload
@@ -74,6 +74,25 @@ class TestEmitResults:
         for line, row in zip(lines[1:], sweep.rows):
             v, phase, fringes = (float(tok) for tok in line.split(","))
             assert (v, phase, fringes) == (row.V_mps, row.phase_rad, row.fringe_count)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "document",
+        [
+            lambda bad: {"x": bad},
+            lambda bad: {"x": 1.0, "opening_m": [0.0, bad, 0.0]},
+            lambda bad: {"checks": [{"name": "a", "samples": 3, "max_violation": bad}]},
+            lambda bad: {"rows": (("a", "b"), [(0.5, 1.0), (1.0, bad)]), "cos_theta": 1.0},
+            lambda bad: {"x": 1.0, "per_segment": (("II", (0.5, 0.5)), ("I", (1.0, bad)))},
+        ],
+        ids=["top-level", "in-a-list", "in-a-dict-in-a-list", "grid-cell", "increment"],
+    )
+    def test_non_finite_float_refused_wherever_it_stands(self, document, fmt, bad):
+        # One text in both formats, also for a list that CSV leaves out.
+        with pytest.raises(MatterWaveError) as refused:
+            emit_results(document(bad), fmt)
+        assert str(refused.value) == f"result is not finite ({bad}); refusing to write it"
 
     def test_unknown_format_rejected(self):
         from matterwave import MatterWaveError
@@ -139,8 +158,9 @@ class TestBreakdownTemplate:
     @example((('%d"%%', (1.0, -0.0)), ("II", ()), ("I", (5e-324,))), 0.0)
     def test_template_matches_the_reference_serializers(self, beams, total):
         result = PhaseResult(total_phase_rad=total, v_lambda=1e-8, walk=lambda: beams)
-        assert emit_results(totals(result), "json", beams) == reference_json(result)
-        assert emit_results(totals(result), "csv", beams) == reference_csv(result)
+        doc = {**totals(result), "per_segment": beams}
+        assert emit_results(doc, "json") == reference_json(result)
+        assert emit_results(doc, "csv") == reference_csv(result)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -148,7 +168,7 @@ class TestBreakdownTemplate:
         beams = (("II", (0.5, 0.5)), ("I", (1.0, bad)))
         result = PhaseResult(total_phase_rad=1.0, v_lambda=1.0, walk=lambda: beams)
         with pytest.raises(MatterWaveError, match="not finite"):
-            emit_results(totals(result), fmt, result.increments)
+            emit_results({**totals(result), "per_segment": result.increments}, fmt)
         # Without the breakdown the increments are not written, so not refused.
         assert emit_results(totals(result), fmt)
 
@@ -167,18 +187,36 @@ GRID_NEIGHBOURS = {"cos_theta": 0.5, "opening_m": [0.0, 1e-4, 0.0], "nested": {"
 class TestGridTemplate:
     """A grid's rows come from a template; they are the serializers' bytes."""
 
-    @given(grids, st.booleans())
-    @example((("V_mps", '%d"%%'), [(1.0, -0.0), (5e-324, 1e16)]), True)
-    @example((("offset_rad",), []), False)
-    def test_template_matches_the_reference_serializers(self, grid, rows_first):
+    @given(
+        grids,
+        st.one_of(st.none(), labelled_beams),
+        st.permutations(["rows", "per_segment", *GRID_NEIGHBOURS]),
+    )
+    @example(
+        (("V_mps", '%d"%%'), [(1.0, -0.0), (5e-324, 1e16)]), None, ["rows", *GRID_NEIGHBOURS, "per_segment"]
+    )
+    @example((("offset_rad",), []), None, [*GRID_NEIGHBOURS, "rows", "per_segment"])
+    @example(
+        (("a", "b"), [(1.0, 2.0)]),
+        (('%d"%%', (1.0, -0.0)), ("II", ()), ("I", (5e-324,))),
+        ["per_segment", "cos_theta", "rows", "opening_m", "nested"],
+    )
+    def test_template_matches_the_reference_serializers(self, grid, beams, order):
+        # The document holds the grid and, when one is drawn, a breakdown, in the drawn order.
         header, rows = grid
-        doc = {**GRID_NEIGHBOURS, "rows": grid}
-        if rows_first:
-            doc = {"rows": grid, **GRID_NEIGHBOURS}
+        values = {**GRID_NEIGHBOURS, "rows": grid, "per_segment": beams}
+        doc = {key: values[key] for key in order if values[key] is not None}
         records = [dict(zip(header, row)) for row in rows]
-        reference_json = json.dumps({**doc, "rows": records}, indent=2) + "\n"
+        entries = [
+            {"path_id": label, "segment_index": index, "phase_rad": phase}
+            for label, incs in beams or ()
+            for index, phase in enumerate(incs)
+        ]
+        lists = {"rows": records, "per_segment": entries}
+        reference_json = json.dumps({k: lists.get(k, v) for k, v in doc.items()}, indent=2) + "\n"
         assert emit_results(doc, "json") == reference_json.encode()
         cells = [",".join(map(str, header))] + [",".join(map(repr, row)) for row in rows]
+        cells += [f"per_segment.{e['path_id']}.{e['segment_index']},{e['phase_rad']!r}" for e in entries]
         assert emit_results(doc, "csv") == ("\n".join(cells) + "\n").encode()
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -416,6 +454,28 @@ class TestTranslateCommand:
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert json.loads(out)["cos_theta"] == pytest.approx(cos_theta, rel=1e-12)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_at_rest_gives_zero_phase_and_no_angle(self, capsys, tmp_path, fmt):
+        # With no motion section the apparatus is at rest: no translation, so no angle.
+        scene_file = tmp_path / "at_rest.json"
+        scene_file.write_text(
+            json.dumps(
+                {
+                    "particle": {"speed_mps": 1.0, "wavelength_m": 1e-8},
+                    "geometry": {"kind": "Fig3bOpen", "opening_m": [0.0, 1e-4, 0.0]},
+                }
+            )
+        )
+        code, out, err = run(capsys, ["translate", "--scene", str(scene_file), "--format", fmt])
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            payload = json.loads(out)
+            assert (repr(payload["phase_rad"]), payload["cos_theta"]) == ("0.0", None)
+        else:
+            rows = dict(line.split(",") for line in out.splitlines())
+            assert rows["phase_rad"] == "0.0"
+            assert "cos_theta" not in rows
 
     def test_closed_scene_rejected(self, capsys, data_dir):
         code, _, err = run(

@@ -81,6 +81,28 @@ class TestParseScene:
         with pytest.raises(SceneError, match=f"^{re.escape(field)}: given more than once$"):
             parse_scene(text)
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("[1, 2]", "scene: expected an object, got list"),
+            (
+                '{"particle": {"speed_mps": 1.0, "wavelength_m": 1e-8}, "geometry": {"kind":'
+                ' "Fig3bOpen", "opening_m": 1e-4}, "motion": 5}',
+                "scene.motion: expected an object, got int",
+            ),
+            (
+                '{"particle": {"speed_mps": 1.0, "wavelength_m": 1e-8}, "geometry": {"kind":'
+                ' "Fig3bOpen", "opening_m": 1e-4}, "output": {"breakdown": 1}}',
+                "scene.output.breakdown: expected true or false, got 1",
+            ),
+        ],
+        ids=["scene-not-an-object", "section-not-an-object", "breakdown-not-a-bool"],
+    )
+    def test_value_of_the_wrong_type_refused_with_its_path(self, text, message):
+        with pytest.raises(SceneError) as refused:
+            parse_scene(text)
+        assert str(refused.value) == message
+
     def test_syntax_error_reports_position(self):
         with pytest.raises(SceneError, match=r"line \d+, column \d+"):
             parse_scene('{"particle": ')
