@@ -47,18 +47,23 @@ def circulation(field: MotionField, loop: BeamPath) -> float:
     for fields affine in position, integrates the rest on each segment a -> b:
     omega x (a - o) and omega x (b - o), averaged, is omega x m at the midpoint
     offset m = (a - o)/2 + (b - o)/2, dotted with d = b - a. The rows (m, d) are
-    kept on the loop, so a scan over motions builds them once; a refusal is not kept.
+    kept on the loop from its second evaluation, so a scan over motions builds them
+    once and a one-shot call keeps none; a refusal is not kept.
     """
     rows = vars(loop).get("_midpoints")
     if rows is None:
         ox, oy, oz = _loop_point(loop, "circulation")
         verts = loop.vertices
         # Each offset halved, exact for normal floats: the sum cannot overflow where a' + b' would.
-        rows = vars(loop)["_midpoints"] = [
+        rows = (
             ((ax - ox) * 0.5 + (bx - ox) * 0.5, (ay - oy) * 0.5 + (by - oy) * 0.5,
              (az - oz) * 0.5 + (bz - oz) * 0.5, bx - ax, by - ay, bz - az)
             for (ax, ay, az), (bx, by, bz) in zip(verts, islice(verts, 1, None))
-        ]
+        )
+        if "_midpoints" in vars(loop):  # the second evaluation: keep the rows
+            rows = vars(loop)["_midpoints"] = list(rows)
+        else:  # the first: sum them as they are made, and mark that one was made
+            vars(loop)["_midpoints"] = None
     wx, wy, wz = field.omega.as_tuple()
     return exact_sum([(wy * mz - wz * my) * dx + (wz * mx - wx * mz) * dy + (wx * my - wy * mx) * dz
                       for mx, my, mz, dx, dy, dz in rows], "circulation")

@@ -459,6 +459,30 @@ class ConfigKind(Enum):
     OPEN_LOOP = "OpenLoop"
 
 
+class _Pair:
+    """What beams I and II decide together, kept on beam II while beam I's vertex tuple and box
+    are the ones it was made from (``BeamPath._checked`` can pair a tuple with a wider box). It
+    never holds beam I: when both beams are one path, that would be a reference cycle. Making
+    it is the pair's last check, of the joint box; a refused pair keeps nothing."""
+
+    def __init__(self, path_i: BeamPath, path_ii: BeamPath, kind: ConfigKind) -> None:
+        # The joint box's span on an axis is one beam's own, which fits, or one beam's high end
+        # less the other's low end; where it fits, so does every offset between two vertices.
+        for name, (low_i, high_i), (low_ii, high_ii) in zip("xyz", path_i.box, path_ii.box):
+            if high_i - low_ii == math.inf or high_ii - low_i == math.inf:
+                raise GeometryError(f"{name} span of the two beams together overflows the float range")
+        verts_i, verts_ii = self.vertices_I, self.vertices_II = path_i.vertices, path_ii.vertices
+        self.box_I, self.kind = path_i.box, kind
+        self.end_gap = tuple(map(operator.sub, verts_i[-1], verts_ii[-1]))
+        opening = map(operator.sub, verts_i[0], verts_ii[0])
+        self.delta_difference = tuple(map(operator.sub, opening, self.end_gap))  # delta_II - delta_I
+        self.delta_I = tuple(map(operator.sub, verts_i[-1], verts_i[0]))
+
+    @cached_property
+    def opening_vector(self) -> Vec3:
+        return Vec3(*map(operator.sub, self.vertices_I[0], self.vertices_II[0]))
+
+
 class InterferometerConfig(_Value):
     """Two beam paths, the wave they carry, and the motion of the apparatus. The beam starts
     decide ``kind``: closed where they coincide, else open; a kind that is given must agree."""
@@ -484,11 +508,14 @@ class InterferometerConfig(_Value):
         ):
             _require_types(self, (BeamPath, BeamPath, ParticleWave, MotionField))
         verts_i, verts_ii = self.path_I.vertices, self.path_II.vertices
-        if not _coincide(verts_i[-1], verts_ii[-1]):
+        pair = vars(self.path_II).get("_pair")
+        known = pair is not None and pair.vertices_I is verts_i and pair.box_I is self.path_I.box
+        if not known and not _coincide(verts_i[-1], verts_ii[-1]):
             end_gap = math.dist(verts_i[-1], verts_ii[-1])
             raise GeometryError(f"beam paths must share their endpoint, gap is {end_gap:.3e} m")
         start_ii, start_i = verts_ii[0], verts_i[0]
-        kind = ConfigKind.CLOSED_LOOP if _coincide(start_ii, start_i) else ConfigKind.OPEN_LOOP
+        closed = pair.kind is ConfigKind.CLOSED_LOOP if known else _coincide(start_ii, start_i)
+        kind = ConfigKind.CLOSED_LOOP if closed else ConfigKind.OPEN_LOOP
         if self.kind is not kind:
             if self.kind is not None:
                 raise GeometryError(
@@ -496,11 +523,9 @@ class InterferometerConfig(_Value):
                     f"apart (tolerance {_endpoint_tol(start_ii, start_i):.3e} m), got {self.kind!r}"
                 )
             _set(self, "kind", kind)
-        # The joint box's span on an axis is one beam's own, which fits, or one beam's high end
-        # less the other's low end; where it fits, so does every offset between two vertices.
-        for name, (low_i, high_i), (low_ii, high_ii) in zip("xyz", self.path_I.box, self.path_II.box):
-            if high_i - low_ii == math.inf or high_ii - low_i == math.inf:
-                raise GeometryError(f"{name} span of the two beams together overflows the float range")
+        if not known:
+            pair = vars(self.path_II)["_pair"] = _Pair(self.path_I, self.path_II, kind)
+        _set(self, "_pair", pair)
 
 
 class SegmentContribution(NamedTuple):

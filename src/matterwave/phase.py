@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import chain
 
 from .kinematics import enclosed_area_vector
 from .model import (
@@ -149,10 +148,12 @@ def _delta(path: BeamPath) -> tuple[float, float, float]:
     return (bx - ax, by - ay, bz - az)
 
 
-def _terms(scale: float, u, d, omega, moment) -> list[float]:
+def _terms(scale: float, u, d, omega, path: BeamPath) -> list[float]:
     """The rigid identity's terms, scaled: scale * u_j * d_j and scale * omega_j * moment_j
-    per axis. An exact-zero factor drops its term, whose other factor may have overflowed."""
-    return [scale * (a * b) for a, b in chain(zip(u, d), zip(omega, moment)) if a and b]
+    per axis, moment the path's. An exact-zero factor drops its term, whose other factor may
+    have overflowed; so without rotation the path is not compiled, and omega stands in."""
+    moment = path.moments if any(omega) else omega
+    return [scale * (a * b) for a, b in zip(u + omega, d + moment) if a and b]
 
 
 def segment_phase_increment(
@@ -175,7 +176,7 @@ def path_phase(wave: ParticleWave, path: BeamPath, field: MotionField) -> PhaseR
     """
     _check_domain(wave, (path,), field)
     u0 = _velocity(field, path.extent[0])
-    terms = _terms(TWO_PI / wave.v_lambda, u0, _delta(path), field.omega.as_tuple(), path.moments)
+    terms = _terms(TWO_PI / wave.v_lambda, u0, _delta(path), field.omega.as_tuple(), path)
     total = exact_sum(terms, "phase")
     return PhaseResult(total, wave.v_lambda, lambda: (("I", tuple(_increments(wave, path, field))),))
 
@@ -195,13 +196,11 @@ def two_path_difference(config: InterferometerConfig) -> PhaseResult:
     """
     wave, motion, path_ii, path_i = config.wave, config.motion, config.path_II, config.path_I
     _check_domain(wave, (path_ii, path_i), motion)
-    omega = motion.omega.as_tuple()
-    gap = tuple(map(operator.sub, path_i.vertices[-1], path_ii.vertices[-1]))
-    opening = map(operator.sub, map(operator.sub, path_i.vertices[0], path_ii.vertices[0]), gap)
-    end_motion = _cross(omega, gap)
+    omega, pair = motion.omega.as_tuple(), config._pair
     scale = TWO_PI / wave.v_lambda
-    terms = _terms(scale, _velocity(motion, path_ii.vertices[-1]), opening, omega, path_ii.moments)
-    terms += _terms(-scale, end_motion, _delta(path_i), omega, path_i.moments)
+    u = _velocity(motion, path_ii.vertices[-1])
+    terms = _terms(scale, u, pair.delta_difference, omega, path_ii)
+    terms += _terms(-scale, _cross(omega, pair.end_gap), pair.delta_I, omega, path_i)
     total = exact_sum(terms, "phase")
 
     def walk():
@@ -267,11 +266,11 @@ def translation_opening(config: InterferometerConfig) -> Vec3:
     Because the two beams share their endpoint, the two-path difference
     under uniform translation reduces to (2*pi / v*lambda) * V . (start_I -
     start_II); this function returns that surviving vector, which points
-    from beam II's start to beam I's start.
+    from beam II's start to beam I's start, built once per pair of beams.
     """
     if config.kind is ConfigKind.CLOSED_LOOP:
         raise GeometryError("a closed-loop configuration has no opening")
-    return Vec3(*map(operator.sub, config.path_I.vertices[0], config.path_II.vertices[0]))
+    return config._pair.opening_vector
 
 
 def gse_light_phase(wavelength: float, segment_V: Vec3, delta_L: Vec3) -> float:

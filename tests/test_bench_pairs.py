@@ -1,0 +1,75 @@
+"""The statistics of bench/pairs.py, on fixed numbers. The script itself runs the
+benchmark for minutes, so only its pure functions are tested here."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "pairs", Path(__file__).resolve().parent.parent / "bench" / "pairs.py"
+)
+pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(pairs)
+
+
+class TestQuantile:
+    @pytest.mark.parametrize(
+        "values, q, expected",
+        [
+            ([3.0], 0.25, 3.0),
+            ([4.0, 1.0, 3.0, 2.0], 0.5, 2.5),
+            ([4.0, 1.0, 3.0, 2.0], 0.25, 1.75),
+            ([4.0, 1.0, 3.0, 2.0], 0.75, 3.25),
+            ([5.0, 1.0, 3.0], 0.5, 3.0),
+            ([5.0, 1.0, 3.0], 0.0, 1.0),
+            ([5.0, 1.0, 3.0], 1.0, 5.0),
+        ],
+    )
+    def test_linear_interpolation_between_order_statistics(self, values, q, expected):
+        assert pairs.quantile(values, q) == expected
+
+    def test_no_values_refused(self):
+        with pytest.raises(ValueError):
+            pairs.quantile([], 0.5)
+
+    def test_summary(self):
+        assert pairs.summary([2.0, 8.0, 4.0, 6.0, 10.0]) == {
+            "median": 6.0, "q1": 4.0, "q3": 8.0, "values": [2.0, 8.0, 4.0, 6.0, 10.0],
+        }
+
+
+class TestPairsWon:
+    def test_lower_is_better_split_by_order(self):
+        base = [10.0, 10.0, 10.0, 10.0, 10.0]
+        change = [9.0, 11.0, 9.0, 9.0, 10.0]  # a tie is no win
+        base_first = [True, False, True, False, True]
+        assert pairs.pairs_won(base, change, base_first) == {
+            "pairs": 5,
+            "won": 3,
+            "base_first": {"pairs": 3, "won": 2},
+            "change_first": {"pairs": 2, "won": 1},
+        }
+
+    def test_higher_is_better(self):
+        won = pairs.pairs_won([1.0, 1.0], [0.98, 1.0], [True, False], "higher")
+        assert won["won"] == 0
+        assert pairs.pairs_won([0.9, 1.0], [1.0, 1.0], [True, False], "higher")["won"] == 1
+
+
+class TestCompare:
+    def test_failed_runs_leave_their_pair_out(self):
+        base = [{"t": 3.0, "ok": 1.0}, {"t": 5.0, "ok": 1.0}, None, {"t": 4.0, "ok": 1.0}]
+        change = [{"t": 2.0, "ok": 1.0}, None, {"t": 1.0, "ok": 1.0}, {"t": 4.5, "ok": 0.5}]
+        result = pairs.compare(base, change, [True, False, True, False], {"ok": "higher"})
+        assert sorted(result) == ["ok", "t"]
+        t = result["t"]
+        assert (t["better"], t["pairs"], t["won"]) == ("lower", 2, 1)
+        assert t["base"]["values"] == [3.0, 4.0] and t["change"]["values"] == [2.0, 4.5]
+        assert (t["base_first"], t["change_first"]) == (
+            {"pairs": 1, "won": 1}, {"pairs": 1, "won": 0},
+        )
+        assert (result["ok"]["better"], result["ok"]["won"]) == ("higher", 0)
+
+    def test_no_pair_left_gives_no_metrics(self):
+        assert pairs.compare([None], [{"t": 1.0}], [True], {}) == {}

@@ -143,20 +143,32 @@ class TestCirculation:
                 circulation(MotionField(omega=Vec3(0, 0, 1)), loop)
 
     def test_rows_are_built_once_per_loop(self):
+        # The first evaluation keeps no rows; the second keeps them for every later one.
         loop = unit_square()
-        circulation(MotionField(omega=Vec3(0, 0, 1)), loop)
+        for _ in range(2):
+            circulation(MotionField(omega=Vec3(0, 0, 1)), loop)
         rows = vars(loop)["_midpoints"]
         assert circulation(MotionField(omega=Vec3(0.3, -0.2, 1.1)), loop) == pytest.approx(2.2)
         assert vars(loop)["_midpoints"] is rows
         assert len(rows) == len(loop.vertices) - 1
 
+    def test_a_one_shot_evaluation_keeps_no_rows(self, rng):
+        points = [(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(40)]
+        one_shot, kept = (BeamPath(tuple(points + points[:1])) for _ in range(2))
+        field = MotionField(omega=Vec3(0.3, -0.2, 1.1))
+        first = circulation(field, one_shot)
+        assert vars(one_shot)["_midpoints"] is None
+        assert [circulation(field, kept) for _ in range(3)] == [first] * 3
+        assert len(vars(kept)["_midpoints"]) == len(kept.vertices) - 1
+
     def test_kept_rows_give_a_fresh_loops_answer(self, rng):
         points = [(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(40)]
         loop = BeamPath(tuple(points + points[:1]))
-        circulation(MotionField(omega=Vec3(0.0, 0.0, 1.0)), loop)  # keeps the rows
+        for _ in range(2):  # the second evaluation keeps the rows
+            circulation(MotionField(omega=Vec3(0.0, 0.0, 1.0)), loop)
         for _ in range(5):
             field = MotionField(omega=Vec3(*(rng.uniform(-2, 2) for _ in range(3))))
-            # An equal loop built separately builds its rows afresh, to the same bits.
+            # An equal loop built separately sums its rows as it makes them, to the same bits.
             fresh = circulation(field, BeamPath(tuple(map(tuple, loop.vertices))))
             assert repr(circulation(field, loop)) == repr(fresh)
             assert repr(fresh) == repr(reference_circulation(field, loop))

@@ -346,7 +346,10 @@ class TestKeptLoop:
         for k in range(3):  # a scan: a new motion and config per evaluation
             motion = MotionField(omega=Vec3(0.0, 0.01 * (k + 1), 0.01))
             loop = interference_loop(same_paths(geometry, motion))
-            by_loop = (TWO_PI / fast_wave.v_lambda) * circulation(motion, loop)
+            # Evaluated twice: a loop keeps its rows from its second evaluation.
+            once, twice = (circulation(motion, loop) for _ in range(2))
+            assert twice == once
+            by_loop = (TWO_PI / fast_wave.v_lambda) * once
             by_area = sagnac_area_phase(fast_wave, loop, motion)
             assert by_loop == pytest.approx(by_area, rel=1e-12)
             kept.append(vars(loop)["_midpoints"])
@@ -426,6 +429,159 @@ class TestKeptLoop:
         # One walk sums three axes; the circulation is summed once per motion.
         assert sums.count("vector area") == 3
         assert sums.count("circulation") == 50
+
+
+def reachable(root):
+    """Every object reachable from ``root`` through containers and package instances."""
+    seen, todo = {}, [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen[id(obj)] = obj
+        if isinstance(obj, (tuple, list)):
+            todo.extend(obj)
+        elif isinstance(obj, dict):
+            todo.extend(chain(obj.keys(), obj.values()))
+        elif type(obj).__module__.startswith("matterwave") and hasattr(obj, "__dict__"):
+            todo.append(vars(obj))
+    return seen.values()
+
+
+def scan_geometries():
+    """An open and a closed pair of beams, as vertex tuples."""
+    rng = random.Random(7)
+    middle = [(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(6)]
+    end = (2.0, 2.0, 2.0)
+    closed = ((0.0, 0.0, 0.0), *middle[:3], end), ((0.0, 0.0, 0.0), *middle[3:], end)
+    opened = ((0.0, 0.1, 0.0), *middle[:3], end), ((0.0, 0.0, 0.0), *middle[3:], end)
+    return {"closed": closed, "open": opened}
+
+
+class TestPairRecord:
+    """What two beams decide together is kept once per pair, on beam II."""
+
+    def test_configs_of_one_pair_share_one_record(self, unit_wave, rotation_z):
+        config = closed_square_config(unit_wave, MotionField())
+        inferred = InterferometerConfig(config.path_I, config.path_II, unit_wave, rotation_z)
+        assert same_paths(config, rotation_z)._pair is config._pair
+        assert inferred._pair is config._pair is vars(config.path_II)["_pair"]
+
+    @pytest.mark.parametrize("beam_i", ["equal vertices", "wider box"])
+    def test_a_new_tuple_or_another_box_gets_a_new_record(self, unit_wave, beam_i):
+        config = closed_square_config(unit_wave, MotionField())
+        path_i = config.path_I
+        if beam_i == "equal vertices":
+            other = BeamPath(tuple(map(tuple, path_i.vertices)))
+        else:  # the same vertex tuple in a box that holds it
+            wider = tuple((low - 1.0, high + 1.0) for low, high in path_i.box)
+            other = BeamPath._checked(path_i.vertices, wider)
+        paired = InterferometerConfig(other, config.path_II, unit_wave, MotionField())
+        assert paired._pair is not config._pair
+        assert paired._pair.vertices_I is other.vertices and paired._pair.box_I is other.box
+
+    @pytest.mark.parametrize(
+        "path_i, path_ii, message",
+        [
+            (
+                ((0.0, 0.0, 0.0), (1.0, 1.0, 0.0)),
+                ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
+                "beam paths must share their endpoint, gap is 1.000e+00 m",
+            ),
+            (
+                ((0.0, 1.0, 0.0), (1e308, 1.0, 0.0), (0.0, 0.5, 0.0)),
+                ((0.0, 0.0, 0.0), (-1e308, 0.0, 0.0), (0.0, 0.5, 0.0)),
+                "x span of the two beams together overflows the float range",
+            ),
+        ],
+        ids=["end-gap", "joint-box"],
+    )
+    def test_a_refused_pair_is_refused_again(self, unit_wave, path_i, path_ii, message):
+        path_i, path_ii = BeamPath(path_i), BeamPath(path_ii)
+        for _ in range(2):  # with the same text
+            with pytest.raises(GeometryError) as refused:
+                InterferometerConfig(path_i, path_ii, unit_wave, MotionField())
+            assert str(refused.value) == message
+        assert "_pair" not in vars(path_ii)
+
+    def test_a_wrong_kind_is_refused_on_a_new_and_on_a_known_pair(self, unit_wave):
+        path_i = BeamPath(((0.0, 1e-4, 0.0), (1.0, 1.0, 0.0)))
+        path_ii = BeamPath(((0.0, 0.0, 0.0), (1.0, 1.0, 0.0)))
+        open_, closed = ConfigKind.OPEN_LOOP, ConfigKind.CLOSED_LOOP
+
+        def refusal(wrong):
+            return (
+                f"kind must be {open_} for beam starts 1.000e-04 m apart "
+                f"(tolerance 1.000e-12 m), got {wrong!r}"
+            )
+
+        for _ in range(2):  # a new pair, whose refusal keeps nothing
+            with pytest.raises(GeometryError) as refused:
+                InterferometerConfig(path_i, path_ii, unit_wave, MotionField(), closed)
+            assert str(refused.value) == refusal(closed)
+        assert "_pair" not in vars(path_ii)
+        known = InterferometerConfig(path_i, path_ii, unit_wave, MotionField(), open_)
+        for wrong in (closed, "OpenLoop"):  # a known pair
+            with pytest.raises(GeometryError) as refused:
+                InterferometerConfig(path_i, path_ii, unit_wave, MotionField(), wrong)
+            assert str(refused.value) == refusal(wrong)
+        assert vars(path_ii)["_pair"] is known._pair
+
+    @pytest.mark.parametrize("kind", ["closed", "open"])
+    def test_a_scan_gives_the_bits_of_freshly_built_paths(self, fast_wave, kind):
+        verts_i, verts_ii = scan_geometries()[kind]
+        path_i, path_ii = BeamPath(verts_i), BeamPath(verts_ii)
+        rng = random.Random(11)
+        for _ in range(4):
+            vectors = [Vec3(*(rng.uniform(-0.1, 0.1) for _ in range(3))) for _ in range(3)]
+            motion = MotionField(*vectors)
+            scanned = InterferometerConfig(path_i, path_ii, fast_wave, motion)
+            fresh = InterferometerConfig(BeamPath(verts_i), BeamPath(verts_ii), fast_wave, motion)
+            assert (
+                two_path_difference(scanned).total_phase_rad
+                == two_path_difference(fresh).total_phase_rad
+            )
+            if kind == "closed":
+                loop, fresh_loop = interference_loop(scanned), interference_loop(fresh)
+                assert (loop.vertices, loop.box) == (fresh_loop.vertices, fresh_loop.box)
+                assert circulation(motion, loop) == circulation(motion, fresh_loop)
+            else:
+                opening = Vec3(*map(operator.sub, verts_i[0], verts_ii[0]))
+                assert translation_opening(scanned) == translation_opening(fresh) == opening
+
+    @pytest.mark.parametrize("one_path", [False, True], ids=["two-beams", "one-path-twice"])
+    def test_no_record_refers_to_beam_i(self, fast_wave, one_path):
+        verts_i, verts_ii = scan_geometries()["closed"]
+        path_ii = BeamPath(verts_ii)
+        path_i = path_ii if one_path else BeamPath(verts_i)
+        motion = MotionField(omega=Vec3(0.0, 0.0, 0.1))
+        config = InterferometerConfig(path_i, path_ii, fast_wave, motion)
+        loop = interference_loop(config)
+        for _ in range(2):  # the second keeps the rows
+            circulation(motion, loop)
+        sagnac_area_phase(fast_wave, loop, motion)
+        assert not any(obj is path_i or obj is path_ii for obj in reachable(config._pair))
+
+
+    def test_beam_ii_keeps_beam_is_vertices_not_beam_i(self, fast_wave):
+        # A temporary beam I is freed with the collector off; its vertex tuple stays on beam II,
+        # in the record, until beam II is paired with another beam I.
+        verts_i, verts_ii = scan_geometries()["open"]
+        path_ii = BeamPath(verts_ii)
+        temporary = BeamPath(tuple(map(tuple, verts_i)))
+        held, gone = temporary.vertices, weakref.ref(temporary)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            InterferometerConfig(temporary, path_ii, fast_wave, MotionField())
+            del temporary
+            assert gone() is None
+        finally:
+            if enabled:
+                gc.enable()
+        assert vars(path_ii)["_pair"].vertices_I is held
+        InterferometerConfig(BeamPath(verts_i), path_ii, fast_wave, MotionField())
+        assert vars(path_ii)["_pair"].vertices_I is not held
 
 
 class TestSagnacAreaPhase:
@@ -807,6 +963,24 @@ class TestCompiledForm:
         )
         with pytest.raises(BoostDomainError, match=message):
             two_path_difference(config)
+
+    def test_a_translation_only_motion_compiles_no_beam(self, fast_wave, rng):
+        verts = [(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(7)]
+        beams = (tuple(verts[:4]), (verts[0], *verts[4:], verts[3]))
+        translation = MotionField(Vec3(0.1, -0.2, 0.05), pivot=Vec3(0.5, 0.0, 1.0))
+        lazy, forced = [BeamPath(verts) for verts in beams], [BeamPath(verts) for verts in beams]
+        for path in forced:
+            assert path.moments  # compiled first
+
+        def totals(paths):
+            config = InterferometerConfig(*paths, fast_wave, translation)
+            return (
+                two_path_difference(config).total_phase_rad,
+                path_phase(fast_wave, paths[0], translation).total_phase_rad,
+            )
+
+        assert totals(lazy) == totals(forced)
+        assert not any("moments" in vars(path) for path in lazy)
 
     def test_zero_rotation_with_overflowing_moments_answered(self, unit_wave):
         path = BeamPath(OVERFLOWING_MOMENTS)
