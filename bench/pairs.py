@@ -18,8 +18,10 @@ comparison.
 Per set and metric the file records each side's median and quartiles, and the
 pairs the change won (its metric better, by the direction ``BENCHMARK.json``
 gives) in total and split by which side ran first. It also records each side's
-``env`` line, the revisions, and whether ``git status --porcelain`` shows a
-dirty working tree. Each invocation appends one entry to ``--out``'s ``runs``.
+``env`` line, the revisions, and ``dirty``: whether ``git status --porcelain``
+shows a dirty working tree where the change side is the working tree, and null
+where it is an exported revision. Each invocation appends one entry to
+``--out``'s ``runs``.
 """
 from __future__ import annotations
 
@@ -123,6 +125,16 @@ def export(rev: str, parent: str, name: str) -> str:
     return tree
 
 
+def revisions(base: str, change: str | None) -> dict:
+    """The entry's ``base`` and ``change`` revisions, and ``dirty``, which describes the
+    working tree and so is None where the change side is an exported revision."""
+    return {
+        "base": git("rev-parse", base).strip(),
+        "change": git("rev-parse", change).strip() if change else "working tree",
+        "dirty": None if change else bool(git("status", "--porcelain").strip()),
+    }
+
+
 def directions() -> dict:
     """Metric name to "lower" or "higher", from the repository's BENCHMARK.json."""
     try:
@@ -169,9 +181,7 @@ def main(argv=None) -> int:
     entry = {
         "label": args.label,
         "workload": args.workload,
-        "base": git("rev-parse", args.base).strip(),
-        "change": git("rev-parse", args.change).strip() if args.change else "working tree",
-        "dirty": bool(git("status", "--porcelain").strip()),
+        **revisions(args.base, args.change),
         "seconds": RUN_SECONDS,
         "env": {},
         "sets": [],

@@ -459,28 +459,54 @@ class ConfigKind(Enum):
     OPEN_LOOP = "OpenLoop"
 
 
+def _delta(path: BeamPath) -> tuple[float, float, float]:
+    """The path's end minus its start."""
+    (ax, ay, az), (bx, by, bz) = path.vertices[0], path.vertices[-1]
+    return (bx - ax, by - ay, bz - az)
+
+
 class _Pair:
     """What beams I and II decide together, kept on beam II while beam I's vertex tuple and box
     are the ones it was made from (``BeamPath._checked`` can pair a tuple with a wider box). It
     never holds beam I: when both beams are one path, that would be a reference cycle. Making
-    it is the pair's last check, of the joint box; a refused pair keeps nothing."""
+    it is every check of the pair, in order: the shared end, the kind from the beam starts, a
+    given ``kind`` against that one, the joint box. A refused pair keeps nothing."""
 
-    def __init__(self, path_i: BeamPath, path_ii: BeamPath, kind: ConfigKind) -> None:
+    def __init__(self, path_i: BeamPath, path_ii: BeamPath, kind: ConfigKind | None) -> None:
+        verts_i, verts_ii = self.vertices_I, self.vertices_II = path_i.vertices, path_ii.vertices
+        if not _coincide(verts_i[-1], verts_ii[-1]):
+            end_gap = math.dist(verts_i[-1], verts_ii[-1])
+            raise GeometryError(f"beam paths must share their endpoint, gap is {end_gap:.3e} m")
+        start_ii, start_i = verts_ii[0], verts_i[0]
+        self.kind = ConfigKind.CLOSED_LOOP if _coincide(start_ii, start_i) else ConfigKind.OPEN_LOOP
+        if kind is not self.kind and kind is not None:
+            raise GeometryError(
+                f"kind must be {self.kind} for beam starts {math.dist(start_ii, start_i):.3e} m "
+                f"apart (tolerance {_endpoint_tol(start_ii, start_i):.3e} m), got {kind!r}"
+            )
         # The joint box's span on an axis is one beam's own, which fits, or one beam's high end
         # less the other's low end; where it fits, so does every offset between two vertices.
         for name, (low_i, high_i), (low_ii, high_ii) in zip("xyz", path_i.box, path_ii.box):
             if high_i - low_ii == math.inf or high_ii - low_i == math.inf:
                 raise GeometryError(f"{name} span of the two beams together overflows the float range")
-        verts_i, verts_ii = self.vertices_I, self.vertices_II = path_i.vertices, path_ii.vertices
-        self.box_I, self.kind = path_i.box, kind
+        self.box_I, self.box_II = path_i.box, path_ii.box
         self.end_gap = tuple(map(operator.sub, verts_i[-1], verts_ii[-1]))
         opening = map(operator.sub, verts_i[0], verts_ii[0])
         self.delta_difference = tuple(map(operator.sub, opening, self.end_gap))  # delta_II - delta_I
-        self.delta_I = tuple(map(operator.sub, verts_i[-1], verts_i[0]))
+        self.delta_I = _delta(path_i)
 
     @cached_property
     def opening_vector(self) -> Vec3:
         return Vec3(*map(operator.sub, self.vertices_I[0], self.vertices_II[0]))
+
+    @cached_property
+    def loop(self) -> BeamPath:
+        """The closed contour beam II forward then beam I backward, in the joint box: beam I
+        from its last but one vertex, or from the one before where that repeats beam II's
+        end, a segment of zero length. Every check of it is the pair's."""
+        start = -3 if self.vertices_I[-2] == self.vertices_II[-1] else -2
+        box = tuple((min(a[0], b[0]), max(a[1], b[1])) for a, b in zip(self.box_II, self.box_I))
+        return BeamPath._checked(self.vertices_II + self.vertices_I[start::-1], box)
 
 
 class InterferometerConfig(_Value):
@@ -507,24 +533,12 @@ class InterferometerConfig(_Value):
             and type(self.motion) is MotionField
         ):
             _require_types(self, (BeamPath, BeamPath, ParticleWave, MotionField))
-        verts_i, verts_ii = self.path_I.vertices, self.path_II.vertices
-        pair = vars(self.path_II).get("_pair")
-        known = pair is not None and pair.vertices_I is verts_i and pair.box_I is self.path_I.box
-        if not known and not _coincide(verts_i[-1], verts_ii[-1]):
-            end_gap = math.dist(verts_i[-1], verts_ii[-1])
-            raise GeometryError(f"beam paths must share their endpoint, gap is {end_gap:.3e} m")
-        start_ii, start_i = verts_ii[0], verts_i[0]
-        closed = pair.kind is ConfigKind.CLOSED_LOOP if known else _coincide(start_ii, start_i)
-        kind = ConfigKind.CLOSED_LOOP if closed else ConfigKind.OPEN_LOOP
-        if self.kind is not kind:
-            if self.kind is not None:
-                raise GeometryError(
-                    f"kind must be {kind} for beam starts {math.dist(start_ii, start_i):.3e} m "
-                    f"apart (tolerance {_endpoint_tol(start_ii, start_i):.3e} m), got {self.kind!r}"
-                )
-            _set(self, "kind", kind)
-        if not known:
-            pair = vars(self.path_II)["_pair"] = _Pair(self.path_I, self.path_II, kind)
+        pair, path_i = vars(self.path_II).get("_pair"), self.path_I
+        known = pair is not None and pair.vertices_I is path_i.vertices and pair.box_I is path_i.box
+        if not known or (self.kind is not None and self.kind is not pair.kind):
+            # A known pair given another kind is refused by a new record, before it is stored.
+            pair = vars(self.path_II)["_pair"] = _Pair(path_i, self.path_II, self.kind)
+        _set(self, "kind", pair.kind)
         _set(self, "_pair", pair)
 
 

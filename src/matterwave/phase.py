@@ -48,6 +48,7 @@ from .model import (
     Vec3,
     _coincide,
     _cross,
+    _delta,
     _fsum,
     _number,
     _require_positive,
@@ -142,12 +143,6 @@ def _check_domain(wave: ParticleWave, paths, field: MotionField) -> None:
             _increments(wave, path, field, check=True)
 
 
-def _delta(path: BeamPath) -> tuple[float, float, float]:
-    """The path's end minus its start."""
-    (ax, ay, az), (bx, by, bz) = path.vertices[0], path.vertices[-1]
-    return (bx - ax, by - ay, bz - az)
-
-
 def _terms(scale: float, u, d, omega, path: BeamPath) -> list[float]:
     """The rigid identity's terms, scaled: scale * u_j * d_j and scale * omega_j * moment_j
     per axis, moment the path's. An exact-zero factor drops its term, whose other factor may
@@ -217,22 +212,12 @@ def interference_loop(config: InterferometerConfig) -> BeamPath:
 
     The circulation around this contour carries the same sign as
     ``two_path_difference``, which subtracts beam I from beam II. The loop is
-    kept on beam II and returned again while beam I's vertex tuple is the one
-    it was built from (an identity test); beam I itself is not kept, which
-    would make a reference cycle when both beams are one path.
+    the config's pair record's, built on its first call and kept there: each
+    config returns the loop of its own beams.
     """
     if config.kind is not ConfigKind.CLOSED_LOOP:
         raise GeometryError("only closed-loop configurations define an interference loop")
-    path_i, path_ii = config.path_I, config.path_II
-    built_from, loop = vars(path_ii).get("_loop", (None, None))
-    if built_from is not path_i.vertices:
-        # Beam I backward from its last but one vertex, or from the one before where that
-        # repeats beam II's end, a segment of zero length; the config checked their joint box.
-        start = -3 if path_i.vertices[-2] == path_ii.vertices[-1] else -2
-        box = tuple((min(a[0], b[0]), max(a[1], b[1])) for a, b in zip(path_ii.box, path_i.box))
-        loop = BeamPath._checked(path_ii.vertices + path_i.vertices[start::-1], box)
-        vars(path_ii)["_loop"] = (path_i.vertices, loop)
-    return loop
+    return config._pair.loop
 
 
 def sagnac_area_phase(wave: ParticleWave, loop: BeamPath, field: MotionField) -> float:

@@ -1,5 +1,6 @@
 """The statistics of bench/pairs.py, on fixed numbers. The script itself runs the
-benchmark for minutes, so only its pure functions are tested here."""
+benchmark for minutes, so only its pure functions, and the revisions it records with git
+stubbed, are tested here."""
 
 import importlib.util
 from pathlib import Path
@@ -73,3 +74,27 @@ class TestCompare:
 
     def test_no_pair_left_gives_no_metrics(self):
         assert pairs.compare([None], [{"t": 1.0}], [True], {}) == {}
+
+
+class TestRevisions:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def fake_git(*args):
+            calls.append(args)
+            return " M src/matterwave/model.py\n" if args[0] == "status" else f"{args[-1]}-sha\n"
+
+        monkeypatch.setattr(pairs, "git", fake_git)
+        return calls
+
+    def test_an_exported_change_records_no_dirty_state(self, calls):
+        assert pairs.revisions("HEAD~1", "HEAD") == {
+            "base": "HEAD~1-sha", "change": "HEAD-sha", "dirty": None,
+        }
+        assert ("status", "--porcelain") not in calls
+
+    def test_the_working_tree_records_its_dirty_state(self, calls):
+        assert pairs.revisions("HEAD", None) == {
+            "base": "HEAD-sha", "change": "working tree", "dirty": True,
+        }

@@ -332,7 +332,7 @@ def same_paths(config, motion):
 
 
 class TestKeptLoop:
-    """The loop is kept on beam II and reused while beam I's vertex tuple is the same."""
+    """The loop is kept on the config's pair record and reused by every config of the pair."""
 
     def test_configs_sharing_both_beams_share_the_loop(self, unit_wave, rotation_z):
         config = closed_square_config(unit_wave, MotionField())
@@ -372,12 +372,40 @@ class TestKeptLoop:
         again = interference_loop(config)
         assert again.vertices == first.vertices
 
+    def test_each_config_keeps_its_loop_when_beam_ii_is_paired_again(self, fast_wave):
+        # Configs A and B share beam II, with beams I that differ in one vertex; building B
+        # pairs beam II again, and A keeps its loop and what is kept on it.
+        verts_i, verts_ii = scan_geometries()["closed"]
+        path_ii = BeamPath(verts_ii)
+        motion = MotionField(omega=Vec3(0.0, 0.0, 0.1))
+        a = InterferometerConfig(BeamPath(verts_i), path_ii, fast_wave, motion)
+        b = InterferometerConfig(BeamPath(verts_i[:2] + verts_i[3:]), path_ii, fast_wave, motion)
+        loop_a = interference_loop(a)
+        sagnac_area_phase(fast_wave, loop_a, motion)
+        for _ in range(2):  # the second keeps the rows
+            circulation(motion, loop_a)
+        area, rows = vars(loop_a)["_area"], vars(loop_a)["_midpoints"]
+        loop_b = interference_loop(b)
+        assert loop_b is not loop_a and loop_b.vertices == concatenated_loop(b).vertices
+        assert interference_loop(a) is loop_a
+        assert vars(loop_a)["_area"] is area and vars(loop_a)["_midpoints"] is rows
+        assert (a._pair.loop, b._pair.loop) == (loop_a, loop_b)
+
+    def test_the_loops_box_reads_beam_ii_first(self, unit_wave):
+        # Where the beams' bounds are equal zeros of opposite sign, the loop keeps beam II's.
+        path_i = BeamPath(((-0.0, 0.0, -0.0), (1.0, 1.0, -0.0), (0.5, 2.0, -0.0)))
+        path_ii = BeamPath(((0.0, 0.0, 0.0), (0.25, 1.0, 0.0), (0.5, 2.0, 0.0)))
+        config = InterferometerConfig(path_i, path_ii, unit_wave, MotionField())
+        (low_x, high_x), _, (low_z, high_z) = interference_loop(config).box
+        assert [math.copysign(1.0, v) for v in (low_x, low_z, high_z)] == [1.0] * 3
+        assert high_x == 1.0
+
     def test_refusals_are_not_kept(self, unit_wave):
         open_config = build_config("Fig3bOpen", unit_wave, MotionField(), opening_m=1e-4)
         for _ in range(2):
             with pytest.raises(GeometryError, match="only closed-loop configurations"):
                 interference_loop(open_config)
-        assert "_loop" not in vars(open_config.path_II)
+        assert "loop" not in vars(open_config._pair)
 
     def test_equality_hash_and_repr_unchanged(self, unit_wave):
         config = closed_square_config(unit_wave, MotionField())
