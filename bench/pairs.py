@@ -8,20 +8,27 @@ Usage (from the repository root)::
 The base side is ``git archive REV``, exported into a temporary directory
 outside the repository; the change side is the working tree, or a second
 exported revision with ``--change REV`` (``--base HEAD --change HEAD`` is an
-A/A run, which shows how often identical trees "win"). Both trees' ``src`` are
-byte-compiled first, so that both load cached bytecode as an installed package
-does. Each pair runs ``perfbench/run.py`` once per side for 25 s with the same
-seed, the base first on odd pairs. A run whose last JSON line says ``correct`` false, or
+A/A run, which shows how often identical trees "win"). The exported trees hold
+two sibling names of equal length, ``t0`` and ``t1``, and swap them every
+second pair, so that neither a name nor the side that ran first goes with one
+tree; the working tree is not moved. Both trees' ``src`` are byte-compiled
+first, so that both load cached bytecode as an installed package does. Each
+pair runs ``perfbench/run.py`` once per side for 25 s with the same seed, the
+base first on odd pairs. A run whose last JSON line says ``correct`` false, or
 that does not end in one, is counted as failed, and its pair is left out of the
 comparison.
 
 Per set and metric the file records each side's median and quartiles, and the
 pairs the change won (its metric better, by the direction ``BENCHMARK.json``
-gives) in total and split by which side ran first. It also records each side's
-``env`` line, the revisions, and ``dirty``: whether ``git status --porcelain``
-shows a dirty working tree where the change side is the working tree, and null
-where it is an exported revision. Each invocation appends one entry to
-``--out``'s ``runs``.
+gives) in total, split by which side ran first and split by the base's
+directory. Each set records each side's directory per pair. The entry also
+records each side's ``env`` line, the revisions, and ``dirty``: whether ``git
+status --porcelain`` shows a dirty working tree where the change side is the
+working tree, and null where it is an exported revision. An entry whose base
+and change are the same revision also records its ``resolution``: per
+end-to-end metric, the largest median shift and the most pairs won that
+identical trees showed. Each invocation appends one entry to ``--out``'s
+``runs``.
 """
 from __future__ import annotations
 
@@ -38,6 +45,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN_SECONDS = 25
 RUN_TIMEOUT_S = 900
+DIRECTORIES = ("t0", "t1")
 
 
 # ---------------------------------------------------------------------------
@@ -67,12 +75,19 @@ def summary(values) -> dict:
     }
 
 
-def pairs_won(base, change, base_first, better: str = "lower") -> dict:
-    """Pairs in which the change's value is strictly better than the base's, in total and
-    split by which side ran first. ``base_first[i]`` says whether pair i ran the base first."""
-    wins = [(c < b) if better == "lower" else (c > b) for b, c in zip(base, change)]
+def _wins(base, change, better: str) -> list:
+    """Per pair, whether the change's value is strictly better than the base's."""
+    return [(c < b) if better == "lower" else (c > b) for b, c in zip(base, change)]
+
+
+def pairs_won(base, change, base_first, better: str = "lower", base_dir=None) -> dict:
+    """Pairs in which the change's value is strictly better than the base's, in total,
+    split by which side ran first and, where ``base_dir`` is given, split by the base's
+    directory. ``base_first[i]`` says whether pair i ran the base first, ``base_dir[i]``
+    where the base tree was."""
+    wins = _wins(base, change, better)
     first = [bool(f) for f in base_first]
-    return {
+    won = {
         "pairs": len(wins),
         "won": sum(wins),
         "base_first": {"pairs": first.count(True), "won": sum(w for w, f in zip(wins, first) if f)},
@@ -81,27 +96,66 @@ def pairs_won(base, change, base_first, better: str = "lower") -> dict:
             "won": sum(w for w, f in zip(wins, first) if not f),
         },
     }
+    if base_dir is not None:
+        won["base_dir"] = {
+            name: {
+                "pairs": base_dir.count(name),
+                "won": sum(w for w, d in zip(wins, base_dir) if d == name),
+            }
+            for name in sorted(set(base_dir))
+        }
+    return won
 
 
-def compare(base_runs, change_runs, base_first, directions: dict) -> dict:
+def compare(base_runs, change_runs, base_first, directions: dict, base_dir=None) -> dict:
     """Per metric: each side's summary and the pairs won, over the pairs where neither
     run failed. A run is a dict of metric values, or None where it failed."""
     kept = [
-        (b, c, f) for b, c, f in zip(base_runs, change_runs, base_first)
-        if b is not None and c is not None
+        i for i, (b, c) in enumerate(zip(base_runs, change_runs)) if b is not None and c is not None
     ]
     metrics = {}
-    for name in (sorted(kept[0][0]) if kept else ()):
-        base = [b[name] for b, _, _ in kept]
-        change = [c[name] for _, c, _ in kept]
+    for name in (sorted(base_runs[kept[0]]) if kept else ()):
+        base = [base_runs[i][name] for i in kept]
+        change = [change_runs[i][name] for i in kept]
         better = directions.get(name, "lower")
         metrics[name] = {
             "better": better,
             "base": summary(base),
             "change": summary(change),
-            **pairs_won(base, change, [f for _, _, f in kept], better),
+            **pairs_won(
+                base, change, [base_first[i] for i in kept], better,
+                None if base_dir is None else [base_dir[i] for i in kept],
+            ),
         }
     return metrics
+
+
+def resolution(sets, names) -> dict:
+    """What identical trees showed over an entry's sets, per metric of ``names`` that the
+    sets hold: the largest ``|change median / base median - 1|`` (null where a base
+    median is 0 and its change median is not) and the most pairs that either side won
+    in one set, out of that set's pairs. A claimed gain on a metric that moves its
+    median by no more, or wins no more pairs, is not resolved from these sets."""
+    found = {}
+    for name in names:
+        metrics = [s["metrics"][name] for s in sets if name in s["metrics"]]
+        if not metrics:
+            continue
+        shifts = [
+            abs(m["change"]["median"] / m["base"]["median"] - 1.0) if m["base"]["median"]
+            else (0.0 if m["change"]["median"] == 0.0 else None)
+            for m in metrics
+        ]
+        base_won = [
+            sum(_wins(m["change"]["values"], m["base"]["values"], m["better"])) for m in metrics
+        ]
+        most_won, pairs_ = max((max(m["won"], w), m["pairs"]) for m, w in zip(metrics, base_won))
+        found[name] = {
+            "largest_median_shift": None if None in shifts else max(shifts),
+            "most_won": most_won,
+            "pairs": pairs_,
+        }
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -135,14 +189,33 @@ def revisions(base: str, change: str | None) -> dict:
     }
 
 
-def directions() -> dict:
-    """Metric name to "lower" or "higher", from the repository's BENCHMARK.json."""
+def benchmark() -> dict:
+    """The repository's BENCHMARK.json, or {} where there is none."""
     try:
         with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-            spec = json.load(fh)
+            return json.load(fh)
     except OSError:
         return {}
+
+
+def directions(spec: dict) -> dict:
+    """Metric name to "lower" or "higher", from a BENCHMARK.json."""
     return {m["name"]: m["better"] for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+
+
+def place(tmp: str, dirs: dict, base_dir: str) -> None:
+    """Give the exported base tree the name ``base_dir`` under ``tmp``, and an exported
+    change the other name, by renaming; ``dirs`` maps each side to its name, or to None
+    for the working tree, and is updated."""
+    if dirs["base"] == base_dir:
+        return
+    moves = [side for side, name in dirs.items() if name is not None]
+    for side in moves:
+        os.rename(os.path.join(tmp, dirs[side]), os.path.join(tmp, f"{dirs[side]}.moving"))
+    for side in moves:
+        other = DIRECTORIES[1 - DIRECTORIES.index(dirs[side])]
+        os.rename(os.path.join(tmp, f"{dirs[side]}.moving"), os.path.join(tmp, other))
+        dirs[side] = other
 
 
 def run_once(tree: str, workload: str, seed: int):
@@ -186,29 +259,41 @@ def main(argv=None) -> int:
         "env": {},
         "sets": [],
     }
+    spec = benchmark()
     tmp = tempfile.mkdtemp(prefix="matterwave-pairs-")
     try:
-        trees = {
-            "base": export(args.base, tmp, "base"),
-            "change": export(args.change, tmp, "change") if args.change else ROOT,
-        }
-        for tree in trees.values():
+        dirs = {"base": DIRECTORIES[0], "change": DIRECTORIES[1] if args.change else None}
+        export(args.base, tmp, dirs["base"])
+        if args.change:
+            export(args.change, tmp, dirs["change"])
+
+        def tree(side: str) -> str:
+            return ROOT if dirs[side] is None else os.path.join(tmp, dirs[side])
+
+        for side in dirs:
             subprocess.run(
-                [sys.executable, "-m", "compileall", "-q", os.path.join(tree, "src")], check=True
+                [sys.executable, "-m", "compileall", "-q", os.path.join(tree(side), "src")],
+                check=True,
             )
         seed = args.seed
         for set_index in range(args.sets):
             runs = {"base": [], "change": []}
             seeds, base_first = [], []
+            directories = {"base": [], "change": []}
             for pair in range(1, args.pairs + 1):
+                # The names swap every second pair: run order alternates every pair.
+                place(tmp, dirs, DIRECTORIES[(pair - 1) // 2 % 2])
+                for side in directories:
+                    directories[side].append(dirs[side] or "working tree")
                 order = ("base", "change") if pair % 2 else ("change", "base")
                 for side in order:
-                    values, env = run_once(trees[side], args.workload, seed)
+                    values, env = run_once(tree(side), args.workload, seed)
                     runs[side].append(values)
                     if env is not None:
                         entry["env"].setdefault(side, env)
                     print(
-                        f"set {set_index + 1} pair {pair} seed {seed} {side}: "
+                        f"set {set_index + 1} pair {pair} seed {seed} {side} "
+                        f"({directories[side][-1]}): "
                         + ("failed" if values is None else json.dumps(values)),
                         file=sys.stderr, flush=True,
                     )
@@ -218,21 +303,30 @@ def main(argv=None) -> int:
             entry["sets"].append({
                 "seeds": seeds,
                 "base_first": base_first,
+                "directories": directories,
                 "failed": {side: runs[side].count(None) for side in runs},
-                "metrics": compare(runs["base"], runs["change"], base_first, directions()),
+                "metrics": compare(
+                    runs["base"], runs["change"], base_first, directions(spec),
+                    directories["base"],
+                ),
             })
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
+    if entry["base"] == entry["change"]:
+        end_to_end = [m["name"] for m in spec.get("end_to_end", [])]
+        entry["resolution"] = resolution(entry["sets"], end_to_end)
 
     for set_index, result in enumerate(entry["sets"], 1):
         for name, m in result["metrics"].items():
-            b, c = m["base"], m["change"]
+            b, c, by_dir = m["base"], m["change"], m["base_dir"]
             print(
                 f"{args.workload} set {set_index} {name}: base {b['median']:.6g} "
                 f"[{b['q1']:.6g}, {b['q3']:.6g}] change {c['median']:.6g} "
                 f"[{c['q1']:.6g}, {c['q3']:.6g}] won {m['won']}/{m['pairs']} "
                 f"(base first {m['base_first']['won']}/{m['base_first']['pairs']}, "
-                f"change first {m['change_first']['won']}/{m['change_first']['pairs']})"
+                f"change first {m['change_first']['won']}/{m['change_first']['pairs']}; "
+                + ", ".join(f"base in {d} {w['won']}/{w['pairs']}" for d, w in by_dir.items())
+                + ")"
             )
     bench = {"runs": []}
     if os.path.exists(args.out):

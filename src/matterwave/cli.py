@@ -1,6 +1,6 @@
 """Command-line surface: scene in, numbers out.
 
-Subcommands::
+Subcommands; each one that reads a scene names the function that builds its document::
 
     phase      two-beam phase difference of the scene
     sagnac     rotation phase by loop integral and by area formula, compared
@@ -143,46 +143,109 @@ def emit_results(doc: dict, fmt: str) -> bytes:
     return text.encode()
 
 
+def _phase(args, scene, config) -> dict:
+    result = two_path_difference(config)
+    doc = {
+        "total_phase_rad": result.total_phase_rad,
+        "fringe_count": result.total_phase_rad / TWO_PI,
+        "v_lambda_m2ps": result.v_lambda,
+    }
+    if args.breakdown or scene.output["breakdown"]:
+        doc["per_segment"] = result.increments
+    return doc
+
+
+def _sagnac(args, scene, config) -> dict:
+    loop = interference_loop(config)
+    _check_domain(config.wave, (config.path_II, config.path_I), config.motion)
+    loop_integral = (TWO_PI / config.wave.v_lambda) * circulation(config.motion, loop)
+    area_form = sagnac_area_phase(config.wave, loop, config.motion)
+    area = enclosed_area_vector(loop)  # kept on the loop: no second walk
+    denom = max(abs(loop_integral), abs(area_form))
+    return {
+        "loop_integral_phase_rad": loop_integral,
+        "area_formula_phase_rad": area_form,
+        "relative_difference": (
+            abs(loop_integral - area_form) / denom if denom > 0.0 else 0.0
+        ),
+        "enclosed_area_m2": list(area.as_tuple()),
+        "v_lambda_m2ps": config.wave.v_lambda,
+    }
+
+
+def _translate(args, scene, config) -> dict:
+    opening = translation_opening(config)
+    velocity = config.motion.translation
+    _check_domain(config.wave, (config.path_II, config.path_I), MotionField(velocity))
+    phase = open_loop_phase(config.wave, opening, velocity)
+    cos_theta = (
+        _cos_between(velocity.as_tuple(), opening.as_tuple())
+        if velocity.norm() > 0.0
+        else None
+    )
+    return {
+        "phase_rad": phase,
+        "fringe_count": phase / TWO_PI,
+        "opening_m": list(opening.as_tuple()),
+        "opening_magnitude_m": opening.norm(),
+        "translation_mps": list(velocity.as_tuple()),
+        "cos_theta": cos_theta,
+        "v_lambda_m2ps": config.wave.v_lambda,
+    }
+
+
+def _sweep(args, scene, config) -> dict:
+    sweep = sensitivity_sweep(config, args.vmin, args.vmax, args.steps)
+    return {
+        "rows": (SweepRow._fields, sweep.rows),
+        "v_full_fringe_mps": sweep.v_full_fringe_mps,
+        "bracket_mps": list(sweep.bracket) if sweep.bracket else None,
+        "opening_m": list(sweep.opening_m.as_tuple()),
+        "cos_theta": sweep.cos_theta,
+        "v_lambda_m2ps": sweep.v_lambda,
+    }
+
+
+def _fringes(args, scene, config) -> dict:
+    _check_steps(args.steps)
+    base = two_path_difference(config).total_phase_rad
+    offsets = (TWO_PI * i / (args.steps - 1) for i in range(args.steps))
+    rows = [(offset, *fringe_reading(base + offset)) for offset in offsets]
+    return {"base_phase_rad": base, "rows": (("offset_rad", *FringeReading._fields), rows)}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog=PROG, description="moving-segment interferometer phase calculator")
-    sub = parser.add_subparsers(dest="command", metavar="command")
+    sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
-    def add(name: str, help_text: str, scene: bool = True) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, document=None) -> argparse.ArgumentParser:
+        """A subcommand; one with a ``document`` builder reads ``--scene``."""
         p = sub.add_parser(name, help=help_text)
-        if scene:
+        if document is not None:
             p.add_argument("--scene", required=True, help="scene file (JSON)")
+            p.set_defaults(document=document)
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--format", choices=OUTPUT_FORMATS, default=None)
         return p
 
-    p = add("phase", "two-beam phase difference of the scene")
+    p = add("phase", "two-beam phase difference of the scene", _phase)
     p.add_argument("--breakdown", action="store_true", help="include per-segment contributions")
 
-    add("sagnac", "rotation phase: loop integral vs area formula")
-    add("translate", "open-loop translational phase")
+    add("sagnac", "rotation phase: loop integral vs area formula", _sagnac)
+    add("translate", "open-loop translational phase", _translate)
 
-    p = add("sweep", "phase versus apparatus speed")
+    p = add("sweep", "phase versus apparatus speed", _sweep)
     p.add_argument("--vmin", type=float, default=0.0, help="lowest speed, m/s")
     p.add_argument("--vmax", type=float, required=True, help="highest speed, m/s")
     p.add_argument("--steps", type=int, default=21)
 
-    p = add("fringes", "fringe readings over a phase-offset grid")
+    p = add("fringes", "fringe readings over a phase-offset grid", _fringes)
     p.add_argument("--steps", type=int, default=9)
 
-    p = add("verify", "randomized self-check suite", scene=False)
+    p = add("verify", "randomized self-check suite")
     p.add_argument("--seed", type=int, default=0)
 
     return parser
-
-
-def _load_config(path: str):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SceneError(f"cannot read scene file {path!r}: {exc}") from exc
-    doc = parse_scene(text)
-    return doc, config_from_scene(doc)
 
 
 def _write_stdout(data: bytes) -> None:
@@ -248,18 +311,13 @@ def _attach_negative_numbers(argv: list[str]) -> list[str]:
 
 def run_command(argv: list[str]) -> int:
     """Run one CLI invocation; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_attach_negative_numbers(argv))
+        args = _build_parser().parse_args(_attach_negative_numbers(argv))
     except _UsageError as exc:
         sys.stderr.write(f"{PROG}: error: {exc}\n")
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-
-    if args.command is None:
-        sys.stderr.write(parser.format_usage())
-        return 1
 
     try:
         if args.command == "verify":
@@ -272,70 +330,14 @@ def run_command(argv: list[str]) -> int:
             _write(emit_results(doc, args.format or "json"), args.out)
             return 0 if report.passed else 2
 
-        scene, config = _load_config(args.scene)
-        fmt = args.format or scene.output["format"]
-
-        if args.command == "phase":
-            result = two_path_difference(config)
-            doc = {
-                "total_phase_rad": result.total_phase_rad,
-                "fringe_count": result.total_phase_rad / TWO_PI,
-                "v_lambda_m2ps": result.v_lambda,
-            }
-            if args.breakdown or scene.output["breakdown"]:
-                doc["per_segment"] = result.increments
-        elif args.command == "sagnac":
-            loop = interference_loop(config)
-            _check_domain(config.wave, (config.path_II, config.path_I), config.motion)
-            loop_integral = (TWO_PI / config.wave.v_lambda) * circulation(config.motion, loop)
-            area_form = sagnac_area_phase(config.wave, loop, config.motion)
-            area = enclosed_area_vector(loop)  # kept on the loop: no second walk
-            denom = max(abs(loop_integral), abs(area_form))
-            doc = {
-                "loop_integral_phase_rad": loop_integral,
-                "area_formula_phase_rad": area_form,
-                "relative_difference": (
-                    abs(loop_integral - area_form) / denom if denom > 0.0 else 0.0
-                ),
-                "enclosed_area_m2": list(area.as_tuple()),
-                "v_lambda_m2ps": config.wave.v_lambda,
-            }
-        elif args.command == "translate":
-            opening = translation_opening(config)
-            velocity = config.motion.translation
-            _check_domain(config.wave, (config.path_II, config.path_I), MotionField(velocity))
-            phase = open_loop_phase(config.wave, opening, velocity)
-            cos_theta = (
-                _cos_between(velocity.as_tuple(), opening.as_tuple())
-                if velocity.norm() > 0.0
-                else None
-            )
-            doc = {
-                "phase_rad": phase,
-                "fringe_count": phase / TWO_PI,
-                "opening_m": list(opening.as_tuple()),
-                "opening_magnitude_m": opening.norm(),
-                "translation_mps": list(velocity.as_tuple()),
-                "cos_theta": cos_theta,
-                "v_lambda_m2ps": config.wave.v_lambda,
-            }
-        elif args.command == "sweep":
-            sweep = sensitivity_sweep(config, args.vmin, args.vmax, args.steps)
-            doc = {
-                "rows": (SweepRow._fields, sweep.rows),
-                "v_full_fringe_mps": sweep.v_full_fringe_mps,
-                "bracket_mps": list(sweep.bracket) if sweep.bracket else None,
-                "opening_m": list(sweep.opening_m.as_tuple()),
-                "cos_theta": sweep.cos_theta,
-                "v_lambda_m2ps": sweep.v_lambda,
-            }
-        else:  # fringes
-            _check_steps(args.steps)
-            base = two_path_difference(config).total_phase_rad
-            offsets = (TWO_PI * i / (args.steps - 1) for i in range(args.steps))
-            rows = [(offset, *fringe_reading(base + offset)) for offset in offsets]
-            doc = {"base_phase_rad": base, "rows": (("offset_rad", *FringeReading._fields), rows)}
-        _write(emit_results(doc, fmt), args.out)
+        try:
+            with open(args.scene, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise SceneError(f"cannot read scene file {args.scene!r}: {exc}") from exc
+        scene = parse_scene(text)
+        doc = args.document(args, scene, config_from_scene(scene))
+        _write(emit_results(doc, args.format or scene.output["format"]), args.out)
         return 0
     except MatterWaveError as exc:
         sys.stderr.write(f"{PROG}: error: {exc}\n")

@@ -52,6 +52,15 @@ class TestPairsWon:
             "change_first": {"pairs": 2, "won": 1},
         }
 
+    def test_split_by_the_bases_directory(self):
+        base = [10.0, 10.0, 10.0, 10.0, 10.0, 10.0]
+        change = [9.0, 9.0, 11.0, 11.0, 9.0, 10.0]
+        base_first = [True, False, True, False, True, False]
+        base_dir = ["t0", "t0", "t1", "t1", "t0", "t0"]
+        won = pairs.pairs_won(base, change, base_first, "lower", base_dir)
+        assert won["won"] == 3
+        assert won["base_dir"] == {"t0": {"pairs": 4, "won": 3}, "t1": {"pairs": 2, "won": 0}}
+
     def test_higher_is_better(self):
         won = pairs.pairs_won([1.0, 1.0], [0.98, 1.0], [True, False], "higher")
         assert won["won"] == 0
@@ -71,6 +80,15 @@ class TestCompare:
             {"pairs": 1, "won": 1}, {"pairs": 1, "won": 0},
         )
         assert (result["ok"]["better"], result["ok"]["won"]) == ("higher", 0)
+
+    def test_the_directory_split_keeps_the_pairs_compared(self):
+        base = [{"t": 3.0}, None, {"t": 4.0}, {"t": 4.0}]
+        change = [{"t": 2.0}, {"t": 1.0}, {"t": 5.0}, {"t": 3.0}]
+        base_dir = ["t0", "t0", "t1", "t1"]
+        result = pairs.compare(base, change, [True, False, True, False], {}, base_dir)
+        assert result["t"]["base_dir"] == {
+            "t0": {"pairs": 1, "won": 1}, "t1": {"pairs": 2, "won": 1},
+        }
 
     def test_no_pair_left_gives_no_metrics(self):
         assert pairs.compare([None], [{"t": 1.0}], [True], {}) == {}
@@ -98,3 +116,64 @@ class TestRevisions:
         assert pairs.revisions("HEAD", None) == {
             "base": "HEAD-sha", "change": "working tree", "dirty": True,
         }
+
+
+def _metric(base, change, better="lower"):
+    """A set's entry for one metric, as compare() writes it."""
+    return {"better": better, **pairs.pairs_won(base, change, [True] * len(base), better),
+            "base": pairs.summary(base), "change": pairs.summary(change)}
+
+
+class TestResolution:
+    def test_largest_shift_and_most_pairs_either_side_won(self):
+        sets = [
+            {"metrics": {  # the change wins 3 of 4 pairs, and its median is half the base's
+                "t": _metric([2.0, 2.0, 2.0, 2.0], [1.0, 1.0, 1.0, 3.0]),
+                "ok": _metric([1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0], "higher"),
+            }},
+            {"metrics": {  # the base wins all 5 pairs, and the change's median is 10% above
+                "t": _metric([1.0, 1.0, 1.0, 1.0, 1.0], [1.1, 1.2, 1.1, 1.1, 1.05]),
+                "ok": _metric([1.0, 1.0], [0.5, 1.0], "higher"),
+            }},
+        ]
+        result = pairs.resolution(sets, ["t", "ok", "absent"])
+        assert result == {
+            "t": {"largest_median_shift": 0.5, "most_won": 5, "pairs": 5},
+            "ok": {"largest_median_shift": 0.25, "most_won": 1, "pairs": 2},
+        }
+
+    def test_a_zero_base_median(self):
+        zero = {"metrics": {"t": _metric([0.0, 0.0], [0.0, 0.0])}}
+        assert pairs.resolution([zero], ["t"])["t"] == {
+            "largest_median_shift": 0.0, "most_won": 0, "pairs": 2,
+        }
+        moved = {"metrics": {"t": _metric([0.0, 0.0], [1.0, 1.0])}}
+        assert pairs.resolution([zero, moved], ["t"])["t"] == {
+            "largest_median_shift": None, "most_won": 2, "pairs": 2,
+        }
+
+
+class TestPlace:
+    @staticmethod
+    def trees(tmp_path, names):
+        for name in names:
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "holds").write_text(name)
+
+    def test_two_exported_trees_swap_names(self, tmp_path):
+        self.trees(tmp_path, ["t0", "t1"])
+        dirs = {"base": "t0", "change": "t1"}
+        pairs.place(str(tmp_path), dirs, "t1")
+        assert dirs == {"base": "t1", "change": "t0"}
+        assert (tmp_path / "t1" / "holds").read_text() == "t0"
+        assert (tmp_path / "t0" / "holds").read_text() == "t1"
+        pairs.place(str(tmp_path), dirs, "t1")  # already there: nothing moves
+        assert (tmp_path / "t1" / "holds").read_text() == "t0"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t0", "t1"]
+
+    def test_the_working_tree_is_not_moved(self, tmp_path):
+        self.trees(tmp_path, ["t0"])
+        dirs = {"base": "t0", "change": None}
+        pairs.place(str(tmp_path), dirs, "t1")
+        assert dirs == {"base": "t1", "change": None}
+        assert [p.name for p in tmp_path.iterdir()] == ["t1"]

@@ -1,5 +1,6 @@
 """CLI subcommands: outputs, exit codes, determinism, CSV discipline."""
 
+import argparse
 import gc
 import json
 import math
@@ -31,6 +32,7 @@ from matterwave import (
     path_phase,
     sensitivity_sweep,
 )
+from matterwave import cli
 from matterwave.cli import emit_results, main, run_command
 from matterwave.model import _coincide
 
@@ -877,6 +879,13 @@ class TestVerifyCommand:
         assert "worst_case" not in out
 
 
+def subcommands() -> dict:
+    """The CLI parser's subcommands: name to parser."""
+    parser = cli._build_parser()
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
 class TestCliContract:
     def test_unknown_subcommand_exits_one(self, capsys):
         code, _, err = run(capsys, ["warp"])
@@ -891,9 +900,30 @@ class TestCliContract:
         assert "usage" in err.lower()
 
     def test_no_arguments_prints_usage(self, capsys):
-        code, _, err = run(capsys, [])
-        assert code == 1
+        code, out, err = run(capsys, [])
+        assert (code, out) == (1, "")
+        assert err.splitlines()[0].startswith("matterwave: error: ")
         assert "usage" in err.lower()
+
+    # Each subcommand's document builder; verify reads no scene and has none.
+    BUILDERS = {
+        "phase": cli._phase,
+        "sagnac": cli._sagnac,
+        "translate": cli._translate,
+        "sweep": cli._sweep,
+        "fringes": cli._fringes,
+        "verify": None,
+    }
+
+    def test_every_subcommand_is_in_the_table(self):
+        assert list(subcommands()) == list(self.BUILDERS)
+
+    @pytest.mark.parametrize("command", list(subcommands()))
+    def test_each_command_names_its_own_builder(self, command):
+        argv = [command] + (["--scene", "scene.json"] if self.BUILDERS[command] else [])
+        argv += ["--vmax", "1"] if command == "sweep" else []
+        args = cli._build_parser().parse_args(argv)
+        assert getattr(args, "document", None) is self.BUILDERS[command]
 
     @pytest.mark.parametrize("argv", [["--help"], ["phase", "--help"]], ids=["top", "phase"])
     def test_help_exits_zero_with_usage_on_stdout(self, capsys, argv):

@@ -189,6 +189,21 @@ class TestPathPhase:
         result = path_phase(unit_wave, unit_square_loop(), rotation_z)
         assert result.total_phase_rad == pytest.approx(1.2566370614359171e9, rel=1e-12)
 
+    def test_a_speed_bound_a_rounding_below_v_still_walks_the_segment(self):
+        # T anti-parallel to the one segment d: the walked speed along the beam,
+        # (T . d) / |d|, rounds to 2e-16 (relative) above |T|, the bound that spares
+        # the walk. With v that speed the boost factor is exactly 0, and only the
+        # bound's slack sends the segment to the walk that refuses it.
+        t = (-0.9991944506389123, 0.253978106028669, -0.5047147084859811)
+        d = tuple(-x for x in t)
+        v = 1.1478812506054783
+        assert math.hypot(*t) < v
+        assert (t[0] * d[0] + t[1] * d[1] + t[2] * d[2]) / math.hypot(*d) == -v
+        wave = make_particle_wave(v, wavelength=1e-8)
+        field = MotionField(translation=Vec3(*t))
+        with pytest.raises(BoostDomainError, match="cancels or exceeds"):
+            path_phase(wave, BeamPath((Vec3(0, 0, 0), Vec3(*d))), field)
+
     def test_total_is_sum_of_breakdown(self, fast_wave):
         field = MotionField(translation=Vec3(0.3, 0.3, 0), omega=Vec3(0, 0, 0.5))
         result = path_phase(fast_wave, unit_square_loop(), field)
