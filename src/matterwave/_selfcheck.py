@@ -68,8 +68,8 @@ def _random_wave(rng: random.Random) -> ParticleWave:
     )
 
 
-def _random_planar_polygon(rng: random.Random, n_vertices: int) -> tuple[BeamPath, tuple]:
-    """Star-shaped planar polygon with a random orientation; returns path and normal.
+def _random_planar_polygon(rng: random.Random, n_vertices: int) -> tuple[tuple, tuple]:
+    """Star-shaped planar polygon with a random orientation; returns vertices and normal.
 
     Jittered angular spacing keeps every edge nondegenerate and the signed
     area bounded away from zero.
@@ -85,7 +85,7 @@ def _random_planar_polygon(rng: random.Random, n_vertices: int) -> tuple[BeamPat
         p, q = radius * math.cos(theta), radius * math.sin(theta)
         verts.append((cx + ux * p + wx * q, cy + uy * p + wy * q, cz + uz * p + wz * q))
     verts.append(verts[0])
-    return BeamPath(tuple(verts)), normal
+    return tuple(verts), normal
 
 
 def _random_closed_config(
@@ -151,7 +151,7 @@ def run_suite(seed: int) -> VerifyReport:
 
     def sagnac_agreement(_i):
         wave = _random_wave(rng)
-        loop, normal = _random_planar_polygon(rng, rng.randrange(3, 13))
+        verts, normal = _random_planar_polygon(rng, rng.randrange(3, 13))
         while True:
             axis = _unit_vec(rng)
             if abs(_dot(axis, normal)) >= 0.1:  # keep Omega . A away from cancellation
@@ -159,16 +159,14 @@ def run_suite(seed: int) -> VerifyReport:
         field = _field(
             _random_vec(rng, 0.5), _scaled(axis, rng.uniform(0.3, 2.0)), _random_vec(rng)
         )
-        loop_integral = (TWO_PI / wave.v_lambda) * circulation(field, loop)
-        area_form = sagnac_area_phase(wave, loop, field)
-        # The kernel on the same loop, split at its middle vertex into two beams
-        # whose interference loop it is (beam II forward, beam I backward), is
-        # held to the area form as the loop integral is.
-        verts = loop.vertices
+        # The oracles read the split's own loop (the polygon's vertices, in order), as sagnac does.
         mid = len(verts) // 2
         split = InterferometerConfig(
             BeamPath(verts[mid:][::-1]), BeamPath(verts[: mid + 1]), wave, field
         )
+        loop = interference_loop(split)
+        loop_integral = (TWO_PI / wave.v_lambda) * circulation(field, loop)
+        area_form = sagnac_area_phase(wave, loop, field)
         kernel = two_path_difference(split).total_phase_rad
         violation = 0.0
         for a, b in ((loop_integral, area_form), (kernel, area_form)):

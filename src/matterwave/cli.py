@@ -47,10 +47,10 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    # Replace argparse's sys.exit(2) with a catchable error so run_command
-    # can keep the documented exit-code contract.
+    # Replace argparse's sys.exit(2) with a catchable error so run_command can keep the
+    # documented exit-code contract. Its one refusal writer ends the usage text's last line.
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(f"{message}\n{self.format_usage()}")
+        raise _UsageError(f"{message}\n{self.format_usage().rstrip()}")
 
 
 def _json_row(header) -> str:
@@ -313,13 +313,6 @@ def run_command(argv: list[str]) -> int:
     """Run one CLI invocation; returns the process exit code."""
     try:
         args = _build_parser().parse_args(_attach_negative_numbers(argv))
-    except _UsageError as exc:
-        sys.stderr.write(f"{PROG}: error: {exc}\n")
-        return 1
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
-
-    try:
         if args.command == "verify":
             report = verify_suite(seed=args.seed)
             checks = [c._asdict() for c in report.checks]
@@ -339,9 +332,11 @@ def run_command(argv: list[str]) -> int:
         doc = args.document(args, scene, config_from_scene(scene))
         _write(emit_results(doc, args.format or scene.output["format"]), args.out)
         return 0
-    except MatterWaveError as exc:
+    except (_UsageError, MatterWaveError) as exc:
         sys.stderr.write(f"{PROG}: error: {exc}\n")
         return 1
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
 
 
 def main() -> None:

@@ -1,6 +1,7 @@
 """CLI subcommands: outputs, exit codes, determinism, CSV discipline."""
 
 import argparse
+import ast
 import gc
 import json
 import math
@@ -904,6 +905,37 @@ class TestCliContract:
         assert (code, out) == (1, "")
         assert err.splitlines()[0].startswith("matterwave: error: ")
         assert "usage" in err.lower()
+
+    # An argparse refusal: the error line, then the usage text of the parser that refused
+    # (the top-level one, or the subcommand's), which may wrap, and nothing after it.
+    @pytest.mark.parametrize(
+        "argv,refuser,message",
+        [
+            (["phase", "--scene", "x.json", "--bogus"], None, "unrecognized arguments: --bogus"),
+            ([], None, "the following arguments are required: command"),
+            (
+                ["fringes", "--scene", "x.json", "--steps", "2.5"],
+                "fringes",
+                "argument --steps: invalid int value: '2.5'",
+            ),
+        ],
+        ids=["unknown-flag", "no-arguments", "fringes-steps-not-an-int"],
+    )
+    def test_an_argparse_refusal_ends_at_its_usage_text(self, capsys, argv, refuser, message):
+        parser = subcommands()[refuser] if refuser else cli._build_parser()
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == f"matterwave: error: {message}\n{parser.format_usage()}"
+        assert err.endswith("\n") and "\n\n" not in err
+
+    def test_one_statement_writes_the_error_line(self):
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        writes = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and any(": error: " in ast.unparse(a) for a in node.args)
+        ]
+        assert len(writes) == 1
 
     # Each subcommand's document builder; verify reads no scene and has none.
     BUILDERS = {
