@@ -335,7 +335,7 @@ def run_command(argv: list[str]) -> int:
     except (_UsageError, MatterWaveError) as exc:
         sys.stderr.write(f"{PROG}: error: {exc}\n")
         return 1
-    except SystemExit as exc:  # --help
+    except SystemExit as exc:  # --help, from parse_args
         return int(exc.code or 0)
 
 

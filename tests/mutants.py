@@ -2,16 +2,19 @@
 
 Each mutant changes one text of one file: its ``old`` text occurs exactly once
 there (``tests/test_mutants.py`` checks this against the tree as it is). The
-driver copies the tree into a new temporary directory per mutant, applies the
-mutant, and runs ``pytest -x``: first on the tests named to kill it, then, if
+driver copies the tree into a new temporary directory per mutant and runs the
+tests named to kill it there before the mutant is applied: they must pass, so
+that a failure afterwards is the mutant's doing and not the copy's. It then
+applies the mutant and runs ``pytest -x``: first on the named tests, then, if
 they all pass, on the whole suite. It reports each mutant as killed, with the
-first test that failed, or as survived. A survivor not marked equivalent (with
-the reason no test can tell it from the code) makes the driver exit 1.
+first test that failed, or as survived. The driver exits 1 on a survivor not
+marked equivalent (with the reason no test can tell it from the code), and on
+a mutant killed only by a test outside its named ones, whose list is then
+stale.
 
 Usage, from the repository root (standard library and pytest only)::
 
-    python tests/mutants.py            # every mutant
-    python tests/mutants.py NAME ...   # the named ones
+    python tests/mutants.py
 
 A change to the kernel, an oracle or a refusal adds its mutants here, with the
 tests that kill them.
@@ -154,6 +157,9 @@ def run(mutant: Mutant) -> str | None:
     with tempfile.TemporaryDirectory(prefix="matterwave-mutant-") as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=SKIP)
+        code, failed = pytest(tree, mutant.killers)
+        if code:
+            raise RuntimeError(f"{mutant.name}: {failed} fails on the unmutated copy")
         apply(tree, mutant)
         # The whole suite less the catalogue's own check, which any mutant fails.
         for args in (mutant.killers, ("--ignore=tests/test_mutants.py",)):
@@ -163,31 +169,27 @@ def run(mutant: Mutant) -> str | None:
     return None
 
 
-def main(argv: list[str]) -> int:
-    unknown = set(argv) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 1
-    chosen = [m for m in MUTANTS if not argv or m.name in argv]
-    survivors = 0
+def main() -> int:
+    failures = 0
     started = time.monotonic()
-    for mutant in chosen:
+    for mutant in MUTANTS:
         t0 = time.monotonic()
         killer = run(mutant)
         took = f"{time.monotonic() - t0:.1f} s"
-        if killer is not None:
-            named = killer.startswith(mutant.killers)
-            note = "" if named else ", not by a named test"
-            print(f"killed    {mutant.name} by {killer} ({took}{note})", flush=True)
+        if killer is not None and killer.startswith(mutant.killers):
+            print(f"killed    {mutant.name} by {killer} ({took})", flush=True)
+        elif killer is not None:
+            failures += 1
+            print(f"KILLED    {mutant.name} by {killer}, not by a named test ({took})", flush=True)
         elif mutant.equivalent:
             print(f"survived  {mutant.name} ({took}; equivalent: {mutant.equivalent})", flush=True)
         else:
-            survivors += 1
+            failures += 1
             print(f"SURVIVED  {mutant.name} ({took})", flush=True)
-    print(f"{len(chosen)} mutants, {survivors} unexplained survivors, "
+    print(f"{len(MUTANTS)} mutants, {failures} survived or killed outside their named tests, "
           f"{time.monotonic() - started:.0f} s")
-    return 1 if survivors else 0
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -5,10 +5,6 @@ import pytest
 from mutants import MUTANTS, ROOT
 
 
-def test_mutant_names_are_distinct():
-    assert len({m.name for m in MUTANTS}) == len(MUTANTS)
-
-
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
 def test_each_old_text_occurs_exactly_once(mutant):
     assert (ROOT / mutant.path).read_text(encoding="utf-8").count(mutant.old) == 1
