@@ -1,22 +1,23 @@
-"""Alternating pairs of perfbench runs: a base revision against the working tree.
+"""Alternating pairs of perfbench runs: a base revision against a change.
 
 Usage (from the repository root)::
 
     python bench/pairs.py --base REV --workload lib-scan --sets 2 --pairs 10 \\
-        --out BENCH_33.json
+        --out BENCH_39.json
 
-The base side is ``git archive REV``, exported into a temporary directory
-outside the repository; the change side is the working tree, or a second
-exported revision with ``--change REV`` (``--base HEAD --change HEAD`` is an
-A/A run, which shows how often identical trees "win"). The exported trees hold
-two sibling names of equal length, ``t0`` and ``t1``, and swap them every
-second pair, so that neither a name nor the side that ran first goes with one
-tree; the working tree is not moved. Both trees' ``src`` are byte-compiled
-first, so that both load cached bytecode as an installed package does. Each
-pair runs ``perfbench/run.py`` once per side for 25 s with the same seed, the
-base first on odd pairs. A run whose last JSON line says ``correct`` false, or
-that does not end in one, is counted as failed, and its pair is left out of the
-comparison.
+Both sides run as the benchmark pipeline runs them: exported to a temporary
+directory outside the repository, with ``PYTHONDONTWRITEBYTECODE=1`` in every
+perfbench child, so that each CLI process compiles what it imports (about 25 ms
+at reference speed, which a byte-compiled tree would hide). The base side is
+``git archive REV``, the change side that of ``--change REV`` (``--base HEAD
+--change HEAD`` is an A/A run, which shows how often identical trees "win"), or
+else of ``git stash create``, the working tree's tracked files (HEAD for a clean
+tree); untracked files under ``src`` would not be measured and are refused. The
+names ``t0`` and ``t1`` swap every second pair, so that neither a name nor the
+side that ran first goes with one tree. Each pair runs ``perfbench/run.py`` once
+per side for 25 s with the same seed, the base first on odd pairs. A run whose
+last JSON line says ``correct`` false, or that does not end in one, is counted
+as failed, and its pair is left out of the comparison.
 
 Per set and metric the file records each side's median and quartiles, and the
 pairs the change won (its metric better, by the direction ``BENCHMARK.json``
@@ -203,19 +204,23 @@ def directions(spec: dict) -> dict:
     return {m["name"]: m["better"] for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
 
 
+def change_revision(change: str | None) -> str:
+    """``change``, or a commit of the working tree's tracked files (HEAD if it is clean)."""
+    if change:
+        return change
+    if any(line.startswith("??") for line in git("status", "--porcelain", "src").splitlines()):
+        raise SystemExit("pairs.py: untracked files under src/ would not be measured")
+    return git("stash", "create").strip() or "HEAD"
+
+
 def place(tmp: str, dirs: dict, base_dir: str) -> None:
-    """Give the exported base tree the name ``base_dir`` under ``tmp``, and an exported
-    change the other name, by renaming; ``dirs`` maps each side to its name, or to None
-    for the working tree, and is updated."""
-    if dirs["base"] == base_dir:
-        return
-    moves = [side for side, name in dirs.items() if name is not None]
-    for side in moves:
-        os.rename(os.path.join(tmp, dirs[side]), os.path.join(tmp, f"{dirs[side]}.moving"))
-    for side in moves:
-        other = DIRECTORIES[1 - DIRECTORIES.index(dirs[side])]
-        os.rename(os.path.join(tmp, f"{dirs[side]}.moving"), os.path.join(tmp, other))
-        dirs[side] = other
+    """Give the base tree the name ``base_dir`` under ``tmp`` and the change tree the
+    other, by swapping their names; ``dirs`` maps each side to its name, and is updated."""
+    if dirs["base"] != base_dir:
+        os.rename(os.path.join(tmp, dirs["base"]), os.path.join(tmp, "moving"))
+        os.rename(os.path.join(tmp, dirs["change"]), os.path.join(tmp, dirs["base"]))
+        os.rename(os.path.join(tmp, "moving"), os.path.join(tmp, dirs["change"]))
+        dirs["base"], dirs["change"] = dirs["change"], dirs["base"]
 
 
 def run_once(tree: str, workload: str, seed: int):
@@ -225,7 +230,10 @@ def run_once(tree: str, workload: str, seed: int):
         "--seed", str(seed), "--seconds", str(RUN_SECONDS), "--trace", "0",
     ]
     try:
-        done = subprocess.run(argv, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+        done = subprocess.run(
+            argv, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
+            env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        )
     except subprocess.TimeoutExpired:
         return None, None
     lines = done.stdout.splitlines()
@@ -242,7 +250,7 @@ def run_once(tree: str, workload: str, seed: int):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", required=True, help="base revision, exported with git archive")
-    parser.add_argument("--change", help="change revision (default: the working tree)")
+    parser.add_argument("--change", help="change revision (default: the tracked working tree)")
     parser.add_argument("--workload", required=True, choices=("cli-small", "cli-large", "lib-scan"))
     parser.add_argument("--sets", type=int, default=2)
     parser.add_argument("--pairs", type=int, default=10)
@@ -262,19 +270,10 @@ def main(argv=None) -> int:
     spec = benchmark()
     tmp = tempfile.mkdtemp(prefix="matterwave-pairs-")
     try:
-        dirs = {"base": DIRECTORIES[0], "change": DIRECTORIES[1] if args.change else None}
+        dirs = {"base": DIRECTORIES[0], "change": DIRECTORIES[1]}
         export(args.base, tmp, dirs["base"])
-        if args.change:
-            export(args.change, tmp, dirs["change"])
+        export(change_revision(args.change), tmp, dirs["change"])
 
-        def tree(side: str) -> str:
-            return ROOT if dirs[side] is None else os.path.join(tmp, dirs[side])
-
-        for side in dirs:
-            subprocess.run(
-                [sys.executable, "-m", "compileall", "-q", os.path.join(tree(side), "src")],
-                check=True,
-            )
         seed = args.seed
         for set_index in range(args.sets):
             runs = {"base": [], "change": []}
@@ -284,10 +283,10 @@ def main(argv=None) -> int:
                 # The names swap every second pair: run order alternates every pair.
                 place(tmp, dirs, DIRECTORIES[(pair - 1) // 2 % 2])
                 for side in directories:
-                    directories[side].append(dirs[side] or "working tree")
+                    directories[side].append(dirs[side])
                 order = ("base", "change") if pair % 2 else ("change", "base")
                 for side in order:
-                    values, env = run_once(tree(side), args.workload, seed)
+                    values, env = run_once(os.path.join(tmp, dirs[side]), args.workload, seed)
                     runs[side].append(values)
                     if env is not None:
                         entry["env"].setdefault(side, env)

@@ -1,8 +1,11 @@
 """The statistics of bench/pairs.py, on fixed numbers. The script itself runs the
-benchmark for minutes, so only its pure functions, and the revisions it records with git
-stubbed, are tested here."""
+benchmark for minutes, so its pure functions are tested here, and its running with git,
+the export and the perfbench child stubbed or replaced by a stand-in."""
 
 import importlib.util
+import json
+import os
+import types
 from pathlib import Path
 
 import pytest
@@ -171,9 +174,102 @@ class TestPlace:
         assert (tmp_path / "t1" / "holds").read_text() == "t0"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t0", "t1"]
 
-    def test_the_working_tree_is_not_moved(self, tmp_path):
-        self.trees(tmp_path, ["t0"])
-        dirs = {"base": "t0", "change": None}
-        pairs.place(str(tmp_path), dirs, "t1")
-        assert dirs == {"base": "t1", "change": None}
-        assert [p.name for p in tmp_path.iterdir()] == ["t1"]
+
+class TestChangeRevision:
+    @staticmethod
+    def stub(monkeypatch, status="", stash=""):
+        calls = []
+
+        def fake_git(*args):
+            calls.append(args)
+            return {"status": status, "stash": stash}[args[0]]
+
+        monkeypatch.setattr(pairs, "git", fake_git)
+        return calls
+
+    def test_a_named_revision_is_exported_as_it_is(self, monkeypatch):
+        calls = self.stub(monkeypatch)
+        assert pairs.change_revision("HEAD~2") == "HEAD~2" and calls == []
+
+    def test_the_working_tree_is_its_stash_commit(self, monkeypatch):
+        calls = self.stub(monkeypatch, status=" M src/matterwave/model.py\n", stash="abc123\n")
+        assert pairs.change_revision(None) == "abc123"
+        assert calls == [("status", "--porcelain", "src"), ("stash", "create")]
+
+    def test_a_clean_working_tree_is_head(self, monkeypatch):
+        self.stub(monkeypatch)
+        assert pairs.change_revision(None) == "HEAD"
+
+    def test_untracked_files_under_src_are_refused(self, monkeypatch):
+        self.stub(monkeypatch, status="?? src/matterwave/new.py\n", stash="abc123\n")
+        with pytest.raises(SystemExit, match="untracked"):
+            pairs.change_revision(None)
+
+
+_RESULT = '{"correct": true, "metrics": {"setup_s": {"value": 0.1}}}'
+
+
+class TestRunOnce:
+    def test_the_child_writes_no_bytecode_whatever_the_callers_environment(self, monkeypatch):
+        seen = {}
+
+        def fake_run(argv, **kwargs):
+            seen.update(kwargs)
+            return types.SimpleNamespace(returncode=0, stdout='env {"k": 1}\n' + _RESULT + "\n")
+
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+        monkeypatch.setenv("PAIRS_TEST_MARK", "kept")
+        monkeypatch.setattr(pairs.subprocess, "run", fake_run)
+        assert pairs.run_once("tree", "cli-small", 7) == ({"setup_s": 0.1}, {"k": 1})
+        assert seen["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+        assert seen["env"]["PAIRS_TEST_MARK"] == "kept"
+
+    def test_the_tree_holds_no_bytecode_after_a_run(self, tmp_path, monkeypatch):
+        # A stand-in for perfbench/run.py that imports a module of the tree's src.
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "probe.py").write_text("X = 1\n")
+        (tmp_path / "perfbench").mkdir()
+        (tmp_path / "perfbench" / "run.py").write_text(
+            "import os, sys\n"
+            "sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, 'src'))\n"
+            "import probe\n"
+            f"print({_RESULT!r})\n"
+        )
+        assert pairs.run_once(str(tmp_path), "cli-small", 7) == ({"setup_s": 0.1}, None)
+        assert not list(tmp_path.rglob("__pycache__"))
+
+
+class TestMain:
+    def test_both_sides_are_exported_trees_that_swap_names(self, monkeypatch, tmp_path):
+        ran = []
+
+        def fake_export(rev, parent, name):
+            os.mkdir(os.path.join(parent, name))
+            Path(parent, name, "rev").write_text(rev)
+
+        def fake_run_once(tree, workload, seed):
+            ran.append((os.path.basename(tree), Path(tree, "rev").read_text()))
+            return {"setup_s": 0.1}, None
+
+        def no_subprocess(*args, **kwargs):
+            raise AssertionError(f"unexpected subprocess {args}")
+
+        fake_git = {"rev-parse": "HEAD-sha\n", "status": "", "stash": "stash-sha\n"}
+        monkeypatch.setattr(pairs, "git", lambda *args: fake_git[args[0]])
+        monkeypatch.setattr(pairs, "export", fake_export)
+        monkeypatch.setattr(pairs, "run_once", fake_run_once)
+        monkeypatch.setattr(pairs.subprocess, "run", no_subprocess)
+        out = tmp_path / "out.json"
+        argv = ["--base", "HEAD", "--workload", "cli-small", "--sets", "1", "--pairs", "4"]
+        assert pairs.main([*argv, "--out", str(out)]) == 0
+        base, change = "HEAD", "stash-sha"
+        assert ran == [
+            ("t0", base), ("t1", change), ("t1", change), ("t0", base),
+            ("t1", base), ("t0", change), ("t0", change), ("t1", base),
+        ]
+        entry = json.loads(out.read_text())["runs"][0]
+        assert entry["sets"][0]["directories"] == {
+            "base": ["t0", "t0", "t1", "t1"], "change": ["t1", "t1", "t0", "t0"],
+        }
+        assert (entry["change"], entry["dirty"]) == ("working tree", False)
