@@ -8,28 +8,26 @@ Usage (from the repository root)::
 Both sides run as the benchmark pipeline runs them: exported to a temporary
 directory outside the repository, with ``PYTHONDONTWRITEBYTECODE=1`` in every
 perfbench child, so that each CLI process compiles what it imports (about 25 ms
-at reference speed, which a byte-compiled tree would hide). The base side is
-``git archive REV``, the change side that of ``--change REV`` (``--base HEAD
---change HEAD`` is an A/A run, which shows how often identical trees "win"), or
-else of ``git stash create``, the working tree's tracked files (HEAD for a clean
-tree); untracked files under ``src`` would not be measured and are refused. The
-names ``t0`` and ``t1`` swap every second pair, so that neither a name nor the
-side that ran first goes with one tree. Each pair runs ``perfbench/run.py`` once
-per side for 25 s with the same seed, the base first on odd pairs. A run whose
-last JSON line says ``correct`` false, or that does not end in one, is counted
-as failed, and its pair is left out of the comparison.
+at reference speed, which a byte-compiled tree would hide). Each side is the
+``git archive`` of one commit: ``--base REV``, and ``--change REV`` or else the
+``git stash create`` commit of the working tree's tracked files (HEAD for a
+clean tree); untracked files under ``src`` would not be measured and are
+refused. The names ``t0`` and ``t1`` swap every second pair, so that neither a
+name nor the side that ran first goes with one tree. Each pair runs
+``perfbench/run.py`` once per side for 25 s with the same seed, the base first
+on odd pairs. A run whose last JSON line says ``correct`` false, or that does
+not end in one, is counted as failed, and its pair is left out of the comparison.
 
 Per set and metric the file records each side's median and quartiles, and the
 pairs the change won (its metric better, by the direction ``BENCHMARK.json``
 gives) in total, split by which side ran first and split by the base's
-directory. Each set records each side's directory per pair. The entry also
-records each side's ``env`` line, the revisions, and ``dirty``: whether ``git
-status --porcelain`` shows a dirty working tree where the change side is the
-working tree, and null where it is an exported revision. An entry whose base
-and change are the same revision also records its ``resolution``: per
-end-to-end metric, the largest median shift and the most pairs won that
-identical trees showed. Each invocation appends one entry to ``--out``'s
-``runs``.
+directory. Each set records each side's directory per pair. The entry records
+each side's ``env`` line and, as ``base`` and ``change``, the SHA of the commit
+it exported. Where the two agree the entry is an A/A run, which shows how often
+identical trees "win", and records its ``resolution``: per end-to-end metric,
+the largest median shift and the most pairs won. Each invocation appends one
+entry to ``--out``'s ``runs``, and refuses an ``--out`` that is not JSON with a
+``runs`` list before the first pair.
 """
 from __future__ import annotations
 
@@ -81,14 +79,13 @@ def _wins(base, change, better: str) -> list:
     return [(c < b) if better == "lower" else (c > b) for b, c in zip(base, change)]
 
 
-def pairs_won(base, change, base_first, better: str = "lower", base_dir=None) -> dict:
+def pairs_won(base, change, base_first, better: str, base_dir) -> dict:
     """Pairs in which the change's value is strictly better than the base's, in total,
-    split by which side ran first and, where ``base_dir`` is given, split by the base's
-    directory. ``base_first[i]`` says whether pair i ran the base first, ``base_dir[i]``
-    where the base tree was."""
+    split by which side ran first and split by the base's directory. ``base_first[i]``
+    says whether pair i ran the base first, ``base_dir[i]`` where the base tree was."""
     wins = _wins(base, change, better)
     first = [bool(f) for f in base_first]
-    won = {
+    return {
         "pairs": len(wins),
         "won": sum(wins),
         "base_first": {"pairs": first.count(True), "won": sum(w for w, f in zip(wins, first) if f)},
@@ -96,19 +93,14 @@ def pairs_won(base, change, base_first, better: str = "lower", base_dir=None) ->
             "pairs": first.count(False),
             "won": sum(w for w, f in zip(wins, first) if not f),
         },
+        "base_dir": {
+            d: {"pairs": base_dir.count(d), "won": sum(w for w, e in zip(wins, base_dir) if e == d)}
+            for d in sorted(set(base_dir))
+        },
     }
-    if base_dir is not None:
-        won["base_dir"] = {
-            name: {
-                "pairs": base_dir.count(name),
-                "won": sum(w for w, d in zip(wins, base_dir) if d == name),
-            }
-            for name in sorted(set(base_dir))
-        }
-    return won
 
 
-def compare(base_runs, change_runs, base_first, directions: dict, base_dir=None) -> dict:
+def compare(base_runs, change_runs, base_first, directions: dict, base_dir) -> dict:
     """Per metric: each side's summary and the pairs won, over the pairs where neither
     run failed. A run is a dict of metric values, or None where it failed."""
     kept = [
@@ -118,14 +110,13 @@ def compare(base_runs, change_runs, base_first, directions: dict, base_dir=None)
     for name in (sorted(base_runs[kept[0]]) if kept else ()):
         base = [base_runs[i][name] for i in kept]
         change = [change_runs[i][name] for i in kept]
-        better = directions.get(name, "lower")
+        better = directions[name]
         metrics[name] = {
             "better": better,
             "base": summary(base),
             "change": summary(change),
             **pairs_won(
-                base, change, [base_first[i] for i in kept], better,
-                None if base_dir is None else [base_dir[i] for i in kept],
+                base, change, [base_first[i] for i in kept], better, [base_dir[i] for i in kept],
             ),
         }
     return metrics
@@ -180,28 +171,24 @@ def export(rev: str, parent: str, name: str) -> str:
     return tree
 
 
-def revisions(base: str, change: str | None) -> dict:
-    """The entry's ``base`` and ``change`` revisions, and ``dirty``, which describes the
-    working tree and so is None where the change side is an exported revision."""
-    return {
-        "base": git("rev-parse", base).strip(),
-        "change": git("rev-parse", change).strip() if change else "working tree",
-        "dirty": None if change else bool(git("status", "--porcelain").strip()),
-    }
+def directions() -> dict:
+    """End-to-end metric name to "lower" or "higher", from the repository's BENCHMARK.json."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        return {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
 
 
-def benchmark() -> dict:
-    """The repository's BENCHMARK.json, or {} where there is none."""
+def runs_file(path: str) -> dict:
+    """The JSON document at ``path``, which must hold a ``runs`` list, or a new one."""
+    if not os.path.exists(path):
+        return {"runs": []}
     try:
-        with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-            return json.load(fh)
-    except OSError:
-        return {}
-
-
-def directions(spec: dict) -> dict:
-    """Metric name to "lower" or "higher", from a BENCHMARK.json."""
-    return {m["name"]: m["better"] for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+        with open(path) as fh:
+            bench = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"pairs.py: {path} is not JSON: {exc}") from None
+    if not isinstance(bench, dict) or not isinstance(bench.get("runs"), list):
+        raise SystemExit(f"pairs.py: {path} holds no runs list")
+    return bench
 
 
 def change_revision(change: str | None) -> str:
@@ -250,7 +237,7 @@ def run_once(tree: str, workload: str, seed: int):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", required=True, help="base revision, exported with git archive")
-    parser.add_argument("--change", help="change revision (default: the tracked working tree)")
+    parser.add_argument("--change", help="change revision (default: git stash create, or HEAD)")
     parser.add_argument("--workload", required=True, choices=("cli-small", "cli-large", "lib-scan"))
     parser.add_argument("--sets", type=int, default=2)
     parser.add_argument("--pairs", type=int, default=10)
@@ -259,20 +246,22 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
 
+    bench = runs_file(args.out)
+    better = directions()
     entry = {
         "label": args.label,
         "workload": args.workload,
-        **revisions(args.base, args.change),
+        "base": git("rev-parse", args.base).strip(),
+        "change": git("rev-parse", change_revision(args.change)).strip(),
         "seconds": RUN_SECONDS,
         "env": {},
         "sets": [],
     }
-    spec = benchmark()
     tmp = tempfile.mkdtemp(prefix="matterwave-pairs-")
     try:
         dirs = {"base": DIRECTORIES[0], "change": DIRECTORIES[1]}
-        export(args.base, tmp, dirs["base"])
-        export(change_revision(args.change), tmp, dirs["change"])
+        export(entry["base"], tmp, dirs["base"])
+        export(entry["change"], tmp, dirs["change"])
 
         seed = args.seed
         for set_index in range(args.sets):
@@ -305,15 +294,13 @@ def main(argv=None) -> int:
                 "directories": directories,
                 "failed": {side: runs[side].count(None) for side in runs},
                 "metrics": compare(
-                    runs["base"], runs["change"], base_first, directions(spec),
-                    directories["base"],
+                    runs["base"], runs["change"], base_first, better, directories["base"],
                 ),
             })
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     if entry["base"] == entry["change"]:
-        end_to_end = [m["name"] for m in spec.get("end_to_end", [])]
-        entry["resolution"] = resolution(entry["sets"], end_to_end)
+        entry["resolution"] = resolution(entry["sets"], better)
 
     for set_index, result in enumerate(entry["sets"], 1):
         for name, m in result["metrics"].items():
@@ -327,10 +314,6 @@ def main(argv=None) -> int:
                 + ", ".join(f"base in {d} {w['won']}/{w['pairs']}" for d, w in by_dir.items())
                 + ")"
             )
-    bench = {"runs": []}
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            bench = json.load(fh)
     bench["runs"].append(entry)
     with open(args.out, "w") as fh:
         json.dump(bench, fh, indent=1)

@@ -69,8 +69,6 @@ def _vec3(value, path: str) -> Vec3:
 
 
 def _points(value, path: str) -> BeamPath:
-    if not isinstance(value, list) or len(value) < 2:
-        raise SceneError(f"{path}: expected a list of at least 2 [x, y, z] points")
     return _built(path, BeamPath, value)
 
 

@@ -7,9 +7,8 @@ tests named to kill it there before the mutant is applied: they must pass, so
 that a failure afterwards is the mutant's doing and not the copy's. It then
 applies the mutant and runs ``pytest -x``: first on the named tests, then, if
 they all pass, on the whole suite. It reports each mutant as killed, with the
-first test that failed, or as survived. The driver exits 1 on a survivor not
-marked equivalent (with the reason no test can tell it from the code), and on
-a mutant killed only by a test outside its named ones, whose list is then
+first test that failed, or as survived. The driver exits 1 on a survivor, and
+on a mutant killed only by a test outside its named ones, whose list is then
 stale.
 
 Usage, from the repository root (standard library and pytest only)::
@@ -44,7 +43,6 @@ class Mutant(NamedTuple):
     old: str  # occurs exactly once in the file
     new: str
     killers: tuple  # pytest node ids expected to kill it
-    equivalent: str | None = None  # why no test can tell it from the code
 
 
 PHASE, MODEL = "src/matterwave/phase.py", "src/matterwave/model.py"
@@ -181,8 +179,6 @@ def main() -> int:
         elif killer is not None:
             failures += 1
             print(f"KILLED    {mutant.name} by {killer}, not by a named test ({took})", flush=True)
-        elif mutant.equivalent:
-            print(f"survived  {mutant.name} ({took}; equivalent: {mutant.equivalent})", flush=True)
         else:
             failures += 1
             print(f"SURVIVED  {mutant.name} ({took})", flush=True)

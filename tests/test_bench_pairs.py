@@ -48,11 +48,12 @@ class TestPairsWon:
         base = [10.0, 10.0, 10.0, 10.0, 10.0]
         change = [9.0, 11.0, 9.0, 9.0, 10.0]  # a tie is no win
         base_first = [True, False, True, False, True]
-        assert pairs.pairs_won(base, change, base_first) == {
+        assert pairs.pairs_won(base, change, base_first, "lower", ["t0"] * 5) == {
             "pairs": 5,
             "won": 3,
             "base_first": {"pairs": 3, "won": 2},
             "change_first": {"pairs": 2, "won": 1},
+            "base_dir": {"t0": {"pairs": 5, "won": 3}},
         }
 
     def test_split_by_the_bases_directory(self):
@@ -65,16 +66,18 @@ class TestPairsWon:
         assert won["base_dir"] == {"t0": {"pairs": 4, "won": 3}, "t1": {"pairs": 2, "won": 0}}
 
     def test_higher_is_better(self):
-        won = pairs.pairs_won([1.0, 1.0], [0.98, 1.0], [True, False], "higher")
-        assert won["won"] == 0
-        assert pairs.pairs_won([0.9, 1.0], [1.0, 1.0], [True, False], "higher")["won"] == 1
+        first, base_dir = [True, False], ["t0", "t1"]
+        assert pairs.pairs_won([1.0, 1.0], [0.98, 1.0], first, "higher", base_dir)["won"] == 0
+        assert pairs.pairs_won([0.9, 1.0], [1.0, 1.0], first, "higher", base_dir)["won"] == 1
 
 
 class TestCompare:
     def test_failed_runs_leave_their_pair_out(self):
         base = [{"t": 3.0, "ok": 1.0}, {"t": 5.0, "ok": 1.0}, None, {"t": 4.0, "ok": 1.0}]
         change = [{"t": 2.0, "ok": 1.0}, None, {"t": 1.0, "ok": 1.0}, {"t": 4.5, "ok": 0.5}]
-        result = pairs.compare(base, change, [True, False, True, False], {"ok": "higher"})
+        result = pairs.compare(
+            base, change, [True, False, True, False], {"t": "lower", "ok": "higher"}, ["t0"] * 4,
+        )
         assert sorted(result) == ["ok", "t"]
         t = result["t"]
         assert (t["better"], t["pairs"], t["won"]) == ("lower", 2, 1)
@@ -88,43 +91,19 @@ class TestCompare:
         base = [{"t": 3.0}, None, {"t": 4.0}, {"t": 4.0}]
         change = [{"t": 2.0}, {"t": 1.0}, {"t": 5.0}, {"t": 3.0}]
         base_dir = ["t0", "t0", "t1", "t1"]
-        result = pairs.compare(base, change, [True, False, True, False], {}, base_dir)
+        result = pairs.compare(base, change, [True, False, True, False], {"t": "lower"}, base_dir)
         assert result["t"]["base_dir"] == {
             "t0": {"pairs": 1, "won": 1}, "t1": {"pairs": 2, "won": 1},
         }
 
     def test_no_pair_left_gives_no_metrics(self):
-        assert pairs.compare([None], [{"t": 1.0}], [True], {}) == {}
-
-
-class TestRevisions:
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        calls = []
-
-        def fake_git(*args):
-            calls.append(args)
-            return " M src/matterwave/model.py\n" if args[0] == "status" else f"{args[-1]}-sha\n"
-
-        monkeypatch.setattr(pairs, "git", fake_git)
-        return calls
-
-    def test_an_exported_change_records_no_dirty_state(self, calls):
-        assert pairs.revisions("HEAD~1", "HEAD") == {
-            "base": "HEAD~1-sha", "change": "HEAD-sha", "dirty": None,
-        }
-        assert ("status", "--porcelain") not in calls
-
-    def test_the_working_tree_records_its_dirty_state(self, calls):
-        assert pairs.revisions("HEAD", None) == {
-            "base": "HEAD-sha", "change": "working tree", "dirty": True,
-        }
+        assert pairs.compare([None], [{"t": 1.0}], [True], {"t": "lower"}, ["t0"]) == {}
 
 
 def _metric(base, change, better="lower"):
     """A set's entry for one metric, as compare() writes it."""
-    return {"better": better, **pairs.pairs_won(base, change, [True] * len(base), better),
-            "base": pairs.summary(base), "change": pairs.summary(change)}
+    won = pairs.pairs_won(base, change, [True] * len(base), better, ["t0"] * len(base))
+    return {"better": better, **won, "base": pairs.summary(base), "change": pairs.summary(change)}
 
 
 class TestResolution:
@@ -241,7 +220,10 @@ class TestRunOnce:
 
 
 class TestMain:
-    def test_both_sides_are_exported_trees_that_swap_names(self, monkeypatch, tmp_path):
+    @staticmethod
+    def stub(monkeypatch, status="", stash=""):
+        """git, the export and the perfbench run stubbed: ``git rev-parse REV`` answers
+        ``REV-sha``. Returns the (directory, revision) of each run, in order."""
         ran = []
 
         def fake_export(rev, parent, name):
@@ -255,21 +237,79 @@ class TestMain:
         def no_subprocess(*args, **kwargs):
             raise AssertionError(f"unexpected subprocess {args}")
 
-        fake_git = {"rev-parse": "HEAD-sha\n", "status": "", "stash": "stash-sha\n"}
-        monkeypatch.setattr(pairs, "git", lambda *args: fake_git[args[0]])
+        def fake_git(*args):
+            answers = {"rev-parse": f"{args[-1]}-sha\n", "status": status, "stash": stash}
+            return answers[args[0]]
+
+        monkeypatch.setattr(pairs, "git", fake_git)
         monkeypatch.setattr(pairs, "export", fake_export)
         monkeypatch.setattr(pairs, "run_once", fake_run_once)
         monkeypatch.setattr(pairs.subprocess, "run", no_subprocess)
-        out = tmp_path / "out.json"
-        argv = ["--base", "HEAD", "--workload", "cli-small", "--sets", "1", "--pairs", "4"]
-        assert pairs.main([*argv, "--out", str(out)]) == 0
-        base, change = "HEAD", "stash-sha"
+        return ran
+
+    @staticmethod
+    def entry(out, *argv):
+        argv = ["--workload", "cli-small", "--sets", "1", "--pairs", "4", "--out", str(out), *argv]
+        assert pairs.main(argv) == 0
+        return json.loads(out.read_text())["runs"][-1]
+
+    def test_both_sides_are_exported_trees_that_swap_names(self, monkeypatch, tmp_path):
+        ran = self.stub(monkeypatch, status=" M src/matterwave/model.py\n", stash="stash\n")
+        entry = self.entry(tmp_path / "out.json", "--base", "HEAD~1")
+        base, change = "HEAD~1-sha", "stash-sha"
         assert ran == [
             ("t0", base), ("t1", change), ("t1", change), ("t0", base),
             ("t1", base), ("t0", change), ("t0", change), ("t1", base),
         ]
-        entry = json.loads(out.read_text())["runs"][0]
         assert entry["sets"][0]["directories"] == {
             "base": ["t0", "t0", "t1", "t1"], "change": ["t1", "t1", "t0", "t0"],
         }
-        assert (entry["change"], entry["dirty"]) == ("working tree", False)
+
+    def test_a_dirty_tree_records_its_stash_commit(self, monkeypatch, tmp_path):
+        self.stub(monkeypatch, status=" M src/matterwave/model.py\n", stash="abc123\n")
+        entry = self.entry(tmp_path / "out.json", "--base", "HEAD")
+        assert (entry["base"], entry["change"]) == ("HEAD-sha", "abc123-sha")
+        assert "resolution" not in entry and "dirty" not in entry
+
+    def test_a_clean_tree_against_head_is_an_a_a_run(self, monkeypatch, tmp_path):
+        ran = self.stub(monkeypatch)
+        entry = self.entry(tmp_path / "out.json", "--base", "HEAD")
+        assert entry["base"] == entry["change"] == "HEAD-sha"
+        assert {rev for _, rev in ran} == {"HEAD-sha"}
+        assert entry["resolution"] == {
+            "setup_s": {"largest_median_shift": 0.0, "most_won": 0, "pairs": 4},
+        }
+
+    def test_a_named_change_is_recorded_by_its_sha(self, monkeypatch, tmp_path):
+        self.stub(monkeypatch, status=" M src/matterwave/model.py\n", stash="abc123\n")
+        entry = self.entry(tmp_path / "out.json", "--base", "HEAD~1", "--change", "HEAD")
+        assert (entry["base"], entry["change"]) == ("HEAD~1-sha", "HEAD-sha")
+
+    def test_an_entry_is_appended_to_the_runs_already_there(self, monkeypatch, tmp_path):
+        self.stub(monkeypatch)
+        out = tmp_path / "out.json"
+        out.write_text('{"runs": [{"label": "earlier"}], "note": "kept"}')
+        self.entry(out, "--base", "HEAD", "--label", "later")
+        bench = json.loads(out.read_text())
+        assert [run["label"] for run in bench["runs"]] == ["earlier", "later"]
+        assert bench["note"] == "kept"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{", "is not JSON"),
+            ("", "is not JSON"),
+            ("[]", "holds no runs list"),
+            ("{}", "holds no runs list"),
+            ('{"runs": {}}', "holds no runs list"),
+        ],
+        ids=["truncated", "empty", "list", "no-runs", "runs-not-a-list"],
+    )
+    def test_a_malformed_out_is_refused_before_any_run(self, monkeypatch, tmp_path, text, message):
+        ran = self.stub(monkeypatch)
+        out = tmp_path / "out.json"
+        out.write_text(text)
+        with pytest.raises(SystemExit) as info:
+            self.entry(out, "--base", "HEAD")
+        assert str(info.value).startswith(f"pairs.py: {out} {message}")
+        assert ran == [] and out.read_text() == text

@@ -354,11 +354,15 @@ class TestPointParse:
             ('[[0.0, 0.0, 0.0], {"x": 1.0}]', ": vertex 1: expected 3 components, got {'x': 1.0}"),
             ("[[0.0, 0.0, 0.0], [[1.0, 0.0, 0.0]]]", ": vertex 1: expected 3 components, got 1"),
             ("[[0.0, 0.0, 0.0], [1.0, [0.0], 0.0]]", ": vertex 1: y must be a number, got [0.0]"),
-            ("[[0.0, 0.0, 0.0]]", ": expected a list of at least 2 [x, y, z] points"),
+            ("[[0.0, 0.0, 0.0]]", ": a beam path needs at least 2 vertices"),
+            ("[]", ": a beam path needs at least 2 vertices"),
+            ("1.0", ": expected a sequence of vertices, got 1.0"),
+            ('"ab"', ": vertex 0: expected 3 components, got 'a'"),
         ],
         ids=[
             "true", "string", "null", "NaN", "Infinity", "-Infinity", "1e999", "10**400",
             "2-element", "4-element", "dict", "nested-point", "nested-coordinate", "one-point",
+            "no-point", "number", "path-string",
         ],
     )
     def test_bad_points_refused_with_the_field_path(self, path_i, message):
