@@ -100,6 +100,14 @@ class TestCompare:
         assert pairs.compare([None], [{"t": 1.0}], [True], {"t": "lower"}, ["t0"]) == {}
 
 
+def test_directions_are_the_end_to_end_metrics_of_the_benchmark():
+    better = pairs.directions()
+    assert (better["setup_s"], better["ok_ratio"]) == ("lower", "higher")
+    assert sorted(better) == sorted(
+        m["name"] for m in json.loads(Path(pairs.ROOT, "BENCHMARK.json").read_text())["end_to_end"]
+    )
+
+
 def _metric(base, change, better="lower"):
     """A set's entry for one metric, as compare() writes it."""
     won = pairs.pairs_won(base, change, [True] * len(base), better, ["t0"] * len(base))
